@@ -104,7 +104,7 @@ def cmd_pde_design(args) -> int:
         lines = ["x,y,bpn"]
         flat = grid.ravel()
         for (x, y), v in zip(cands, flat):
-            lines.append(f"{x!r},{y!r},{v!r}")
+            lines.append(f"{float(x)!r},{float(y)!r},{float(v)!r}")
         (outdir / f"step_{k}_p{label}.csv").write_text("\n".join(lines) + "\n")
     summary = {
         "points": [list(map(float, pt)) for pt in state.points],

@@ -45,10 +45,6 @@ class SamplerFailure(OptinfoError):
     pass
 
 
-class NonGaussianPosterior(OptinfoError):
-    pass
-
-
 class MissingLossTable(OptinfoError):
     pass
 

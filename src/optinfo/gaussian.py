@@ -100,8 +100,14 @@ def sample_gaussian(g: GaussianDensity, seed: int, count: int) -> np.ndarray:
     return g.mean[None, :] + z @ factor.T
 
 
-def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a symmetric positive definite system, failing loudly if degenerate."""
+def _spd_factor(mat: np.ndarray):
+    """Cholesky factor of a symmetric positive definite matrix, failing loudly
+    if degenerate.
+
+    The matrix is symmetrised and jittered, its condition number is checked
+    against MAX_CONDITION, and it is factored once; every solve against it
+    then goes through ``scipy.linalg.cho_solve`` on the returned factor.
+    """
     mat = 0.5 * (mat + mat.T)
     jitter = DEFAULT_JITTER_SCALE * (np.trace(mat) / mat.shape[0] + 1.0)
     stabilised = mat + jitter * np.eye(mat.shape[0])
@@ -110,10 +116,14 @@ def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             "system condition number exceeds 1e12 after jitter; degenerate design"
         )
     try:
-        c, low = scipy.linalg.cho_factor(stabilised)
-        return scipy.linalg.cho_solve((c, low), rhs)
+        return scipy.linalg.cho_factor(stabilised)
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystem(f"symmetric factorisation failed: {exc}") from exc
+
+
+def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a symmetric positive definite system, failing loudly if degenerate."""
+    return scipy.linalg.cho_solve(_spd_factor(mat), rhs)
 
 
 def conjugate_posterior(
@@ -144,11 +154,13 @@ def conjugate_posterior(
         and np.all(np.linalg.eigvalsh(0.5 * (S + S.T)) > 1e-13 * max(np.max(np.abs(S)), 1.0))
     )
     if noise_nonsingular:
-        Sinv_A = _spd_solve(S, A)
-        prior_prec_mu = _spd_solve(prior.cov, prior.mean)
-        prec = A.T @ Sinv_A + _spd_solve(prior.cov, np.eye(d))
+        S_factor = _spd_factor(S)
+        prior_factor = _spd_factor(prior.cov)
+        Sinv_A = scipy.linalg.cho_solve(S_factor, A)
+        prior_prec_mu = scipy.linalg.cho_solve(prior_factor, prior.mean)
+        prec = A.T @ Sinv_A + scipy.linalg.cho_solve(prior_factor, np.eye(d))
         cov = _spd_solve(prec, np.eye(d))
-        mean = cov @ (A.T @ (_spd_solve(S, y)) + prior_prec_mu)
+        mean = cov @ (A.T @ scipy.linalg.cho_solve(S_factor, y) + prior_prec_mu)
         return GaussianDensity(mean, 0.5 * (cov + cov.T))
 
     # Zero / singular noise: condition the joint Gaussian (x, Ax + noise).

@@ -7,29 +7,21 @@ or two dimensions (the only kernel smooth enough to support Laplacian
 observations).
 
 Cross-covariance assembly for the SE kernel is the hot loop of the elliptic
-design search; it is dispatched to a compiled extension when available, with
-a numpy fallback selected at import (force the fallback by setting the
-environment variable OPTINFO_NO_EXTENSION).
+design search.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import SingularGram, UnsupportedFunctional
-from .gaussian import DEFAULT_JITTER_SCALE, MAX_CONDITION, _spd_solve
+from .gaussian import DEFAULT_JITTER_SCALE, MAX_CONDITION, _spd_factor
 
-try:
-    if os.environ.get("OPTINFO_NO_EXTENSION"):
-        raise ImportError("extension disabled by OPTINFO_NO_EXTENSION")
-    from . import _kernels_cy as _backend
-except ImportError:
-    from . import _kernels_np as _backend
-
-BACKEND = _backend.NAME
+# Name of the SE assembly implementation; recorded in benchmark environments.
+BACKEND = "numpy"
 
 POINT = 0
 NEG_LAPLACIAN = 1
@@ -134,16 +126,38 @@ class SquaredExponential:
         return 1.0 / self.lengthscale**2
 
     def cross_cov(self, pts_a, codes_a, pts_b, codes_b):
+        """Cross-covariance matrix between two sets of linear functionals.
+
+        pts_* have shape (n, d); codes_* hold POINT or NEG_LAPLACIAN per row.
+        """
         pts_a = np.atleast_2d(np.asarray(pts_a, dtype=float))
         pts_b = np.atleast_2d(np.asarray(pts_b, dtype=float))
-        return _backend.se_cross_cov(
-            pts_a,
-            np.asarray(codes_a, dtype=np.int64),
-            pts_b,
-            np.asarray(codes_b, dtype=np.int64),
-            self.gamma,
-            self.amplitude,
-        )
+        codes_a = np.asarray(codes_a, dtype=np.int64)
+        codes_b = np.asarray(codes_b, dtype=np.int64)
+        gamma = self.gamma
+        d = pts_a.shape[1]
+
+        diff = pts_a[:, None, :] - pts_b[None, :, :]
+        r2 = np.einsum("ijk,ijk->ij", diff, diff)
+        base = self.amplitude * np.exp(-gamma * r2)
+
+        s = codes_a[:, None] + codes_b[None, :]
+        factor = np.ones_like(base)
+        if np.any(s == 1):
+            # -Delta applied on one side: (2 d gamma - 4 gamma^2 r^2) * k
+            m = s == 1
+            factor[m] = 2.0 * d * gamma - 4.0 * gamma**2 * r2[m]
+        if np.any(s == 2):
+            # -Delta applied on both sides:
+            # (16 g^4 r^4 - 16 g^3 (d+2) r^2 + 4 g^2 d (d+2)) * k
+            m = s == 2
+            rm = r2[m]
+            factor[m] = (
+                16.0 * gamma**4 * rm**2
+                - 16.0 * gamma**3 * (d + 2) * rm
+                + 4.0 * gamma**2 * d * (d + 2)
+            )
+        return factor * base
 
     def mean(self, pts):
         return np.zeros(np.atleast_2d(np.asarray(pts, dtype=float)).shape[0])
@@ -193,7 +207,11 @@ def _split_obs(kernel, observations):
 
 
 class ConditionedPredictor:
-    """GP posterior predictor: mean and covariance over query points."""
+    """GP posterior predictor: mean and covariance over query points.
+
+    The jittered Gram matrix is factored once, at construction; ``mean``,
+    ``cov`` and ``cov_functionals`` reuse that Cholesky factor.
+    """
 
     def __init__(self, kernel, observations, jitter: float | None = None):
         self.kernel = kernel
@@ -203,7 +221,7 @@ class ConditionedPredictor:
         self._obs_codes = codes
         if pts.shape[0] == 0:
             self._weights = np.zeros(0)
-            self._gram = np.zeros((0, 0))
+            self._factor = None
             self.jitter = 0.0
             return
         gram = kernel.cross_cov(pts, codes, pts, codes)
@@ -216,9 +234,9 @@ class ConditionedPredictor:
         gram = gram + self.jitter * np.eye(n)
         if np.linalg.cond(gram) > MAX_CONDITION:
             raise SingularGram("Gram matrix condition number exceeds 1e12 after jitter")
-        self._gram = gram
+        self._factor = _spd_factor(gram)
         prior_mean = kernel.mean(pts)
-        self._weights = _spd_solve(gram, values - prior_mean)
+        self._weights = scipy.linalg.cho_solve(self._factor, values - prior_mean)
 
     def _query(self, points):
         pts = np.asarray(points, dtype=float)
@@ -251,7 +269,7 @@ class ConditionedPredictor:
         if self._obs_pts.shape[0] == 0:
             return 0.5 * (prior + prior.T)
         cross = self.kernel.cross_cov(pts, codes, self._obs_pts, self._obs_codes)
-        reduction = cross @ _spd_solve(self._gram, cross.T)
+        reduction = cross @ scipy.linalg.cho_solve(self._factor, cross.T)
         out = prior - reduction
         return 0.5 * (out + out.T)
 

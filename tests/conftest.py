@@ -5,6 +5,9 @@ echoed in the terminal summary so every run ends with an explicit
 pass/fail line for each criterion.
 """
 
+import pytest
+import scipy.linalg
+
 ACCEPTANCE_LINES: dict = {}
 
 
@@ -23,3 +26,17 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for number in sorted(ACCEPTANCE_LINES):
         terminalreporter.write_line(ACCEPTANCE_LINES[number])
+
+
+@pytest.fixture
+def cho_factor_calls(monkeypatch):
+    """List that grows by one entry per ``scipy.linalg.cho_factor`` call."""
+    calls = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+    return calls

@@ -119,6 +119,8 @@ class TestPdeDesignCommand:
         lines = csv.read_text().splitlines()
         assert lines[0] == "x,y,bpn"
         assert len(lines) == 26  # header + 5x5 candidates
+        for line in lines[1:]:
+            assert len([float(cell) for cell in line.split(",")]) == 3
         doc = json.loads((tmp_path / "design.json").read_text())
         assert len(doc["points"]) == 1
         assert doc["config"]["p"] == "2"

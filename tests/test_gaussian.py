@@ -122,6 +122,16 @@ class TestConjugatePosterior:
         post = conjugate_posterior(prior, np.eye(2), np.eye(2), [0.0, 0.0])
         assert np.linalg.eigvalsh(post.cov)[0] >= -1e-9
 
+    def test_information_form_factors_each_matrix_once(self, cho_factor_calls):
+        # One Cholesky factorisation each for the noise, the prior and the
+        # posterior precision.
+        rng = np.random.default_rng(3)
+        L = rng.standard_normal((3, 3))
+        prior = GaussianDensity(rng.standard_normal(3), L @ L.T + np.eye(3))
+        A = rng.standard_normal((2, 3))
+        conjugate_posterior(prior, A, np.eye(2), rng.standard_normal(2))
+        assert len(cho_factor_calls) == 3
+
     def test_indefinite_system_fails_loudly(self):
         from optinfo.gaussian import _spd_solve
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import optinfo._kernels_np as kernels_np
 from optinfo.errors import SingularGram, UnsupportedFunctional
 from optinfo.kernels import (
     NEG_LAPLACIAN,
@@ -169,21 +168,40 @@ class TestSquaredExponentialCalculus:
             SquaredExponential(dim=3)
 
 
-class TestBackends:
-    def test_numpy_backend_matches_active_backend(self):
-        # The compiled extension and the numpy fallback must be drop-in
-        # replacements for each other.
-        kernel = SquaredExponential(lengthscale=1.0, amplitude=1.0, dim=2)
+class TestCrossCovBatch:
+    def test_mixed_codes_match_closed_forms_entrywise(self):
+        # Oracle for the vectorised code masks: every entry of a mixed-code
+        # batch equals the scalar closed form for its pair of functionals.
+        ls, amp = 0.8, 1.3
+        kernel = SquaredExponential(lengthscale=ls, amplitude=amp, dim=2)
         rng = np.random.default_rng(9)
         pts_a = rng.uniform(0, 1, (20, 2))
         pts_b = rng.uniform(0, 1, (15, 2))
         codes_a = rng.integers(0, 2, 20)
         codes_b = rng.integers(0, 2, 15)
-        active = kernel.cross_cov(pts_a, codes_a, pts_b, codes_b)
-        fallback = kernels_np.se_cross_cov(
-            pts_a, codes_a.astype(np.int64), pts_b, codes_b.astype(np.int64), 1.0, 1.0
-        )
-        assert active == pytest.approx(fallback, rel=1e-12, abs=1e-14)
+        got = kernel.cross_cov(pts_a, codes_a, pts_b, codes_b)
+        expected = np.empty((20, 15))
+        for i in range(20):
+            for j in range(15):
+                k, lap, dlap = se_functional_covariances(ls, pts_a[i], pts_b[j])
+                expected[i, j] = amp * (k, -lap, dlap)[codes_a[i] + codes_b[j]]
+        assert {0, 1, 2} <= set((codes_a[:, None] + codes_b[None, :]).ravel())
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+class TestFactorOnce:
+    def test_conditioning_factors_gram_once(self, cho_factor_calls):
+        kernel = SquaredExponential(lengthscale=0.5, dim=2)
+        boundary = [PointEvaluation([t, 0.0], 0.0) for t in (0.0, 0.5, 1.0)]
+        interior = [NegativeLaplacianEvaluation([0.3, 0.6], 1.0),
+                    NegativeLaplacianEvaluation([0.7, 0.4], -1.0)]
+        pred = gp_condition(kernel, boundary + interior)
+        query = np.array([[0.2, 0.2], [0.5, 0.5], [0.8, 0.3]])
+        pred.mean(query)
+        pred.cov(query)
+        pred.cov_functionals(query, [POINT, NEG_LAPLACIAN, POINT])
+        pred.cov_functionals(query, [NEG_LAPLACIAN] * 3)
+        assert len(cho_factor_calls) == 1
 
 
 class TestConditioningProperties:

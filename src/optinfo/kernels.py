@@ -6,8 +6,9 @@ squared-exponential kernel amp * exp(-||t - t'||^2 / lengthscale^2) in one
 or two dimensions (the only kernel smooth enough to support Laplacian
 observations).
 
-Cross-covariance assembly for the SE kernel is the hot loop of the elliptic
-design search.
+Cross-covariance assembly for the SE kernel is vectorised numpy; the
+elliptic design search assembles its large blocks once per search and
+conditions them through ``ConditionedPredictor.cov_from_blocks``.
 """
 
 from __future__ import annotations
@@ -210,7 +211,8 @@ class ConditionedPredictor:
     """GP posterior predictor: mean and covariance over query points.
 
     The jittered Gram matrix is factored once, at construction; ``mean``,
-    ``cov`` and ``cov_functionals`` reuse that Cholesky factor.
+    ``cov``, ``cov_functionals`` and ``cov_from_blocks`` reuse that Cholesky
+    factor.
     """
 
     def __init__(self, kernel, observations, jitter: float | None = None):
@@ -267,8 +269,21 @@ class ConditionedPredictor:
         codes = np.asarray(codes, dtype=np.int64)
         prior = self.kernel.cross_cov(pts, codes, pts, codes)
         if self._obs_pts.shape[0] == 0:
-            return 0.5 * (prior + prior.T)
+            return self.cov_from_blocks(prior, None)
         cross = self.kernel.cross_cov(pts, codes, self._obs_pts, self._obs_codes)
+        return self.cov_from_blocks(prior, cross)
+
+    def cov_from_blocks(self, prior, cross) -> np.ndarray:
+        """Posterior covariance ``prior - cross K^-1 cross^T``, symmetrised.
+
+        ``prior`` is the prior covariance among some query functionals and
+        ``cross`` their prior covariance with the observations, one column
+        per observation in conditioning order. Callers that keep these
+        blocks across several conditionings pass them here instead of
+        reassembling them through ``cov_functionals``.
+        """
+        if self._obs_pts.shape[0] == 0:
+            return 0.5 * (prior + prior.T)
         reduction = cross @ scipy.linalg.cho_solve(self._factor, cross.T)
         out = prior - reduction
         return 0.5 * (out + out.T)

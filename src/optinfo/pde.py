@@ -143,18 +143,22 @@ def posterior_on_grid(problem: EllipticDesignProblem, points) -> np.ndarray:
     return _predictor(problem, pts).cov(problem.grid_points)
 
 
-def _joint_cov(problem: EllipticDesignProblem, chosen, extra_points):
-    """Posterior covariance over [grid values; -Laplacian at extra points]."""
-    pts = _check_separation(problem, chosen)
-    predictor = _predictor(problem, pts)
+def _joint_functionals(problem: EllipticDesignProblem, extra_points):
+    """Points and codes of [grid values; -Laplacian at extra points]."""
     grid = problem.grid_points
     extra = np.atleast_2d(np.asarray(extra_points, dtype=float))
-    joint_pts = np.vstack([grid, extra])
     codes = np.concatenate(
         [np.full(grid.shape[0], POINT, dtype=np.int64),
          np.full(extra.shape[0], NEG_LAPLACIAN, dtype=np.int64)]
     )
-    return predictor.cov_functionals(joint_pts, codes)
+    return np.vstack([grid, extra]), codes
+
+
+def _joint_cov(problem: EllipticDesignProblem, chosen, extra_points):
+    """Posterior covariance over [grid values; -Laplacian at extra points]."""
+    pts = _check_separation(problem, chosen)
+    predictor = _predictor(problem, pts)
+    return predictor.cov_functionals(*_joint_functionals(problem, extra_points))
 
 
 def _candidate_values(problem, joint, n_grid, cand_idx, weights, cfg, step, threads=1):
@@ -203,9 +207,10 @@ def _candidate_values(problem, joint, n_grid, cand_idx, weights, cfg, step, thre
             stderrs[pos] = float(np.std(vals, ddof=1) / np.sqrt(n_pairs))
 
     positions = list(range(len(cand_idx)))
-    if threads > 1:
-        chunks = [positions[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(positions))
+    if workers > 1:
+        chunks = [positions[i::workers] for i in range(workers)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(eval_chunk, chunks))
     else:
         eval_chunk(positions)
@@ -246,8 +251,18 @@ def design_criterion(problem: EllipticDesignProblem, points,
 def greedy_design(problem: EllipticDesignProblem, m: int,
                   cfg: MonteCarloConfig | None = None, threads: int = 1):
     """Sequentially add m interior points, each minimising the candidate
-    criterion surface; exact ties resolve to the lowest lexicographic
-    candidate.
+    criterion surface.
+
+    The prior covariance over [grid; -Laplacian at every candidate] and its
+    cross-covariance with the boundary observations are assembled once; each
+    choice appends one column to the cross block, and each step conditions on
+    the boundary plus the chosen points through ``cov_from_blocks``.
+
+    Each step takes the first minimum of the computed candidate values
+    (``np.argmin``); there is no tie tolerance. Candidates that tie in exact
+    arithmetic, such as mirror images under a symmetry of the square, differ
+    by roundoff, so the choice among them follows summation order, not
+    candidate order.
 
     Returns (DesignState, contour_grids, criterion_trace) where
     contour_grids[k] is the C x C candidate-value matrix at step k (NaN for
@@ -255,16 +270,24 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     cfg = cfg or MonteCarloConfig()
     cands = problem.candidates
     C = problem.candidate_grid
     n_grid = problem.grid_points.shape[0]
     weights = problem.grid_weights
+    kernel = problem.kernel
+    joint_pts, joint_codes = _joint_functionals(problem, cands)
+    boundary = problem.boundary
+    prior = kernel.cross_cov(joint_pts, joint_codes, joint_pts, joint_codes)
+    cross = kernel.cross_cov(joint_pts, joint_codes,
+                             boundary, np.full(boundary.shape[0], POINT))
     chosen: list = []
     contours = []
     trace = []
     for step in range(m):
-        joint = _joint_cov(problem, chosen, cands)
+        joint = _predictor(problem, chosen).cov_from_blocks(prior, cross)
         if chosen:
             taken = np.atleast_2d(np.asarray(chosen))
             dists = np.linalg.norm(cands[:, None, :] - taken[None, :, :], axis=-1)
@@ -278,16 +301,24 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
         surface[free] = values
         best = free[int(np.argmin(values))]
         chosen.append(cands[best].copy())
+        cross = np.hstack([cross, kernel.cross_cov(joint_pts, joint_codes,
+                                                   cands[best:best + 1], [NEG_LAPLACIAN])])
         contours.append(surface.reshape(C, C))
         trace.append(float(values[np.argmin(values)]))
-    state = DesignState(points=[p.copy() for p in chosen],
-                        grid_cov=posterior_on_grid(problem, chosen))
+    grid_cov = _predictor(problem, chosen).cov_from_blocks(
+        prior[:n_grid, :n_grid], cross[:n_grid]
+    )
+    state = DesignState(points=[p.copy() for p in chosen], grid_cov=grid_cov)
     return state, contours, trace
 
 
 def greedy_trace_design(problem: EllipticDesignProblem, m: int) -> list:
     """A-optimal (weighted-trace) greedy sequence, computed independently of
-    the criterion surface via rank-1 posterior updates."""
+    the criterion surface via rank-1 posterior updates.
+
+    This is the full-reconditioning oracle for ``greedy_design``: every step
+    reassembles and reconditions the joint covariance through ``_joint_cov``.
+    """
     cands = problem.candidates
     n_grid = problem.grid_points.shape[0]
     weights = problem.grid_weights

@@ -111,6 +111,11 @@ class TestPdeDesignCommand:
         code, _, _ = run(self.BASE + ["--p", "3", "--outdir", str(tmp_path)], capsys)
         assert code == EXIT_USAGE
 
+    def test_zero_threads_exits_2(self, tmp_path, capsys):
+        code, _, err = run(self.BASE + ["--threads", "0", "--outdir", str(tmp_path)], capsys)
+        assert code == EXIT_USAGE
+        assert "threads" in err
+
     def test_m1_outputs(self, tmp_path, capsys):
         code, _, _ = run(self.BASE + ["--p", "2", "--outdir", str(tmp_path)], capsys)
         assert code == EXIT_OK

@@ -7,13 +7,15 @@ covered by the acceptance suite.
 import numpy as np
 import pytest
 
+from optinfo import pde
 from optinfo.criteria import MonteCarloConfig
 from optinfo.errors import SingularGram
 from optinfo.gaussian import _psd_factor, derive_rng
-from optinfo.kernels import NEG_LAPLACIAN, POINT
+from optinfo.kernels import NEG_LAPLACIAN, POINT, SquaredExponential
 from optinfo.pde import (
     DesignState,
     EllipticDesignProblem,
+    _candidate_values,
     _joint_cov,
     boundary_points,
     bpn_surface,
@@ -165,7 +167,71 @@ class TestGreedy:
         problem = small_problem()
         state, _, _ = greedy_design(problem, 2)
         recomputed = posterior_on_grid(problem, state.points)
-        assert state.grid_cov == pytest.approx(recomputed, abs=1e-10)
+        np.testing.assert_array_equal(state.grid_cov, recomputed)
+
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    def test_contours_equal_full_reconditioning(self, p):
+        # Oracle: every step reassembles and reconditions the joint
+        # covariance from scratch; the cached blocks must give the same bits.
+        problem = small_problem(p=p)
+        cfg = MonteCarloConfig(seed=3, n_outer=64)
+        state, contours, _ = greedy_design(problem, 3, cfg)
+        cands = problem.candidates
+        n_grid = problem.grid_points.shape[0]
+        for step, contour in enumerate(contours):
+            prefix = state.points[:step]
+            free = np.array([c for c in range(len(cands))
+                             if all(np.linalg.norm(cands[c] - q) >= problem.min_separation
+                                    for q in prefix)])
+            joint = _joint_cov(problem, prefix, cands)
+            values, _ = _candidate_values(problem, joint, n_grid, free,
+                                          problem.grid_weights, cfg, step)
+            surface = np.full(len(cands), np.nan)
+            surface[free] = values
+            np.testing.assert_array_equal(contour.ravel(), surface)
+
+    def test_prior_assembled_once(self, monkeypatch):
+        problem = small_problem()
+        n_grid = problem.grid_points.shape[0]
+        n_joint = n_grid + problem.candidates.shape[0]
+        shapes = []
+        cross_cov = SquaredExponential.cross_cov
+
+        def recording(self, *args):
+            out = cross_cov(self, *args)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(SquaredExponential, "cross_cov", recording)
+        greedy_design(problem, 3)
+        assert shapes.count((n_joint, n_joint)) == 1
+        assert shapes.count((n_grid, n_grid)) == 0
+
+    def test_nonpositive_threads_rejected(self):
+        with pytest.raises(ValueError):
+            greedy_design(small_problem(), 1, threads=0)
+        with pytest.raises(ValueError):
+            greedy_design(small_problem(), 1, threads=-1)
+
+    def test_thread_pool_capped_at_free_candidates(self, monkeypatch):
+        problem = small_problem(p=np.inf, candidate_grid=2)
+        cfg = MonteCarloConfig(seed=5, n_outer=32)
+        serial = greedy_design(problem, 2, cfg, threads=1)
+        workers = []
+        executor = pde.ThreadPoolExecutor
+
+        class Recording(executor):
+            def __init__(self, max_workers=None, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(pde, "ThreadPoolExecutor", Recording)
+        state, contours, trace = greedy_design(problem, 2, cfg, threads=8)
+        assert workers and max(workers) <= 4
+        assert trace == serial[2]
+        np.testing.assert_array_equal(state.points, serial[0].points)
+        for a, b in zip(contours, serial[1]):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestEstimatorCrossValidation:

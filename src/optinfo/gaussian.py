@@ -77,8 +77,10 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
     if cov.size == 0:
         return cov
     jitter = DEFAULT_JITTER_SCALE * (np.trace(cov) / cov.shape[0] + 1.0)
+    stabilised = cov.copy()
+    np.fill_diagonal(stabilised, np.diagonal(cov) + jitter)
     try:
-        return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
+        return np.linalg.cholesky(stabilised)
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh(cov)
         if w[-1] < 0:
@@ -108,9 +110,9 @@ def _spd_factor(mat: np.ndarray):
     against MAX_CONDITION, and it is factored once; every solve against it
     then goes through ``scipy.linalg.cho_solve`` on the returned factor.
     """
-    mat = 0.5 * (mat + mat.T)
-    jitter = DEFAULT_JITTER_SCALE * (np.trace(mat) / mat.shape[0] + 1.0)
-    stabilised = mat + jitter * np.eye(mat.shape[0])
+    stabilised = 0.5 * (mat + mat.T)
+    jitter = DEFAULT_JITTER_SCALE * (np.trace(stabilised) / stabilised.shape[0] + 1.0)
+    np.fill_diagonal(stabilised, np.diagonal(stabilised) + jitter)
     if np.linalg.cond(stabilised) > MAX_CONDITION:
         raise SingularSystem(
             "system condition number exceeds 1e12 after jitter; degenerate design"

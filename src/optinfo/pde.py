@@ -30,6 +30,11 @@ from .kernels import (
     gp_condition,
 )
 
+# Candidates x grid points per block of the p = inf scoring kernel; with the
+# default 128 pair samples one block buffer is 1 MB.
+_CAND_BLOCK = 16
+_GRID_BLOCK = 64
+
 
 def boundary_points(n_boundary: int) -> np.ndarray:
     """n equispaced points on the boundary of the unit square."""
@@ -75,6 +80,12 @@ class EllipticDesignProblem:
     def __post_init__(self):
         if self.p not in (2.0, np.inf):
             raise ValueError("p must be 2 or inf")
+        if self.eval_grid < 1:
+            raise ValueError(f"eval_grid must be >= 1, got {self.eval_grid}")
+        if self.candidate_grid < 1:
+            raise ValueError(f"candidate_grid must be >= 1, got {self.candidate_grid}")
+        if self.n_boundary < 0:
+            raise ValueError(f"n_boundary must be >= 0, got {self.n_boundary}")
 
     @property
     def kernel(self) -> SquaredExponential:
@@ -169,6 +180,16 @@ def _candidate_values(problem, joint, n_grid, cand_idx, weights, cfg, step, thre
     rank-1-updated grid covariance. p = inf: shared posterior pair samples
     (common random numbers across candidates), deterministic given
     (cfg.seed, step).
+
+    The p = inf kernel walks the candidates in blocks of _CAND_BLOCK and the
+    grid in blocks of _GRID_BLOCK. Each worker fills one preallocated buffer
+    in place with fl(dx - fl(a * v)), takes |.| and the maximum over the grid
+    block, and merges it into a running maximum per pair sample; the means
+    and standard errors are taken once over all candidates. Each element
+    sees the same single product and subtraction as a per-candidate
+    ``dx - np.outer(a, v)``, and the maximum is exact in any order, so every
+    value and stderr is bit-identical to that loop for any block size and
+    thread count. With one pair sample the stderr is 0.
     """
     grid_cov = joint[:n_grid, :n_grid]
     diag = np.diag(grid_cov)
@@ -192,21 +213,30 @@ def _candidate_values(problem, joint, n_grid, cand_idx, weights, cfg, step, thre
     dx = draws[:n_pairs, :n_grid] - draws[n_pairs:, :n_grid]
     dg = draws[:n_pairs, n_grid:] - draws[n_pairs:, n_grid:]
 
-    values = np.empty(len(cand_idx))
-    stderrs = np.empty(len(cand_idx))
+    cand = np.asarray(cand_idx, dtype=np.int64)
+    cols = n_grid + cand
+    scales = (dg[:, cand] / (joint[cols, cols] + jitter)).T
+    columns = joint[:n_grid, cols].T
+    dx_t = np.ascontiguousarray(dx.T)
+    maxes = np.empty((len(cols), n_pairs))
 
     def eval_chunk(chunk):
-        for pos in chunk:
-            c = cand_idx[pos]
-            j = n_grid + c
-            v = joint[:n_grid, j]
-            s = joint[j, j] + jitter
-            z = dx - np.outer(dg[:, c] / s, v)
-            vals = np.max(np.abs(z), axis=1)
-            values[pos] = float(np.mean(vals))
-            stderrs[pos] = float(np.std(vals, ddof=1) / np.sqrt(n_pairs))
+        buf = np.empty((_CAND_BLOCK, _GRID_BLOCK, n_pairs))
+        for start in range(0, len(chunk), _CAND_BLOCK):
+            rows = chunk[start:start + _CAND_BLOCK]
+            a = scales[rows][:, None, :]
+            v = columns[rows][:, :, None]
+            running = np.zeros((len(rows), n_pairs))
+            for g0 in range(0, n_grid, _GRID_BLOCK):
+                g1 = min(g0 + _GRID_BLOCK, n_grid)
+                z = buf[:len(rows), :g1 - g0]
+                np.multiply(v[:, g0:g1], a, out=z)
+                np.subtract(dx_t[g0:g1], z, out=z)
+                np.abs(z, out=z)
+                np.maximum(running, z.max(axis=1), out=running)
+            maxes[rows] = running
 
-    positions = list(range(len(cand_idx)))
+    positions = np.arange(len(cols))
     workers = min(threads, len(positions))
     if workers > 1:
         chunks = [positions[i::workers] for i in range(workers)]
@@ -214,7 +244,10 @@ def _candidate_values(problem, joint, n_grid, cand_idx, weights, cfg, step, thre
             list(pool.map(eval_chunk, chunks))
     else:
         eval_chunk(positions)
-    return values, stderrs
+    values = np.mean(maxes, axis=1)
+    if n_pairs == 1:
+        return values, np.zeros(len(cols))
+    return values, np.std(maxes, axis=1, ddof=1) / np.sqrt(n_pairs)
 
 
 def bpn_surface(problem: EllipticDesignProblem, state: DesignState, candidate,
@@ -245,7 +278,8 @@ def design_criterion(problem: EllipticDesignProblem, points,
     factor = _psd_factor(2.0 * cov)
     z = rng.standard_normal((cfg.n_outer, cov.shape[0])) @ factor.T
     vals = np.max(np.abs(z), axis=1)
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(cfg.n_outer))
+    stderr = float(np.std(vals, ddof=1) / np.sqrt(cfg.n_outer)) if cfg.n_outer > 1 else 0.0
+    return float(np.mean(vals)), stderr
 
 
 def greedy_design(problem: EllipticDesignProblem, m: int,
@@ -272,9 +306,13 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
         raise ValueError("m must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    C = problem.candidate_grid
+    if m > C * C:
+        raise ValueError(
+            f"m = {m} exceeds the {C * C} candidates of candidate_grid {C}"
+        )
     cfg = cfg or MonteCarloConfig()
     cands = problem.candidates
-    C = problem.candidate_grid
     n_grid = problem.grid_points.shape[0]
     weights = problem.grid_weights
     kernel = problem.kernel

@@ -116,6 +116,25 @@ class TestPdeDesignCommand:
         assert code == EXIT_USAGE
         assert "threads" in err
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--eval-grid", "0"], "eval_grid"),
+        (["--eval-grid", "-3"], "eval_grid"),
+        (["--candidate-grid", "0"], "candidate_grid"),
+        (["--n-boundary", "-1"], "n_boundary"),
+        (["--m", "26"], "candidate_grid"),
+    ])
+    def test_bad_sizes_exit_2(self, tmp_path, capsys, flags, name):
+        code, _, err = run(self.BASE + flags + ["--outdir", str(tmp_path)], capsys)
+        assert code == EXIT_USAGE
+        assert name in err
+
+    def test_single_sample_pinf_runs(self, tmp_path, capsys):
+        code, _, _ = run(self.BASE + ["--p", "inf", "--samples", "1",
+                                      "--outdir", str(tmp_path)], capsys)
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "design.json").read_text())
+        assert np.isfinite(doc["bpn_trace"][0])
+
     def test_m1_outputs(self, tmp_path, capsys):
         code, _, _ = run(self.BASE + ["--p", "2", "--outdir", str(tmp_path)], capsys)
         assert code == EXIT_OK

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from optinfo.errors import DimensionMismatch, FactorizationFailure, SingularSystem
 from optinfo.gaussian import (
+    DEFAULT_JITTER_SCALE,
     GaussianDensity,
+    _psd_factor,
+    _spd_factor,
     conjugate_posterior,
     derive_rng,
     sample_gaussian,
@@ -137,6 +141,26 @@ class TestConjugatePosterior:
 
         with pytest.raises(SingularSystem):
             _spd_solve(np.array([[1.0, 0.0], [0.0, -1.0]]), np.ones(2))
+
+
+class TestFactorJitter:
+    def test_diagonal_jitter_matches_dense_identity(self, monkeypatch):
+        rng = derive_rng(11)
+        a = rng.standard_normal((40, 30))
+        cov = a @ a.T
+        n = cov.shape[0]
+        sym = 0.5 * (cov + cov.T)
+        jitter_psd = DEFAULT_JITTER_SCALE * (np.trace(cov) / n + 1.0)
+        jitter_spd = DEFAULT_JITTER_SCALE * (np.trace(sym) / n + 1.0)
+        want_psd = np.linalg.cholesky(cov + jitter_psd * np.eye(n))
+        want_spd = scipy.linalg.cho_factor(sym + jitter_spd * np.eye(n))[0]
+
+        def no_dense_identity(*args, **kwargs):
+            raise AssertionError("jitter must not build a dense identity")
+
+        monkeypatch.setattr(np, "eye", no_dense_identity)
+        np.testing.assert_array_equal(_psd_factor(cov), want_psd)
+        np.testing.assert_array_equal(_spd_factor(cov)[0], want_spd)
 
 
 class TestSampling:

@@ -56,6 +56,13 @@ class TestGeometry:
         with pytest.raises(ValueError):
             EllipticDesignProblem(p=3.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("eval_grid", 0), ("eval_grid", -2), ("candidate_grid", 0), ("n_boundary", -1),
+    ])
+    def test_bad_sizes_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EllipticDesignProblem(**{field: value})
+
 
 class TestPosteriorOnGrid:
     def test_no_observations_returns_prior_gram(self):
@@ -111,6 +118,18 @@ class TestCriterionSurface:
         state = DesignState(points=[np.array([0.5, 0.5])])
         with pytest.raises(SingularGram):
             bpn_surface(problem, state, np.array([0.5, 0.5]))
+
+    def test_single_pair_sample_gives_zero_stderr(self):
+        problem = small_problem(p=np.inf)
+        cfg = MonteCarloConfig(seed=4, n_outer=1)
+        est, se = design_criterion(problem, [[0.5, 0.5]], cfg)
+        assert np.isfinite(est) and se == 0.0
+        joint = _joint_cov(problem, [], problem.candidates)
+        n_grid = problem.grid_points.shape[0]
+        values, stderrs = _candidate_values(problem, joint, n_grid, np.arange(3),
+                                            problem.grid_weights, cfg, 0)
+        assert np.all(np.isfinite(values))
+        np.testing.assert_array_equal(stderrs, np.zeros(3))
 
     def test_pinf_deterministic(self):
         problem = small_problem(p=np.inf)
@@ -207,6 +226,14 @@ class TestGreedy:
         assert shapes.count((n_joint, n_joint)) == 1
         assert shapes.count((n_grid, n_grid)) == 0
 
+    def test_more_points_than_candidates_rejected_up_front(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a candidate was scored before m was checked")
+
+        monkeypatch.setattr(pde, "_candidate_values", never)
+        with pytest.raises(ValueError, match="candidate_grid"):
+            greedy_design(small_problem(candidate_grid=2), 5)
+
     def test_nonpositive_threads_rejected(self):
         with pytest.raises(ValueError):
             greedy_design(small_problem(), 1, threads=0)
@@ -232,6 +259,47 @@ class TestGreedy:
         np.testing.assert_array_equal(state.points, serial[0].points)
         for a, b in zip(contours, serial[1]):
             np.testing.assert_array_equal(a, b)
+
+
+def per_candidate_pinf(joint, n_grid, cand_idx, cfg, step):
+    """Reference p = inf scoring: one outer-product temporary per candidate."""
+    jitter = 1e-12 * (np.trace(joint) / joint.shape[0] + 1.0)
+    rng = derive_rng(cfg.seed, step)
+    factor = _psd_factor(joint)
+    n_pairs = cfg.n_outer
+    draws = rng.standard_normal((2 * n_pairs, joint.shape[0])) @ factor.T
+    dx = draws[:n_pairs, :n_grid] - draws[n_pairs:, :n_grid]
+    dg = draws[:n_pairs, n_grid:] - draws[n_pairs:, n_grid:]
+    values = np.empty(len(cand_idx))
+    stderrs = np.zeros(len(cand_idx))
+    for pos, c in enumerate(cand_idx):
+        j = n_grid + c
+        z = dx - np.outer(dg[:, c] / (joint[j, j] + jitter), joint[:n_grid, j])
+        vals = np.max(np.abs(z), axis=1)
+        values[pos] = float(np.mean(vals))
+        if n_pairs > 1:
+            stderrs[pos] = float(np.std(vals, ddof=1) / np.sqrt(n_pairs))
+    return values, stderrs
+
+
+class TestBlockedPinfKernel:
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("n_outer", [1, 48])
+    def test_bit_identical_to_per_candidate_loop(self, threads, n_outer):
+        # 49 grid points and 23 of 36 candidates: neither is a multiple of
+        # its block size, so partial blocks on both axes are exercised.
+        problem = small_problem(p=np.inf, eval_grid=7, candidate_grid=6)
+        cands = problem.candidates
+        n_grid = problem.grid_points.shape[0]
+        joint = _joint_cov(problem, [cands[13]], cands)
+        cand_idx = np.array([c for c in range(len(cands)) if c % 3 != 2 and c != 13])
+        assert len(cand_idx) == 23
+        cfg = MonteCarloConfig(seed=6, n_outer=n_outer)
+        want = per_candidate_pinf(joint, n_grid, cand_idx, cfg, step=1)
+        got = _candidate_values(problem, joint, n_grid, cand_idx, problem.grid_weights,
+                                cfg, 1, threads)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestEstimatorCrossValidation:

@@ -130,19 +130,20 @@ def bdt_criterion(problem, e, integrator="exact-enumeration") -> float:
 def bpn_mc(problem, e, cfg: MonteCarloConfig):
     """Nested Monte Carlo estimator of the posterior-concentration criterion.
 
-    Outer loop: draw x from the prior and an observation y for x under e;
-    inner loop: draw posterior states x' given y and average the pair loss
-    l(x, x'). Returns (estimate, standard error), the latter from the
-    outer-loop variance. Deterministic given cfg.seed.
+    Draws cfg.n_outer prior states x, one observation y of each under e and
+    cfg.n_inner posterior states x' given each y, all in one batched pass
+    (``problem.sample_nested``), and averages the pair losses l(x, x') over
+    the inner draws. Returns (estimate, standard error), the latter from
+    the outer-draw variance (0.0 for a single outer draw).
+
+    Deterministic given cfg.seed. The batch takes the generator's numbers
+    in the order of a per-draw loop (prior states, then each outer draw's
+    observation followed by its inner draws), so it returns that loop's
+    values: bit for bit on finite problems, to roundoff on Gaussian ones.
     """
     rng = derive_rng(cfg.seed)
-    xs = problem.sample_prior(rng, cfg.n_outer)
-    inner_means = np.empty(cfg.n_outer)
-    for i in range(cfg.n_outer):
-        x = xs[i]
-        y = problem.sample_observation(rng, e, x)
-        x_primes = problem.sample_posterior(rng, e, y, cfg.n_inner)
-        inner_means[i] = np.mean([problem.pair_loss(x, xp) for xp in x_primes])
+    _, _, losses = problem.sample_nested(rng, e, cfg.n_outer, cfg.n_inner)
+    inner_means = np.mean(losses, axis=1)
     if not np.all(np.isfinite(inner_means)):
         raise SamplerFailure("non-finite inner loss averages")
     estimate = float(np.mean(inner_means))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import IntegratorFailure, OptimizerDiverged, UnboundedObjective
-from .gaussian import GaussianDensity, derive_rng, sample_gaussian
+from .gaussian import GaussianDensity, _psd_factor, derive_rng, sample_gaussian
 
 EXACT_TIE_TOL = 1e-12
 
@@ -166,28 +166,13 @@ class GaussianLinearProblem:
         return self.posterior(e, y0).cov
 
     def sample_prior(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        from .gaussian import _psd_factor
-
         z = rng.standard_normal((n, self.prior.dim))
         return self.prior.mean[None, :] + z @ _psd_factor(self.prior.cov).T
 
-    def sample_observation(self, rng: np.random.Generator, e, x) -> np.ndarray:
-        from .gaussian import _psd_factor
-
-        A, noise = self.experiments[e]
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        clean = A @ np.asarray(x, dtype=float)
-        noise = np.atleast_2d(np.asarray(noise, dtype=float))
-        if np.max(np.abs(noise)) == 0.0:
-            return clean
-        return clean + _psd_factor(noise) @ rng.standard_normal(A.shape[0])
-
     def _posterior_pieces(self, e):
-        """Cached (gain, cov, factor): posterior mean is mu0 + gain (y - A mu0)
-        and the covariance is observation-independent."""
+        """Cached (gain, base, factor): the posterior given y is
+        N(base.mean + gain y, base.cov), and factor F has F F^T = base.cov."""
         if e not in self._posterior_cache:
-            from .gaussian import _psd_factor
-
             A, _ = self.experiments[e]
             A = np.atleast_2d(np.asarray(A, dtype=float))
             y0 = np.zeros(A.shape[0])
@@ -196,17 +181,43 @@ class GaussianLinearProblem:
             gain = np.column_stack(
                 [self.posterior(e, y1[i]).mean - base.mean for i in range(A.shape[0])]
             )
-            self._posterior_cache[e] = (gain, base, _psd_factor(base.cov), A)
+            self._posterior_cache[e] = (gain, base, _psd_factor(base.cov))
         return self._posterior_cache[e]
 
-    def sample_posterior(self, rng: np.random.Generator, e, y, n: int) -> np.ndarray:
-        gain, base, factor, A = self._posterior_pieces(e)
-        mean = base.mean + gain @ np.asarray(y, dtype=float)
-        z = rng.standard_normal((n, self.prior.dim))
-        return mean[None, :] + z @ factor.T
+    def sample_nested(self, rng: np.random.Generator, e, n: int, n_inner: int):
+        """Draw n prior states x, one observation y of each under e and
+        n_inner posterior states x' given each y, in one batched pass.
 
-    def pair_loss(self, x, x_prime) -> float:
-        return float(self.loss(x, x_prime))
+        Returns (xs, ys, losses) with losses[i, k] = loss(xs[i], x'_ik),
+        an (n, n_inner) array computed through ``loss.pairwise``. The
+        random numbers come in the order of a per-draw loop: the prior
+        block of ``sample_prior``, then one standard-normal block whose
+        row i holds draw i's observation noise (no columns when the noise
+        matrix is zero) followed by its n_inner posterior normals. The
+        posterior mean is affine in y, so every draw reuses the cached
+        gain and factor of ``_posterior_pieces``.
+        """
+        xs = self.sample_prior(rng, n)
+        A, noise = self.experiments[e]
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        noise = np.atleast_2d(np.asarray(noise, dtype=float))
+        n_noise = 0 if np.max(np.abs(noise)) == 0.0 else A.shape[0]
+        d = self.prior.dim
+        z = rng.standard_normal((n, n_noise + n_inner * d))
+        # Stacked matmuls make one BLAS call per draw with that draw's shapes,
+        # so each value equals a single draw's bit for bit; one large product
+        # would sum in another order, and x - x' can cancel those last bits
+        # when the posterior is nearly degenerate.
+        ys = (A @ xs[:, :, None])[:, :, 0]
+        if n_noise:
+            ys = ys + (_psd_factor(noise) @ z[:, :n_noise, None])[:, :, 0]
+        if n_inner == 0:
+            return xs, ys, np.empty((n, 0))
+        gain, base, factor = self._posterior_pieces(e)
+        means = base.mean + (gain @ ys[:, :, None])[:, :, 0]
+        x_primes = means[:, None, :] + z[:, n_noise:].reshape(n, n_inner, d) @ factor.T
+        losses = self.loss.pairwise(np.repeat(xs, n_inner, axis=0), x_primes.reshape(-1, d))
+        return xs, ys, losses.reshape(n, n_inner)
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +366,17 @@ def bayes_risk(problem, e, rule, integrator="exact-enumeration",
     """Bayes risk BR(e, rule): prior expected loss of a decision rule.
 
     ``integrator`` is "exact-enumeration" (finite problems) or
-    "monte-carlo" (any problem exposing prior/observation samplers;
-    ``rule`` is then a callable y -> action).
+    "monte-carlo" (any problem exposing ``sample_nested`` and a callable
+    loss; ``rule`` is then a callable y -> action). The Monte Carlo pairs
+    (x, y) come from one batched ``sample_nested`` call with no inner
+    draws; only the rule and the loss are evaluated draw by draw.
     """
     if integrator == "exact-enumeration":
         return bayes_risk_discrete(problem, e, rule)
     if integrator != "monte-carlo":
         raise ValueError(f"unknown integrator {integrator!r}")
-    rng = derive_rng(seed)
-    xs = problem.sample_prior(rng, n)
-    vals = np.empty(n)
-    for i in range(n):
-        y = problem.sample_observation(rng, e, xs[i])
-        vals[i] = problem.loss(xs[i], rule(y))
+    xs, ys, _ = problem.sample_nested(derive_rng(seed), e, n, 0)
+    vals = np.array([problem.loss(x, rule(y)) for x, y in zip(xs, ys)], dtype=float)
     if not np.all(np.isfinite(vals)):
         raise IntegratorFailure("Monte Carlo loss values non-finite")
     return float(np.mean(vals))

@@ -60,22 +60,53 @@ class DiscreteProblem:
     def experiment_ids(self):
         return list(self.experiments)
 
-    # Sampling interface shared with the Gaussian problems (used by bpn_mc).
+    # Sampling interface shared with GaussianLinearProblem: criteria.bpn_mc
+    # and the Monte Carlo bayes_risk draw through sample_prior and
+    # sample_nested, and take the generator's numbers in the order of a
+    # per-draw loop of rng.choice calls, so they return that loop's values.
     def sample_prior(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.choice(len(self.states), size=n, p=self.prior)
 
-    def sample_observation(self, rng: np.random.Generator, e, x) -> int:
-        row = self.experiments[e][int(x)]
-        return int(rng.choice(row.shape[0], p=row))
+    def sample_nested(self, rng: np.random.Generator, e, n: int, n_inner: int):
+        """Draw n prior states x, one observation y of each under e and
+        n_inner posterior states x' given each y, in one batched pass.
 
-    def sample_posterior(self, rng: np.random.Generator, e, y, n: int) -> np.ndarray:
-        post = posterior(self, e, int(y))
-        return rng.choice(len(self.states), size=n, p=post)
-
-    def pair_loss(self, x, x_prime) -> float:
-        if self.state_loss is None:
+        Returns (xs, ys, losses) with losses[i, k] = state_loss[xs[i], x'_ik],
+        an (n, n_inner) array. After the prior states, one
+        ``rng.random((n, 1 + n_inner))`` block gives each draw its
+        observation uniform and then its n_inner posterior uniforms, and
+        each is inverted through the CDF that ``Generator.choice`` builds,
+        so the draws equal a loop of ``rng.choice`` calls. Raises
+        MissingLossTable before any draw when inner draws are asked for
+        and there is no state_loss table.
+        """
+        if n_inner and self.state_loss is None:
             raise MissingLossTable("state-to-state loss table is required for BPN")
-        return float(self.state_loss[int(x), int(x_prime)])
+        lik = self.experiments[e]
+        xs = self.sample_prior(rng, n)
+        u = rng.random((n, 1 + n_inner))
+        ys = _inverse_cdf(_choice_cdf(lik)[xs], u[:, :1])[:, 0]
+        if n_inner == 0:
+            return xs, ys, np.empty((n, 0))
+        drawn = np.unique(ys)
+        post_cdf = np.empty((lik.shape[1], len(self.states)))
+        post_cdf[drawn] = _choice_cdf(np.array([posterior(self, e, y) for y in drawn]))
+        x_primes = _inverse_cdf(post_cdf[ys], u[:, 1:])
+        return xs, ys, self.state_loss[xs[:, None], x_primes]
+
+
+def _choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """Row-wise CDFs exactly as ``Generator.choice`` forms them from p:
+    cumulative sum, then division by the last entry."""
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index drawn by each uniform u[i, k] from the row CDF cdf[i]: the
+    number of entries <= u, which is ``searchsorted(side="right")``."""
+    return np.sum(cdf[:, None, :] <= u[:, :, None], axis=2)
 
 
 def posterior(problem: DiscreteProblem, e, y: int) -> np.ndarray:

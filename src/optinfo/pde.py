@@ -172,6 +172,23 @@ def _joint_cov(problem: EllipticDesignProblem, chosen, extra_points):
     return predictor.cov_functionals(*_joint_functionals(problem, extra_points))
 
 
+def _free_candidates(problem: EllipticDesignProblem, chosen, step: int) -> np.ndarray:
+    """Indices of the candidates at least min_separation from every chosen
+    point; a ValueError naming the step when none is left."""
+    cands = problem.candidates
+    if not chosen:
+        return np.arange(cands.shape[0])
+    taken = np.atleast_2d(np.asarray(chosen))
+    dists = np.linalg.norm(cands[:, None, :] - taken[None, :, :], axis=-1)
+    free = np.flatnonzero(np.min(dists, axis=1) >= problem.min_separation)
+    if free.size == 0:
+        raise ValueError(
+            f"step {step + 1}: no candidate is at least min_separation = "
+            f"{problem.min_separation} from the points already chosen"
+        )
+    return free
+
+
 def _candidate_values(problem, joint, n_grid, cand_idx, weights, cfg, step, threads=1):
     """Criterion value for each candidate functional, given the joint
     covariance over [grid; candidate functionals].
@@ -326,12 +343,7 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
     trace = []
     for step in range(m):
         joint = _predictor(problem, chosen).cov_from_blocks(prior, cross)
-        if chosen:
-            taken = np.atleast_2d(np.asarray(chosen))
-            dists = np.linalg.norm(cands[:, None, :] - taken[None, :, :], axis=-1)
-            free = np.flatnonzero(np.min(dists, axis=1) >= problem.min_separation)
-        else:
-            free = np.arange(cands.shape[0])
+        free = _free_candidates(problem, chosen, step)
         values, _ = _candidate_values(
             problem, joint, n_grid, free, weights, cfg, step, threads
         )
@@ -361,16 +373,11 @@ def greedy_trace_design(problem: EllipticDesignProblem, m: int) -> list:
     n_grid = problem.grid_points.shape[0]
     weights = problem.grid_weights
     chosen: list = []
-    for _ in range(m):
+    for step in range(m):
         joint = _joint_cov(problem, chosen, cands)
         diag = np.diag(joint)[:n_grid]
         jitter = 1e-12 * (np.trace(joint) / joint.shape[0] + 1.0)
-        if chosen:
-            taken = np.atleast_2d(np.asarray(chosen))
-            dists = np.linalg.norm(cands[:, None, :] - taken[None, :, :], axis=-1)
-            free = np.flatnonzero(np.min(dists, axis=1) >= problem.min_separation)
-        else:
-            free = np.arange(cands.shape[0])
+        free = _free_candidates(problem, chosen, step)
         traces = np.array([
             float(weights @ (diag - joint[:n_grid, n_grid + c] ** 2
                              / (joint[n_grid + c, n_grid + c] + jitter)))

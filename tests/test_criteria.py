@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from optinfo.criteria import (
     MonteCarloConfig,
@@ -14,9 +16,19 @@ from optinfo.criteria import (
     optimal_set,
 )
 from optinfo.decisions import GaussianLinearProblem, PNormOnGrid, WeightedQuadratic
-from optinfo.discrete import CounterexampleSpec, bpn_exact, build_counterexample
-from optinfo.errors import AllValuesNonFinite, NonPSDInput
-from optinfo.gaussian import GaussianDensity
+from optinfo.discrete import (
+    CounterexampleSpec,
+    DiscreteProblem,
+    bpn_exact,
+    build_counterexample,
+    posterior,
+)
+from optinfo.errors import AllValuesNonFinite, MissingLossTable, NonPSDInput
+from optinfo.gaussian import GaussianDensity, _psd_factor, derive_rng
+
+# Property tests replay the same examples on every run and have no deadline,
+# so Tier-1 stays deterministic and free of timing failures.
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
 
 def random_gaussian_problem(rng, d=3, n_experiments=2):
@@ -29,6 +41,87 @@ def random_gaussian_problem(rng, d=3, n_experiments=2):
     weights = rng.uniform(0.2, 1.0, d)
     loss = PNormOnGrid(2.0, weights, squared=True)
     return GaussianLinearProblem(prior, experiments, loss), weights
+
+
+def per_draw_bpn_mc(problem, e, cfg):
+    """Reference nested estimator: one outer draw at a time, taking the
+    generator's numbers in the order ``bpn_mc`` promises. Finite problems
+    draw through ``rng.choice``; Gaussian problems draw the observation
+    noise through ``_psd_factor`` and the posterior states from the cached
+    affine posterior of ``_posterior_pieces``."""
+    rng = derive_rng(cfg.seed)
+    xs = problem.sample_prior(rng, cfg.n_outer)
+    inner_means = np.empty(cfg.n_outer)
+    for i, x in enumerate(xs):
+        if isinstance(problem, DiscreteProblem):
+            row = problem.experiments[e][x]
+            y = rng.choice(row.shape[0], p=row)
+            x_primes = rng.choice(len(problem.states), size=cfg.n_inner, p=posterior(problem, e, y))
+            losses = [problem.state_loss[x, xp] for xp in x_primes]
+        else:
+            A, noise = problem.experiments[e]
+            y = A @ x
+            if np.max(np.abs(noise)) > 0.0:
+                y = y + _psd_factor(noise) @ rng.standard_normal(A.shape[0])
+            gain, base, factor = problem._posterior_pieces(e)
+            z = rng.standard_normal((cfg.n_inner, base.dim))
+            x_primes = (base.mean + gain @ y)[None, :] + z @ factor.T
+            losses = [problem.loss(x, xp) for xp in x_primes]
+        inner_means[i] = np.mean(losses)
+    stderr = np.std(inner_means, ddof=1) / np.sqrt(cfg.n_outer) if cfg.n_outer > 1 else 0.0
+    return float(np.mean(inner_means)), float(stderr)
+
+
+mc_configs = st.builds(
+    MonteCarloConfig,
+    seed=st.integers(0, 2**31 - 1),
+    n_outer=st.integers(1, 30),
+    n_inner=st.integers(1, 12),
+)
+
+
+@st.composite
+def discrete_problems(draw):
+    """Random finite problems with zero-prior states and never-observed
+    observation columns."""
+    n_states = draw(st.integers(1, 5))
+    n_obs = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prior = rng.uniform(0.1, 1.0, n_states)
+    prior[draw(st.lists(st.integers(0, n_states - 1), max_size=n_states - 1, unique=True))] = 0.0
+    lik = rng.uniform(0.1, 1.0, (n_states, n_obs)) * (rng.uniform(size=(n_states, n_obs)) < 0.6)
+    dead = draw(st.lists(st.integers(0, n_obs - 1), max_size=n_obs - 1, unique=True))
+    lik[:, min(set(range(n_obs)) - set(dead))] += 0.1  # every row keeps some mass
+    lik[:, dead] = 0.0
+    return DiscreteProblem(
+        states=range(n_states),
+        prior=prior / prior.sum(),
+        experiments={"e": lik / lik.sum(axis=1, keepdims=True)},
+        actions=["a"],
+        loss=np.zeros((n_states, 1)),
+        state_loss=rng.uniform(0.0, 1.0, (n_states, n_states)),
+    )
+
+
+@st.composite
+def gaussian_problems(draw):
+    """Random linear-Gaussian problems with zero, diagonal or dense noise and
+    a p = 2 (plain or squared) or p = inf grid loss."""
+    d = draw(st.integers(1, 4))
+    n_obs = draw(st.integers(1, d))
+    noise_kind = draw(st.sampled_from(["zero", "diagonal", "dense"]))
+    p, squared = draw(st.sampled_from([(2.0, False), (2.0, True), (np.inf, False)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    L = rng.standard_normal((d, d))
+    prior = GaussianDensity(rng.standard_normal(d), L @ L.T + np.eye(d))
+    M = rng.standard_normal((n_obs, n_obs))
+    noise = {
+        "zero": np.zeros((n_obs, n_obs)),
+        "diagonal": np.diag(rng.uniform(0.1, 2.0, n_obs)),
+        "dense": M @ M.T + 0.1 * np.eye(n_obs),
+    }[noise_kind]
+    loss = PNormOnGrid(p, rng.uniform(0.2, 1.0, d), squared=squared)
+    return GaussianLinearProblem(prior, {"e": (rng.standard_normal((n_obs, d)), noise)}, loss)
 
 
 class TestAlphabet:
@@ -139,6 +232,32 @@ class TestBPNEstimators:
         problem = build_counterexample(CounterexampleSpec(0.2, 0.3, 0.5))
         cfg = MonteCarloConfig(seed=11, n_outer=500, n_inner=2)
         assert bpn_mc(problem, "e2", cfg) == bpn_mc(problem, "e2", cfg)
+
+    def test_missing_loss_table_raised_before_any_draw(self):
+        problem = DiscreteProblem(["a", "b"], [0.5, 0.5], {"e": np.eye(2)}, ["u"], [[0.0], [0.0]])
+
+        def no_draws(rng, n):
+            raise AssertionError("prior states drawn before the loss table was checked")
+
+        problem.sample_prior = no_draws
+        with pytest.raises(MissingLossTable):
+            bpn_mc(problem, "e", MonteCarloConfig(n_outer=10))
+
+    @PROPERTY
+    @given(problem=discrete_problems(), cfg=mc_configs)
+    @example(problem=build_counterexample(CounterexampleSpec(0.2, 0.3, 0.5)),
+             cfg=MonteCarloConfig(seed=5, n_outer=1, n_inner=3))
+    def test_batched_equals_per_draw_loop_on_discrete_problems(self, problem, cfg):
+        for e in problem.experiment_ids():
+            assert bpn_mc(problem, e, cfg) == per_draw_bpn_mc(problem, e, cfg)
+
+    @PROPERTY
+    @given(problem=gaussian_problems(), cfg=mc_configs)
+    def test_batched_matches_per_draw_loop_on_gaussian_problems(self, problem, cfg):
+        est, se = bpn_mc(problem, "e", cfg)
+        ref_est, ref_se = per_draw_bpn_mc(problem, "e", cfg)
+        assert est == pytest.approx(ref_est, rel=1e-12, abs=0.0)
+        assert se == pytest.approx(ref_se, rel=1e-12, abs=0.0)
 
     def test_pair_reduction_zero_covariance(self):
         loss = PNormOnGrid(2.0, [1.0, 1.0], squared=True)

@@ -22,7 +22,7 @@ from optinfo.decisions import (
     verify_mean_is_bayes_act,
 )
 from optinfo.errors import UnboundedObjective
-from optinfo.gaussian import GaussianDensity
+from optinfo.gaussian import GaussianDensity, _psd_factor, derive_rng
 
 
 class SmallProblem:
@@ -189,6 +189,31 @@ class TestBayesRules:
         est = bayes_risk(problem, "e", lambda y: np.atleast_1d(y) / 2.0,
                          integrator="monte-carlo", seed=0, n=40000)
         assert est == pytest.approx(0.5, abs=0.02)
+
+    @pytest.mark.parametrize("noise_kind", ["zero", "dense"])
+    def test_monte_carlo_integrator_equals_per_draw_loop(self, noise_kind):
+        rng = np.random.default_rng(41)
+        L = rng.standard_normal((3, 3))
+        prior = GaussianDensity(rng.standard_normal(3), L @ L.T + np.eye(3))
+        A = rng.standard_normal((2, 3))
+        M = rng.standard_normal((2, 2))
+        noise = np.zeros((2, 2)) if noise_kind == "zero" else M @ M.T + 0.1 * np.eye(2)
+        loss = WeightedQuadratic(np.diag([1.0, 0.5, 2.0]))
+        problem = GaussianLinearProblem(prior, {"e": (A, noise)}, loss)
+
+        def rule(y):
+            return np.concatenate([y, y[:1]])
+
+        # Reference: one observation at a time, noise drawn per draw.
+        sampler = derive_rng(5)
+        vals = []
+        for x in problem.sample_prior(sampler, 300):
+            y = A @ x
+            if noise_kind == "dense":
+                y = y + _psd_factor(noise) @ sampler.standard_normal(2)
+            vals.append(loss(x, rule(y)))
+        est = bayes_risk(problem, "e", rule, integrator="monte-carlo", seed=5, n=300)
+        assert est == pytest.approx(np.mean(vals), rel=1e-12)
 
     def test_unknown_integrator(self):
         with pytest.raises(ValueError):

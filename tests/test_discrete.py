@@ -9,6 +9,8 @@ from optinfo.decisions import bayes_risk_discrete, bayes_rule_discrete
 from optinfo.discrete import (
     CounterexampleSpec,
     DiscreteProblem,
+    _choice_cdf,
+    _inverse_cdf,
     bpn_exact,
     build_counterexample,
     criteria_report,
@@ -69,6 +71,22 @@ class TestPosterior:
         problem = DiscreteProblem(["a"], [1.0], {"e": [[1.0, 0.0]]}, ["u"], [[0.0]])
         with pytest.raises(ZeroProbabilityObservation):
             posterior(problem, "e", 1)
+
+
+class TestBatchSampling:
+    def test_inverse_cdf_is_generator_choice_rule(self):
+        # Generator.choice(len(p), p=p) draws searchsorted(cumsum(p) / cumsum(p)[-1],
+        # u, side="right"). The 0.1 row sums to 1 - 2**-53, and the uniforms
+        # sit on and just below the CDF steps, where the rule decides the index.
+        probs = np.array([[0.1] * 10, [0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0]])
+        cdf = _choice_cdf(probs)
+        steps = cdf[:, :-1]
+        u = np.hstack([np.zeros((2, 1)), steps, np.nextafter(steps, 0.0)])
+        for p, row, uu, idx in zip(probs, cdf, u, _inverse_cdf(cdf, u)):
+            ref = np.cumsum(p)
+            ref /= ref[-1]
+            np.testing.assert_array_equal(row, ref)
+            np.testing.assert_array_equal(idx, np.searchsorted(ref, uu, side="right"))
 
 
 class TestBpnExact:

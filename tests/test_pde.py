@@ -234,6 +234,14 @@ class TestGreedy:
         with pytest.raises(ValueError, match="candidate_grid"):
             greedy_design(small_problem(candidate_grid=2), 5)
 
+    @pytest.mark.parametrize("search", [greedy_design, greedy_trace_design])
+    def test_exhausted_candidates_name_separation_and_step(self, search):
+        # The 3 x 3 lattice spans at most 0.71, so one point blocks the rest.
+        problem = EllipticDesignProblem(eval_grid=6, candidate_grid=3, n_boundary=8,
+                                        min_separation=0.9)
+        with pytest.raises(ValueError, match="step 2: .*min_separation"):
+            search(problem, 2)
+
     def test_nonpositive_threads_rejected(self):
         with pytest.raises(ValueError):
             greedy_design(small_problem(), 1, threads=0)

@@ -366,17 +366,24 @@ def bayes_risk(problem, e, rule, integrator="exact-enumeration",
     """Bayes risk BR(e, rule): prior expected loss of a decision rule.
 
     ``integrator`` is "exact-enumeration" (finite problems) or
-    "monte-carlo" (any problem exposing ``sample_nested`` and a callable
-    loss; ``rule`` is then a callable y -> action). The Monte Carlo pairs
-    (x, y) come from one batched ``sample_nested`` call with no inner
-    draws; only the rule and the loss are evaluated draw by draw.
+    "monte-carlo" (any problem exposing ``sample_nested``). The Monte Carlo
+    pairs (x, y) come from one batched ``sample_nested`` call with no inner
+    draws. A callable loss (``GaussianLinearProblem``) is evaluated draw by
+    draw with ``rule`` a callable y -> action. A loss table
+    (``DiscreteProblem``, states x actions) is indexed at once over the
+    draws; ``rule`` is then a table observation index -> action index, as
+    for exact enumeration, or a callable returning an action index.
     """
     if integrator == "exact-enumeration":
         return bayes_risk_discrete(problem, e, rule)
     if integrator != "monte-carlo":
         raise ValueError(f"unknown integrator {integrator!r}")
     xs, ys, _ = problem.sample_nested(derive_rng(seed), e, n, 0)
-    vals = np.array([problem.loss(x, rule(y)) for x, y in zip(xs, ys)], dtype=float)
+    if callable(problem.loss):
+        vals = np.array([problem.loss(x, rule(y)) for x, y in zip(xs, ys)], dtype=float)
+    else:
+        actions = [rule(y) for y in ys] if callable(rule) else np.asarray(rule)[ys]
+        vals = np.asarray(problem.loss, dtype=float)[xs, actions]
     if not np.all(np.isfinite(vals)):
         raise IntegratorFailure("Monte Carlo loss values non-finite")
     return float(np.mean(vals))

@@ -9,6 +9,16 @@ observations).
 Cross-covariance assembly for the SE kernel is vectorised numpy; the
 elliptic design search assembles its large blocks once per search and
 conditions them through ``ConditionedPredictor.cov_from_blocks``.
+
+Each kernel also has ``diag(pts)``, the prior variance of point values,
+equal bit for bit to the diagonal of ``cross_cov(pts, 0, pts, 0)``.
+``ConditionedPredictor.var`` reads only that diagonal and the query-by-
+observation block, so a posterior variance costs O(n_query * n_obs) kernel
+entries and never assembles the n_query x n_query covariance that ``cov``
+returns. ``pde.design_criterion`` scores p = 2 designs through ``var``; at
+p = inf it needs the full grid covariance, and ``pde.posterior_on_grid``
+keeps the grid x grid prior block in a read-only cache of one entry per
+process (8 MB at the default 32 x 32 grid).
 """
 
 from __future__ import annotations
@@ -65,6 +75,10 @@ class Wiener:
         tb = np.asarray(pts_b, dtype=float).reshape(-1)
         return np.minimum.outer(ta, tb)
 
+    def diag(self, pts):
+        """Prior variances k(t, t) = t."""
+        return np.array(pts, dtype=float).reshape(-1)
+
     def mean(self, pts):
         return np.zeros(np.asarray(pts, dtype=float).reshape(-1).shape[0])
 
@@ -96,6 +110,11 @@ class BrownianBridge:
         lo = np.minimum.outer(ta, tb)
         hi = np.maximum.outer(ta, tb)
         return (self.right - hi) * (lo - self.left) / width
+
+    def diag(self, pts):
+        """Prior variances (right - t)(t - left) / (right - left)."""
+        t = np.asarray(pts, dtype=float).reshape(-1)
+        return (self.right - t) * (t - self.left) / (self.right - self.left)
 
     def mean(self, pts):
         t = np.asarray(pts, dtype=float).reshape(-1)
@@ -159,6 +178,10 @@ class SquaredExponential:
                 + 4.0 * gamma**2 * d * (d + 2)
             )
         return factor * base
+
+    def diag(self, pts):
+        """Prior variances of point values: amplitude everywhere."""
+        return np.full(np.atleast_2d(np.asarray(pts, dtype=float)).shape[0], self.amplitude)
 
     def mean(self, pts):
         return np.zeros(np.atleast_2d(np.asarray(pts, dtype=float)).shape[0])
@@ -289,7 +312,23 @@ class ConditionedPredictor:
         return 0.5 * (out + out.T)
 
     def var(self, points) -> np.ndarray:
-        return np.diag(self.cov(points)).copy()
+        """Posterior variances at points: ``diag(cov(points))`` without the
+        n x n covariance.
+
+        Reads the kernel's prior diagonal and the points-by-observation
+        cross block, and takes ``prior_diag - rowsum(cross * (K^-1
+        cross^T)^T)`` through the stored factor. The rowsum adds in another
+        order than the matrix product inside ``cov``, so the two agree to
+        roundoff, not bit for bit.
+        """
+        pts = self._query(points)
+        prior = self.kernel.diag(pts)
+        if self._obs_pts.shape[0] == 0:
+            return prior
+        codes = np.zeros(pts.shape[0], dtype=np.int64)
+        cross = self.kernel.cross_cov(pts, codes, self._obs_pts, self._obs_codes)
+        solved = scipy.linalg.cho_solve(self._factor, cross.T)
+        return prior - np.einsum("ij,ji->i", cross, solved)
 
 
 def gp_condition(kernel, observations, jitter: float | None = None) -> ConditionedPredictor:

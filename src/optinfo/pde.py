@@ -13,6 +13,7 @@ boundary data are needed; only the information operator matters.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -148,10 +149,37 @@ def _predictor(problem: EllipticDesignProblem, points):
     return gp_condition(problem.kernel, _observations(problem, points))
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_prior(eval_grid: int, lengthscale: float, amplitude: float) -> np.ndarray:
+    """Read-only prior covariance over the evaluation grid; it depends on
+    nothing else, so fixed designs on one grid share one assembly."""
+    problem = EllipticDesignProblem(eval_grid=eval_grid, lengthscale=lengthscale,
+                                    amplitude=amplitude)
+    grid = problem.grid_points
+    codes = np.full(grid.shape[0], POINT, dtype=np.int64)
+    prior = problem.kernel.cross_cov(grid, codes, grid, codes)
+    prior.setflags(write=False)
+    return prior
+
+
 def posterior_on_grid(problem: EllipticDesignProblem, points) -> np.ndarray:
-    """Posterior covariance of the solution restricted to the evaluation grid."""
+    """Posterior covariance of the solution restricted to the evaluation grid.
+
+    The grid x grid prior block comes from a cache of one entry per process,
+    keyed by (eval_grid, lengthscale, amplitude) and read-only (8 MB at the
+    default 32 x 32 grid); only the grid x observation block is assembled per
+    call. Both are conditioned through ``cov_from_blocks``, so the result
+    equals ``_predictor(problem, points).cov(problem.grid_points)`` bit for
+    bit and is a fresh writable array.
+    """
     pts = _check_separation(problem, points)
-    return _predictor(problem, pts).cov(problem.grid_points)
+    grid = problem.grid_points
+    boundary = problem.boundary
+    obs_pts = np.vstack([boundary, pts])
+    obs_codes = np.repeat([POINT, NEG_LAPLACIAN], [boundary.shape[0], pts.shape[0]])
+    cross = problem.kernel.cross_cov(grid, np.full(grid.shape[0], POINT), obs_pts, obs_codes)
+    prior = _grid_prior(problem.eval_grid, problem.lengthscale, problem.amplitude)
+    return _predictor(problem, pts).cov_from_blocks(prior, cross)
 
 
 def _joint_functionals(problem: EllipticDesignProblem, extra_points):
@@ -285,12 +313,22 @@ def bpn_surface(problem: EllipticDesignProblem, state: DesignState, candidate,
 
 def design_criterion(problem: EllipticDesignProblem, points,
                      cfg: MonteCarloConfig | None = None):
-    """Criterion value (and stderr) of a complete design of interior points."""
+    """Criterion value (and stderr) of a complete design of interior points.
+
+    p = 2: twice the weighted trace of the grid posterior covariance, read
+    from the posterior variances alone (``ConditionedPredictor.var``); no
+    grid x grid block is assembled, and the stderr is 0. p = inf: the mean
+    over cfg.n_outer seeded pair differences of the largest absolute grid
+    value, drawn from the full covariance of ``posterior_on_grid``, whose
+    grid prior is assembled once per process.
+    """
     cfg = cfg or MonteCarloConfig()
-    cov = posterior_on_grid(problem, points)
     weights = problem.grid_weights
     if problem.p == 2.0:
-        return 2.0 * float(weights @ np.diag(cov)), 0.0
+        pts = _check_separation(problem, points)
+        var = _predictor(problem, pts).var(problem.grid_points)
+        return 2.0 * float(weights @ var), 0.0
+    cov = posterior_on_grid(problem, points)
     rng = derive_rng(cfg.seed, 10**6)
     factor = _psd_factor(2.0 * cov)
     z = rng.standard_normal((cfg.n_outer, cov.shape[0])) @ factor.T

@@ -21,6 +21,7 @@ from optinfo.decisions import (
     posterior_expected_loss,
     verify_mean_is_bayes_act,
 )
+from optinfo.discrete import CounterexampleSpec, build_counterexample
 from optinfo.errors import UnboundedObjective
 from optinfo.gaussian import GaussianDensity, _psd_factor, derive_rng
 
@@ -214,6 +215,24 @@ class TestBayesRules:
             vals.append(loss(x, rule(y)))
         est = bayes_risk(problem, "e", rule, integrator="monte-carlo", seed=5, n=300)
         assert est == pytest.approx(np.mean(vals), rel=1e-12)
+
+    @pytest.mark.parametrize("probs", [(0.2, 0.3, 0.5), (0.1, 0.1, 0.8), (0.3, 0.33, 0.37)])
+    def test_monte_carlo_integrator_on_loss_table(self, probs):
+        # The 0-1 loss lies in [0, 1], so the estimator's standard deviation
+        # is at most 0.5 / sqrt(n).
+        problem = build_counterexample(CounterexampleSpec(*probs))
+        n = 4000
+        for e in problem.experiment_ids():
+            rule = bayes_rule_discrete(problem, e)
+            exact = bayes_risk_discrete(problem, e, rule)
+            est = bayes_risk(problem, e, rule, integrator="monte-carlo", seed=3, n=n)
+            assert abs(est - exact) <= 5.0 * 0.5 / np.sqrt(n)
+            assert bayes_risk(problem, e, lambda y: rule[y], integrator="monte-carlo",
+                              seed=3, n=n) == est
+        # e1 reveals the indicator the loss scores: every draw has loss 0.
+        assert bayes_risk_discrete(problem, "e1", bayes_rule_discrete(problem, "e1")) == 0.0
+        assert bayes_risk(problem, "e1", bayes_rule_discrete(problem, "e1"),
+                          integrator="monte-carlo", seed=3, n=n) == 0.0
 
     def test_unknown_integrator(self):
         with pytest.raises(ValueError):

@@ -231,3 +231,41 @@ class TestConditioningProperties:
         cov = pred.cov(query)
         assert cov == pytest.approx(cov.T, abs=1e-12)
         assert np.linalg.eigvalsh(cov)[0] >= -1e-9
+
+
+DIAG_KERNELS = [
+    (Wiener(), np.array([0.0, 0.13, 0.5, 0.77, 1.0])),
+    (BrownianBridge(0.25, 0.75), np.array([0.25, 0.3, 0.5, 0.61, 0.75])),
+    (SquaredExponential(lengthscale=0.7, amplitude=1.3, dim=2),
+     np.random.default_rng(8).uniform(0, 1, (9, 2))),
+    (SquaredExponential(lengthscale=0.4, amplitude=0.6, dim=1), np.linspace(0, 1, 7)[:, None]),
+]
+
+
+class TestPriorDiagonal:
+    @pytest.mark.parametrize("kernel, pts", DIAG_KERNELS)
+    def test_diag_equals_cross_cov_diagonal(self, kernel, pts):
+        codes = np.zeros(len(pts), dtype=int)
+        np.testing.assert_array_equal(kernel.diag(pts),
+                                      np.diag(kernel.cross_cov(pts, codes, pts, codes)))
+
+
+class TestPosteriorVariance:
+    @pytest.mark.parametrize("kernel, obs, query", [
+        (Wiener(), [PointEvaluation([t], 0.0) for t in (0.2, 0.5, 0.9)],
+         np.linspace(0.05, 0.95, 13)),
+        (BrownianBridge(0.0, 2.0), [PointEvaluation([t], 1.0) for t in (0.4, 1.5)],
+         np.linspace(0.1, 1.9, 11)),
+        (SquaredExponential(lengthscale=0.6, amplitude=1.3, dim=2),
+         [PointEvaluation([t, 0.0], 0.0) for t in (0.0, 0.5, 1.0)]
+         + [NegativeLaplacianEvaluation([0.3, 0.6], 1.0),
+            NegativeLaplacianEvaluation([0.7, 0.4], -1.0)],
+         np.random.default_rng(3).uniform(0, 1, (20, 2))),
+    ])
+    @pytest.mark.parametrize("observed", [True, False])
+    def test_var_equals_cov_diagonal(self, kernel, obs, query, observed):
+        pred = gp_condition(kernel, obs if observed else [])
+        want = np.diag(pred.cov(query))
+        np.testing.assert_allclose(pred.var(query), want, rtol=1e-12, atol=1e-13)
+        if not observed:
+            np.testing.assert_array_equal(pred.var(query), want)

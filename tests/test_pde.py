@@ -6,6 +6,8 @@ covered by the acceptance suite.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from optinfo import pde
 from optinfo.criteria import MonteCarloConfig
@@ -16,7 +18,9 @@ from optinfo.pde import (
     DesignState,
     EllipticDesignProblem,
     _candidate_values,
+    _grid_prior,
     _joint_cov,
+    _predictor,
     boundary_points,
     bpn_surface,
     design_criterion,
@@ -24,6 +28,11 @@ from optinfo.pde import (
     greedy_trace_design,
     posterior_on_grid,
 )
+
+
+# Property tests replay the same examples on every run and have no deadline,
+# so Tier-1 stays deterministic and free of timing failures.
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
 
 def small_problem(**kwargs):
@@ -90,6 +99,90 @@ class TestPosteriorOnGrid:
         cov = posterior_on_grid(problem, [[0.3, 0.7]])
         assert cov == pytest.approx(cov.T, abs=1e-12)
         assert np.linalg.eigvalsh(cov)[0] >= -1e-8
+
+
+def record_cross_cov_shapes(monkeypatch):
+    """List that grows by the shape of every SE ``cross_cov`` result."""
+    shapes = []
+    cross_cov = SquaredExponential.cross_cov
+
+    def recording(self, *args):
+        out = cross_cov(self, *args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(SquaredExponential, "cross_cov", recording)
+    return shapes
+
+
+DEFAULT_DESIGN = [[0.3, 0.3], [0.5, 0.5], [0.7, 0.3], [0.3, 0.7], [0.7, 0.7]]
+
+
+class TestFixedDesignScoring:
+    def test_p2_assembles_no_grid_block(self, monkeypatch):
+        problem = EllipticDesignProblem()
+        n_grid = problem.grid_points.shape[0]
+        shapes = record_cross_cov_shapes(monkeypatch)
+        design_criterion(problem, DEFAULT_DESIGN)
+        assert shapes and (n_grid, n_grid) not in shapes
+
+    def test_pinf_assembles_grid_prior_once(self, monkeypatch):
+        problem = EllipticDesignProblem(p=np.inf)
+        n_grid = problem.grid_points.shape[0]
+        cfg = MonteCarloConfig(seed=1, n_outer=8)
+        design_criterion(problem, DEFAULT_DESIGN, cfg)
+        shapes = record_cross_cov_shapes(monkeypatch)
+        design_criterion(problem, DEFAULT_DESIGN[:3], cfg)
+        assert shapes and (n_grid, n_grid) not in shapes
+
+    @PROPERTY
+    @given(
+        eval_grid=st.integers(1, 9),
+        n_boundary=st.sampled_from([0, 5, 12]),
+        lengthscale=st.sampled_from([0.3, 0.6, 1.0]),
+        amplitude=st.sampled_from([0.5, 1.0, 2.0]),
+        idx=st.lists(st.integers(0, 24), max_size=4, unique=True),
+    )
+    @example(eval_grid=8, n_boundary=12, lengthscale=1.0, amplitude=1.0, idx=[])
+    @example(eval_grid=8, n_boundary=12, lengthscale=1.0, amplitude=1.0, idx=[12])
+    @example(eval_grid=8, n_boundary=0, lengthscale=0.6, amplitude=1.0, idx=[])
+    @example(eval_grid=8, n_boundary=0, lengthscale=0.6, amplitude=1.0, idx=[6, 18])
+    def test_p2_equals_weighted_trace_of_grid_covariance(self, eval_grid, n_boundary,
+                                                         lengthscale, amplitude, idx):
+        problem = small_problem(eval_grid=eval_grid, n_boundary=n_boundary,
+                                lengthscale=lengthscale, amplitude=amplitude)
+        points = problem.candidates[idx]
+        cov = posterior_on_grid(problem, points)
+        want = 2.0 * float(problem.grid_weights @ np.diag(cov))
+        got, stderr = design_criterion(problem, points)
+        assert got == pytest.approx(want, rel=1e-9) and stderr == 0.0
+
+    def test_pinf_cached_prior_cannot_alias(self):
+        # Interleaved grids and lengthscales: with one cache entry, every
+        # call below replaces the entry the previous call left.
+        problems = [small_problem(p=np.inf), small_problem(p=np.inf, lengthscale=0.5),
+                    small_problem(p=np.inf, eval_grid=7), small_problem(p=np.inf)]
+        points = [[0.35, 0.4], [0.6, 0.65]]
+        cfg = MonteCarloConfig(seed=2, n_outer=32)
+        _grid_prior.cache_clear()
+        for problem in problems:
+            oracle = _predictor(problem, np.array(points)).cov(problem.grid_points)
+            cold = posterior_on_grid(problem, points)
+            cold_value = design_criterion(problem, points, cfg)
+            warm = posterior_on_grid(problem, points)
+            np.testing.assert_array_equal(cold, oracle)
+            np.testing.assert_array_equal(warm, oracle)
+            assert design_criterion(problem, points, cfg) == cold_value
+        assert _grid_prior.cache_info().misses == len(problems)
+
+    def test_cached_grid_prior_is_read_only(self):
+        problem = small_problem()
+        cov = posterior_on_grid(problem, [[0.5, 0.5]])
+        prior = _grid_prior(problem.eval_grid, problem.lengthscale, problem.amplitude)
+        with pytest.raises(ValueError):
+            prior[0, 0] = 0.0
+        cov[0, 0] = -1.0  # the result is a fresh array, not the cached block
+        assert posterior_on_grid(problem, [[0.5, 0.5]])[0, 0] > 0.0
 
 
 class TestCriterionSurface:

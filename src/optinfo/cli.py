@@ -156,27 +156,49 @@ def cmd_discrete(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _array(value, path: str, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of finite numbers with the given shape, in
+    which None leaves an axis length free but nonzero; InvalidSpec naming
+    the JSON path otherwise."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.empty(0)
+    if (arr.ndim != len(shape) or 0 in arr.shape or not np.all(np.isfinite(arr))
+            or any(k not in (None, n) for k, n in zip(shape, arr.shape))):
+        want = ", ".join("k" if k is None else str(k) for k in shape)
+        raise InvalidSpec(f"{path}: must be an array of shape ({want}) of finite numbers")
+    return arr
+
+
 def cmd_regression(args) -> int:
     with open(args.config) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidSpec(f"$: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidSpec("$: document must be an object")
     for key in ("prior_cov", "candidates"):
         if key not in doc:
             raise InvalidSpec(f"$.{key}: missing required key")
-    prior_cov = np.asarray(doc["prior_cov"], dtype=float)
+    prior_cov = _array(doc["prior_cov"], "$.prior_cov", (None, None))
     d = prior_cov.shape[0]
-    lam = np.asarray(doc.get("lambda", np.eye(d).tolist()), dtype=float)
-    direction = None if "c" not in doc else np.asarray(doc["c"], dtype=float)
+    if prior_cov.shape[1] != d:
+        raise InvalidSpec(f"$.prior_cov: must be square, not {d} x {prior_cov.shape[1]}")
+    lam = _array(doc["lambda"], "$.lambda", (d, d)) if "lambda" in doc else np.eye(d)
+    direction = _array(doc["c"], "$.c", (d,)) if "c" in doc else None
     which = ["A", "E", "D"] + (["c"] if direction is not None else [])
+    if not (isinstance(doc["candidates"], dict) and doc["candidates"]):
+        raise InvalidSpec("$.candidates: must be a non-empty object")
+    designs = {cid: _array(A, f"$.candidates.{cid}", (None, d))
+               for cid, A in doc["candidates"].items()}
 
     from .gaussian import GaussianDensity, conjugate_posterior
 
     prior = GaussianDensity(np.zeros(d), prior_cov)
     values: dict = {w: {} for w in which}
-    for cid, A in doc["candidates"].items():
-        A = np.asarray(A, dtype=float)
+    for cid, A in designs.items():
         post = conjugate_posterior(prior, A, np.eye(A.shape[0]), np.zeros(A.shape[0]))
         for w in which:
             values[w][cid] = criteria.alphabet(post.cov, lam, w, direction=direction)

@@ -18,6 +18,7 @@ from .decisions import (
     WeightedQuadratic,
     bayes_risk_discrete,
     bayes_rule_discrete,
+    posterior_table,
 )
 from .errors import AllValuesNonFinite, NonPSDInput, SamplerFailure
 from .gaussian import _psd_factor, derive_rng
@@ -96,22 +97,15 @@ def alphabet(posterior_cov, weight_matrix, which: str, direction=None) -> float:
 
 
 def kl_gain_discrete(problem, e) -> float:
-    """Expected KL divergence from prior to posterior over observations."""
-    likelihood = np.asarray(problem.experiments[e], dtype=float)
+    """Expected KL divergence from prior to posterior over observations:
+    the sum over joint[y, x] > 0 of joint[y, x] * log(post[y, x] / prior[x])."""
+    joint, _, post = posterior_table(problem, e)
     prior = np.asarray(problem.prior, dtype=float)
-    total = 0.0
-    for y in range(likelihood.shape[1]):
-        joint = prior * likelihood[:, y]
-        marginal = joint.sum()
-        if marginal <= 0.0:
-            continue
-        post = joint / marginal
-        mask = post > 0.0
-        total += marginal * float(np.sum(post[mask] * np.log(post[mask] / prior[mask])))
-    return max(total, 0.0)
+    ratio = np.divide(post, prior, out=np.ones_like(post), where=joint > 0.0)
+    return max(float(np.sum(joint * np.log(ratio))), 0.0)
 
 
-def bdt_criterion(problem, e, integrator="exact-enumeration") -> float:
+def bdt_criterion(problem, e) -> float:
     """BR(e, d*_e): Bayes risk at the Bayes rule.
 
     Exact for finite problems; closed form tr(Lambda Sigma_e) for Gaussian

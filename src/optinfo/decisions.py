@@ -10,8 +10,8 @@ common random numbers otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -304,6 +304,35 @@ def bayes_acts(posterior, loss, candidates=None, box=None, tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 
 
+def posterior_table(problem, e):
+    """Joint, marginal and posterior of a finite experiment, one row per
+    observation y: ``joint[y, x] = prior[x] * likelihood[x, y]``,
+    ``marginal[y]`` its row sum and ``post[y] = joint[y] / marginal[y]``.
+    Rows of observations with zero marginal probability stay zero in post.
+
+    ``problem`` must expose ``prior`` and ``experiments[e]`` (state x
+    observation likelihood). The rows are contiguous, so each marginal and
+    posterior row equals ``(prior * likelihood[:, y]).sum()`` and the
+    division by it bit for bit; the seeded posterior draws of
+    ``DiscreteProblem.sample_nested`` depend on those last bits.
+    """
+    prior = np.asarray(problem.prior, dtype=float)
+    likelihood = np.asarray(problem.experiments[e], dtype=float)
+    joint = np.ascontiguousarray(likelihood.T) * prior
+    marginal = joint.sum(axis=1)
+    post = np.divide(joint, marginal[:, None], out=np.zeros_like(joint),
+                     where=marginal[:, None] > 0.0)
+    return joint, marginal, post
+
+
+def _bayes_act_mask(problem, e):
+    """(marginal, acts): acts[y, a] is True where action a's posterior
+    expected loss at observation y is within EXACT_TIE_TOL of the least."""
+    _, marginal, post = posterior_table(problem, e)
+    expected = post @ np.asarray(problem.loss, dtype=float)
+    return marginal, expected <= expected.min(axis=1, keepdims=True) + EXACT_TIE_TOL
+
+
 def bayes_rule_discrete(problem, e):
     """Exact Bayes rule table for a finite problem.
 
@@ -313,52 +342,23 @@ def bayes_rule_discrete(problem, e):
     ``experiments[e]`` (state x observation likelihood), ``actions`` and
     ``loss`` (state x action table).
     """
-    likelihood = np.asarray(problem.experiments[e], dtype=float)
-    prior = np.asarray(problem.prior, dtype=float)
-    loss = np.asarray(problem.loss, dtype=float)
-    n_obs = likelihood.shape[1]
-    rule = []
-    for y in range(n_obs):
-        joint = prior * likelihood[:, y]
-        marginal = joint.sum()
-        if marginal <= 0.0:
-            rule.append(0)
-            continue
-        post = joint / marginal
-        expected = post @ loss  # one value per action
-        vmin = expected.min()
-        rule.append(int(np.flatnonzero(expected <= vmin + EXACT_TIE_TOL)[0]))
-    return rule
+    marginal, acts = _bayes_act_mask(problem, e)
+    return np.where(marginal > 0.0, acts.argmax(axis=1), 0).tolist()
 
 
 def bayes_act_sets_discrete(problem, e):
-    """Per-observation full Bayes-act index sets (exact, tie tol 1e-12)."""
-    likelihood = np.asarray(problem.experiments[e], dtype=float)
-    prior = np.asarray(problem.prior, dtype=float)
-    loss = np.asarray(problem.loss, dtype=float)
-    sets = []
-    for y in range(likelihood.shape[1]):
-        joint = prior * likelihood[:, y]
-        marginal = joint.sum()
-        if marginal <= 0.0:
-            sets.append(None)  # unconstrained: observation never occurs
-            continue
-        expected = (joint / marginal) @ loss
-        vmin = expected.min()
-        sets.append(set(np.flatnonzero(expected <= vmin + EXACT_TIE_TOL).tolist()))
-    return sets
+    """Per-observation full Bayes-act index sets (exact, tie tol 1e-12);
+    None where the observation never occurs (any action is a Bayes act)."""
+    marginal, acts = _bayes_act_mask(problem, e)
+    return [set(np.flatnonzero(row).tolist()) if m > 0.0 else None
+            for m, row in zip(marginal, acts)]
 
 
 def bayes_risk_discrete(problem, e, rule) -> float:
-    """Exact Bayes risk of a rule table on a finite problem."""
-    likelihood = np.asarray(problem.experiments[e], dtype=float)
-    prior = np.asarray(problem.prior, dtype=float)
-    loss = np.asarray(problem.loss, dtype=float)
-    total = 0.0
-    for x in range(prior.shape[0]):
-        for y in range(likelihood.shape[1]):
-            total += prior[x] * likelihood[x, y] * loss[x, rule[y]]
-    return float(total)
+    """Exact Bayes risk of a rule table on a finite problem:
+    sum over (y, x) of joint[y, x] * loss[x, rule[y]]."""
+    joint, _, _ = posterior_table(problem, e)
+    return float(np.sum(joint * np.asarray(problem.loss, dtype=float)[:, rule].T))
 
 
 def bayes_risk(problem, e, rule, integrator="exact-enumeration",

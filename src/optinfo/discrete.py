@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria
-from .decisions import bayes_rule_discrete, bayes_risk_discrete
+from .decisions import bayes_risk_discrete, bayes_rule_discrete, posterior_table
 from .errors import (
     InvalidSpec,
     MissingLossTable,
@@ -38,6 +38,12 @@ class DiscreteProblem:
         self._validate()
 
     def _validate(self):
+        # NaN passes every comparison below, and 0 * inf is NaN in the criteria.
+        tables = {"prior": self.prior, "loss table": self.loss, "state_loss table": self.state_loss,
+                  **{f"likelihood table for {e!r}": v for e, v in self.experiments.items()}}
+        for name, table in tables.items():
+            if table is not None and not np.all(np.isfinite(table)):
+                raise InvalidSpec(f"{name} has non-finite entries")
         n = len(self.states)
         if self.prior.shape != (n,):
             raise InvalidSpec(f"prior must have length {n}")
@@ -88,10 +94,8 @@ class DiscreteProblem:
         ys = _inverse_cdf(_choice_cdf(lik)[xs], u[:, :1])[:, 0]
         if n_inner == 0:
             return xs, ys, np.empty((n, 0))
-        drawn = np.unique(ys)
-        post_cdf = np.empty((lik.shape[1], len(self.states)))
-        post_cdf[drawn] = _choice_cdf(np.array([posterior(self, e, y) for y in drawn]))
-        x_primes = _inverse_cdf(post_cdf[ys], u[:, 1:])
+        post = posterior_table(self, e)[2]
+        x_primes = _inverse_cdf(_choice_cdf(post[ys]), u[:, 1:])
         return xs, ys, self.state_loss[xs[:, None], x_primes]
 
 
@@ -111,32 +115,21 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def posterior(problem: DiscreteProblem, e, y: int) -> np.ndarray:
     """Exact Bayes posterior over states given observation index y."""
-    joint = problem.prior * problem.experiments[e][:, y]
-    marginal = joint.sum()
-    if marginal <= 0.0:
+    _, marginal, post = posterior_table(problem, e)
+    if marginal[y] <= 0.0:
         raise ZeroProbabilityObservation(
             f"observation {y} has zero marginal probability under {e!r}"
         )
-    return joint / marginal
+    return post[y]
 
 
 def bpn_exact(problem: DiscreteProblem, e) -> float:
-    """Exact triple sum over (x, y, x') of the pair loss; no sampling."""
+    """Exact triple sum over (y, x, x') of joint[y, x] * state_loss[x, x']
+    * post[y, x']; no sampling."""
     if problem.state_loss is None:
         raise MissingLossTable("state-to-state loss table is required for BPN")
-    lik = problem.experiments[e]
-    total = 0.0
-    for y in range(lik.shape[1]):
-        joint = problem.prior * lik[:, y]
-        marginal = joint.sum()
-        if marginal <= 0.0:
-            continue
-        post = joint / marginal
-        for x in range(len(problem.states)):
-            if joint[x] == 0.0:
-                continue
-            total += joint[x] * float(post @ problem.state_loss[x])
-    return total
+    joint, _, post = posterior_table(problem, e)
+    return float(np.sum((joint @ problem.state_loss) * post))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ posteriors and quadrature posteriors all reduce to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg

@@ -83,6 +83,18 @@ class TestDiscreteCommand:
         assert code == EXIT_USAGE
         assert "$." in err
 
+    def test_non_finite_prior_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps({
+            "states": [{"name": "a", "prior": float("nan")}, {"name": "b", "prior": 0.5}],
+            "experiments": {"e": [[1.0, 0.0], [0.0, 1.0]]},
+            "actions": ["u", "v"],
+            "loss": [[0.0, 1.0], [1.0, 0.0]],
+        }))
+        code, _, err = run(["discrete", "--problem", str(bad)], capsys)
+        assert code == EXIT_USAGE
+        assert "non-finite" in err
+
     def test_missing_file(self, capsys):
         code, _, _ = run(["discrete", "--problem", "/nonexistent/p.json"], capsys)
         assert code == EXIT_USAGE
@@ -206,6 +218,18 @@ class TestRegressionCommand:
         code, _, err = run(["regression", "--config", config], capsys)
         assert code == EXIT_USAGE
         assert "candidates" in err
+
+    @pytest.mark.parametrize("doc, path", [
+        ({"prior_cov": [[1.0]], "candidates": [[1.0]]}, "$.candidates"),
+        ({"prior_cov": [[1.0]], "candidates": {}}, "$.candidates"),
+        ({"prior_cov": [[1.0, 0.0], [0.0, 1.0]], "candidates": {"e": [[1.0, 0.0, 0.0]]}},
+         "$.candidates.e"),
+        ({"prior_cov": [[1.0, 0.0]], "candidates": {"e": [[1.0, 0.0]]}}, "$.prior_cov"),
+    ], ids=["candidates-array", "candidates-empty", "width-mismatch", "prior-not-square"])
+    def test_bad_shapes_exit_2(self, tmp_path, capsys, doc, path):
+        code, _, err = run(["regression", "--config", self.write_config(tmp_path, doc)], capsys)
+        assert code == EXIT_USAGE
+        assert path in err
 
     def test_non_psd_prior_exits_3(self, tmp_path, capsys):
         config = self.write_config(tmp_path, {

@@ -37,12 +37,20 @@ class SmallProblem:
 
 
 def random_instance(rng):
+    """Random finite problem. About a third of the instances have an
+    observation column that never occurs (zero marginal) and about a third
+    a duplicated loss column, so two actions tie exactly everywhere."""
     n_x = rng.integers(2, 6)
     n_y = rng.integers(2, 5)
     n_a = rng.integers(2, 4)
     prior = rng.dirichlet(np.ones(n_x))
     likelihood = rng.dirichlet(np.ones(n_y), size=n_x)
+    if rng.random() < 1 / 3:
+        likelihood[:, rng.integers(n_y)] = 0.0
+        likelihood /= likelihood.sum(axis=1, keepdims=True)
     loss = rng.uniform(0.0, 1.0, (n_x, n_a))
+    if rng.random() < 1 / 3:
+        loss[:, rng.integers(1, n_a)] = loss[:, 0]
     return SmallProblem(prior, likelihood, loss)
 
 
@@ -163,6 +171,25 @@ class TestBayesRules:
                 if all(act_sets[y] is None or alt[y] in act_sets[y] for y in range(n_y))
             }
             assert minimal == pointwise
+
+    def test_zero_marginal_and_tie_conventions(self):
+        # Rule 0 and act set None where an observation never occurs;
+        # otherwise the rule is the lowest-index Bayes act.
+        rng = np.random.default_rng(100)
+        seen_zero = seen_tie = False
+        for _ in range(100):
+            problem = random_instance(rng)
+            rule = bayes_rule_discrete(problem, "e")
+            act_sets = bayes_act_sets_discrete(problem, "e")
+            marginal = problem.prior @ problem.experiments["e"]
+            for y, (action, acts) in enumerate(zip(rule, act_sets)):
+                if marginal[y] == 0.0:
+                    seen_zero = True
+                    assert action == 0 and acts is None
+                else:
+                    seen_tie |= len(acts) > 1
+                    assert action == min(acts)
+        assert seen_zero and seen_tie
 
     def test_fubini_integration_orders_agree(self):
         rng = np.random.default_rng(23)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optinfo.decisions import bayes_risk_discrete, bayes_rule_discrete
 from optinfo.discrete import (
@@ -55,6 +57,23 @@ class TestDiscreteProblem:
         with pytest.raises(InvalidSpec):
             DiscreteProblem(["a", "b"], [0.5, 0.5], {"e": [[1.0], [1.0]]}, ["u", "v"], [[0.0], [0.0]])
 
+    @pytest.mark.parametrize("table", ["prior", "likelihood", "loss", "state_loss"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, table, bad):
+        # NaN passes every sign and sum comparison, and 0 * inf is NaN in
+        # the criteria, so each table is checked for finite entries.
+        tables = {
+            "prior": [0.5, 0.5],
+            "likelihood": [[1.0, 0.0], [0.0, 1.0]],
+            "loss": [[0.0, 1.0], [1.0, 0.0]],
+            "state_loss": [[0.0, 1.0], [1.0, 0.0]],
+        }
+        tables[table] = np.array(tables[table])
+        tables[table].flat[0] = bad
+        with pytest.raises(InvalidSpec, match="non-finite"):
+            DiscreteProblem(["a", "b"], tables["prior"], {"e": tables["likelihood"]},
+                            ["u", "v"], tables["loss"], tables["state_loss"])
+
 
 class TestPosterior:
     def test_uninformative_returns_prior(self):
@@ -66,6 +85,20 @@ class TestPosterior:
         problem = build_counterexample(CounterexampleSpec(0.2, 0.3, 0.5))
         assert posterior(problem, "e2", 1) == pytest.approx([0.4, 0.6, 0.0], abs=1e-14)
         assert posterior(problem, "e1", 1) == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(n_states=st.integers(1, 40), n_obs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_one_observation_division(self, n_states, n_obs, seed):
+        # Seeded posterior draws depend on the last bits of the posterior,
+        # so the table must divide exactly as one observation at a time.
+        rng = np.random.default_rng(seed)
+        prior = rng.dirichlet(np.ones(n_states))
+        lik = rng.dirichlet(np.ones(n_obs), size=n_states)
+        problem = DiscreteProblem(range(n_states), prior, {"e": lik}, ["u"],
+                                  np.zeros((n_states, 1)))
+        for y in range(n_obs):
+            joint = prior * lik[:, y]
+            assert np.array_equal(posterior(problem, "e", y), joint / joint.sum())
 
     def test_zero_probability_observation(self):
         problem = DiscreteProblem(["a"], [1.0], {"e": [[1.0, 0.0]]}, ["u"], [[0.0]])

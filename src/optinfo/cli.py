@@ -156,12 +156,19 @@ def cmd_discrete(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _has_bool(value) -> bool:
+    """Whether a JSON value is, or nests, ``true`` or ``false``."""
+    if isinstance(value, list):
+        return any(_has_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def _array(value, path: str, shape: tuple) -> np.ndarray:
-    """``value`` as a float array of finite numbers with the given shape, in
-    which None leaves an axis length free but nonzero; InvalidSpec naming
-    the JSON path otherwise."""
+    """``value`` as a float array of finite numbers (not booleans) with the
+    given shape, in which None leaves an axis length free but nonzero;
+    InvalidSpec naming the JSON path otherwise."""
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.empty(0) if _has_bool(value) else np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         arr = np.empty(0)
     if (arr.ndim != len(shape) or 0 in arr.shape or not np.all(np.isfinite(arr))

@@ -60,6 +60,17 @@ class CriterionReport:
         return out
 
 
+def mean_and_stderr(vals):
+    """Monte Carlo mean and standard error of ``vals`` along the last axis:
+    the ddof=1 standard deviation over sqrt(n), and 0 for a single draw."""
+    vals = np.asarray(vals)
+    n = vals.shape[-1]
+    mean = np.mean(vals, axis=-1)
+    if n == 1:
+        return mean, np.zeros_like(mean)
+    return mean, np.std(vals, axis=-1, ddof=1) / np.sqrt(n)
+
+
 def _check_psd(mat, name) -> np.ndarray:
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     mat = 0.5 * (mat + mat.T)
@@ -140,9 +151,8 @@ def bpn_mc(problem, e, cfg: MonteCarloConfig):
     inner_means = np.mean(losses, axis=1)
     if not np.all(np.isfinite(inner_means)):
         raise SamplerFailure("non-finite inner loss averages")
-    estimate = float(np.mean(inner_means))
-    stderr = float(np.std(inner_means, ddof=1) / np.sqrt(cfg.n_outer)) if cfg.n_outer > 1 else 0.0
-    return estimate, stderr
+    estimate, stderr = mean_and_stderr(inner_means)
+    return float(estimate), float(stderr)
 
 
 def bpn_gaussian_pair_reduction(posterior_cov, loss, cfg: MonteCarloConfig):
@@ -159,10 +169,8 @@ def bpn_gaussian_pair_reduction(posterior_cov, loss, cfg: MonteCarloConfig):
     factor = _psd_factor(2.0 * cov)
     rng = derive_rng(cfg.seed)
     z = rng.standard_normal((cfg.n_outer, cov.shape[0])) @ factor.T
-    vals = loss.pairwise(z, np.zeros((1, cov.shape[0])))
-    estimate = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(cfg.n_outer)) if cfg.n_outer > 1 else 0.0
-    return estimate, stderr
+    estimate, stderr = mean_and_stderr(loss.pairwise(z, np.zeros((1, cov.shape[0]))))
+    return float(estimate), float(stderr)
 
 
 def optimal_set(values: dict, tie_tol: float = 1e-9, stderrs: dict | None = None) -> list:

@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import IntegratorFailure, OptimizerDiverged, UnboundedObjective
-from .gaussian import GaussianDensity, _psd_factor, derive_rng, sample_gaussian
+from .errors import DimensionMismatch, IntegratorFailure, OptimizerDiverged, UnboundedObjective
+from .gaussian import GaussianDensity, _psd_factor, derive_rng, linear_gaussian_update, sample_gaussian
 
 EXACT_TIE_TOL = 1e-12
 
@@ -155,33 +155,29 @@ class GaussianLinearProblem:
         return list(self.experiments)
 
     def posterior(self, e, y) -> GaussianDensity:
-        from .gaussian import conjugate_posterior
-
-        A, noise = self.experiments[e]
-        return conjugate_posterior(self.prior, A, noise, y)
+        gain, base, _ = self._posterior_pieces(e)
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        if y.shape != (gain.shape[1],):
+            raise DimensionMismatch(f"observation shape {y.shape} != ({gain.shape[1]},)")
+        return GaussianDensity(base.mean + gain @ y, base.cov)
 
     def posterior_cov(self, e) -> np.ndarray:
-        A, noise = self.experiments[e]
-        y0 = np.zeros(np.atleast_2d(A).shape[0])
-        return self.posterior(e, y0).cov
+        return self._posterior_pieces(e)[1].cov.copy()
 
     def sample_prior(self, rng: np.random.Generator, n: int) -> np.ndarray:
         z = rng.standard_normal((n, self.prior.dim))
         return self.prior.mean[None, :] + z @ _psd_factor(self.prior.cov).T
 
     def _posterior_pieces(self, e):
-        """Cached (gain, base, factor): the posterior given y is
-        N(base.mean + gain y, base.cov), and factor F has F F^T = base.cov."""
+        """Cached (gain, base, factor) from one ``linear_gaussian_update``:
+        the posterior given y is N(base.mean + gain y, base.cov), base is
+        the posterior at y = 0, and factor F has F F^T = base.cov."""
         if e not in self._posterior_cache:
-            A, _ = self.experiments[e]
+            A, noise = self.experiments[e]
             A = np.atleast_2d(np.asarray(A, dtype=float))
-            y0 = np.zeros(A.shape[0])
-            base = self.posterior(e, y0)
-            y1 = np.eye(A.shape[0])
-            gain = np.column_stack(
-                [self.posterior(e, y1[i]).mean - base.mean for i in range(A.shape[0])]
-            )
-            self._posterior_cache[e] = (gain, base, _psd_factor(base.cov))
+            gain, cov = linear_gaussian_update(self.prior, A, noise)
+            base = GaussianDensity(self.prior.mean - gain @ (A @ self.prior.mean), cov)
+            self._posterior_cache[e] = (gain, base, _psd_factor(cov))
         return self._posterior_cache[e]
 
     def sample_nested(self, rng: np.random.Generator, e, n: int, n_inner: int):

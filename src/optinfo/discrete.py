@@ -209,6 +209,11 @@ def _require(cond, path, message):
         raise InvalidSpec(f"{path}: {message}")
 
 
+def _is_number(value) -> bool:
+    """A JSON number; ``true`` and ``false`` are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def problem_from_dict(doc: dict) -> DiscreteProblem:
     """Build a DiscreteProblem from the documented JSON schema, reporting
     the JSON path of the first violation."""
@@ -222,7 +227,7 @@ def problem_from_dict(doc: dict) -> DiscreteProblem:
         _require(isinstance(entry, dict), path, "must be an object")
         _require("name" in entry, f"{path}.name", "missing required key")
         _require("prior" in entry, f"{path}.prior", "missing required key")
-        _require(isinstance(entry["prior"], (int, float)), f"{path}.prior", "must be a number")
+        _require(_is_number(entry["prior"]), f"{path}.prior", "must be a number")
         names.append(str(entry["name"]))
         prior.append(float(entry["prior"]))
     n = len(names)
@@ -234,7 +239,7 @@ def problem_from_dict(doc: dict) -> DiscreteProblem:
         _require(isinstance(rows, list) and len(rows) == n, path, f"must be an array of {n} rows")
         for i, row in enumerate(rows):
             _require(isinstance(row, list) and row, f"{path}[{i}]", "must be a non-empty array")
-            _require(all(isinstance(v, (int, float)) for v in row), f"{path}[{i}]", "entries must be numbers")
+            _require(all(_is_number(v) for v in row), f"{path}[{i}]", "entries must be numbers")
         widths = {len(r) for r in rows}
         _require(len(widths) == 1, path, "rows must have equal length")
         experiments[str(e)] = rows
@@ -251,7 +256,7 @@ def problem_from_dict(doc: dict) -> DiscreteProblem:
         for i, row in enumerate(table):
             _require(isinstance(row, list) and len(row) == n_cols, f"$.{key}[{i}]",
                      f"must be an array of {n_cols} numbers")
-            _require(all(isinstance(v, (int, float)) for v in row), f"$.{key}[{i}]",
+            _require(all(_is_number(v) for v in row), f"$.{key}[{i}]",
                      "entries must be numbers")
         return table
 

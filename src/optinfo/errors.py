@@ -10,7 +10,8 @@ class DimensionMismatch(OptinfoError):
 
 
 class SingularSystem(OptinfoError):
-    """Conditioning failed even after jitter; the design is degenerate."""
+    """A symmetric system failed the 1e12 condition gate or its Cholesky
+    factorisation; the design is degenerate."""
 
 
 class FactorizationFailure(OptinfoError):

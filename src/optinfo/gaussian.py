@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, FactorizationFailure, SingularSystem
 
-# Diagonal stabilisation applied before factorising Gram/innovation matrices.
+# Scale of the diagonal jitter that ``_add_jitter`` applies.
 DEFAULT_JITTER_SCALE = 1e-10
 # Condition-number ceiling beyond which a solve is declared degenerate.
 MAX_CONDITION = 1e12
@@ -72,15 +72,21 @@ class GaussianDensity:
         return self.mean.shape[0]
 
 
+def _add_jitter(mat: np.ndarray) -> np.ndarray:
+    """Add ``DEFAULT_JITTER_SCALE * (mean diagonal + 1)`` to the diagonal of
+    the square ``mat`` in place; return ``mat``."""
+    jitter = DEFAULT_JITTER_SCALE * (np.trace(mat) / mat.shape[0] + 1.0)
+    np.fill_diagonal(mat, np.diagonal(mat) + jitter)
+    return mat
+
+
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Return F with F F^T = cov, via Cholesky with eigenvalue-clip fallback."""
+    """Return F with F F^T = cov, via Cholesky of the jittered matrix with
+    an eigenvalue-clip fallback."""
     if cov.size == 0:
         return cov
-    jitter = DEFAULT_JITTER_SCALE * (np.trace(cov) / cov.shape[0] + 1.0)
-    stabilised = cov.copy()
-    np.fill_diagonal(stabilised, np.diagonal(cov) + jitter)
     try:
-        return np.linalg.cholesky(stabilised)
+        return np.linalg.cholesky(_add_jitter(cov.copy()))
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh(cov)
         if w[-1] < 0:
@@ -103,29 +109,56 @@ def sample_gaussian(g: GaussianDensity, seed: int, count: int) -> np.ndarray:
 
 
 def _spd_factor(mat: np.ndarray):
-    """Cholesky factor of a symmetric positive definite matrix, failing loudly
-    if degenerate.
+    """``cho_factor`` of the symmetric part of ``mat``, adding no jitter.
 
-    The matrix is symmetrised and jittered, its condition number is checked
-    against MAX_CONDITION, and it is factored once; every solve against it
-    then goes through ``scipy.linalg.cho_solve`` on the returned factor.
+    Raises SingularSystem if the condition number exceeds MAX_CONDITION or
+    the factorisation fails. A caller that needs a jitter adds it first
+    (``_add_jitter``); every solve then goes through
+    ``scipy.linalg.cho_solve`` on the returned factor.
     """
-    stabilised = 0.5 * (mat + mat.T)
-    jitter = DEFAULT_JITTER_SCALE * (np.trace(stabilised) / stabilised.shape[0] + 1.0)
-    np.fill_diagonal(stabilised, np.diagonal(stabilised) + jitter)
-    if np.linalg.cond(stabilised) > MAX_CONDITION:
-        raise SingularSystem(
-            "system condition number exceeds 1e12 after jitter; degenerate design"
-        )
+    sym = 0.5 * (mat + mat.T)
+    if np.linalg.cond(sym) > MAX_CONDITION:
+        raise SingularSystem("system condition number exceeds 1e12; degenerate design")
     try:
-        return scipy.linalg.cho_factor(stabilised)
+        return scipy.linalg.cho_factor(sym)
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystem(f"symmetric factorisation failed: {exc}") from exc
 
 
-def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a symmetric positive definite system, failing loudly if degenerate."""
-    return scipy.linalg.cho_solve(_spd_factor(mat), rhs)
+def linear_gaussian_update(prior: GaussianDensity, design_matrix, noise_cov):
+    """(gain, cov) of x given y = A x + noise, noise ~ N(0, S), under ``prior``.
+
+    The posterior given y is N(prior.mean + gain (y - A prior.mean), cov),
+    with cov = prior.cov - gain A prior.cov. The joint form factors the
+    innovation A prior.cov A^T + S once. It is jittered (``_add_jitter``)
+    only when S is numerically singular (an eigenvalue at most 1e-13 *
+    max(max|S|, 1)) or when ``_spd_factor`` rejects it as it is, so a
+    well-conditioned experiment is conditioned exactly.
+    """
+    A = np.atleast_2d(np.asarray(design_matrix, dtype=float))
+    S = _as_cov(noise_cov)
+    n, d = A.shape
+    if d != prior.dim:
+        raise DimensionMismatch(f"design matrix has {d} columns, prior dim {prior.dim}")
+    if S.shape[0] != n:
+        raise DimensionMismatch(f"noise dimension {S.shape[0]} != {n} rows")
+    cross = prior.cov @ A.T
+    innovation = A @ prior.cov @ A.T + S
+    noise_nonsingular = (
+        S.size > 0
+        and np.all(np.linalg.eigvalsh(0.5 * (S + S.T)) > 1e-13 * max(np.max(np.abs(S)), 1.0))
+    )
+    factor = None
+    if noise_nonsingular:
+        try:
+            factor = _spd_factor(innovation)
+        except SingularSystem:
+            pass
+    if factor is None:
+        factor = _spd_factor(_add_jitter(0.5 * (innovation + innovation.T)))
+    gain = scipy.linalg.cho_solve(factor, cross.T).T
+    cov = prior.cov - gain @ cross.T
+    return gain, 0.5 * (cov + cov.T)
 
 
 def conjugate_posterior(
@@ -134,41 +167,11 @@ def conjugate_posterior(
     noise_cov,
     observation,
 ) -> GaussianDensity:
-    """Posterior of x given y = A x + noise with Gaussian prior on x.
-
-    For nonsingular observation noise the information form
-    (A^T S^-1 A + Sigma0^-1)^-1 is used; for (numerically) singular noise the
-    joint-Gaussian conditioning route with jitter is taken instead.
-    """
+    """Posterior of x given y = A x + noise with Gaussian prior on x,
+    through ``linear_gaussian_update``."""
     A = np.atleast_2d(np.asarray(design_matrix, dtype=float))
     y = np.atleast_1d(np.asarray(observation, dtype=float))
-    S = _as_cov(noise_cov)
-    n, d = A.shape
-    if d != prior.dim:
-        raise DimensionMismatch(f"design matrix has {d} columns, prior dim {prior.dim}")
-    if y.shape[0] != n or S.shape[0] != n:
-        raise DimensionMismatch(
-            f"observation/noise dimensions {y.shape[0]}/{S.shape[0]} != {n} rows"
-        )
-
-    noise_nonsingular = (
-        S.size > 0
-        and np.all(np.linalg.eigvalsh(0.5 * (S + S.T)) > 1e-13 * max(np.max(np.abs(S)), 1.0))
-    )
-    if noise_nonsingular:
-        S_factor = _spd_factor(S)
-        prior_factor = _spd_factor(prior.cov)
-        Sinv_A = scipy.linalg.cho_solve(S_factor, A)
-        prior_prec_mu = scipy.linalg.cho_solve(prior_factor, prior.mean)
-        prec = A.T @ Sinv_A + scipy.linalg.cho_solve(prior_factor, np.eye(d))
-        cov = _spd_solve(prec, np.eye(d))
-        mean = cov @ (A.T @ scipy.linalg.cho_solve(S_factor, y) + prior_prec_mu)
-        return GaussianDensity(mean, 0.5 * (cov + cov.T))
-
-    # Zero / singular noise: condition the joint Gaussian (x, Ax + noise).
-    innovation = A @ prior.cov @ A.T + S
-    cross = prior.cov @ A.T
-    gain = _spd_solve(innovation, cross.T).T
-    mean = prior.mean + gain @ (y - A @ prior.mean)
-    cov = prior.cov - gain @ cross.T
-    return GaussianDensity(mean, 0.5 * (cov + cov.T))
+    if y.shape[0] != A.shape[0]:
+        raise DimensionMismatch(f"observation dimension {y.shape[0]} != {A.shape[0]} rows")
+    gain, cov = linear_gaussian_update(prior, A, noise_cov)
+    return GaussianDensity(prior.mean + gain @ (y - A @ prior.mean), cov)

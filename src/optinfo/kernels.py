@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SingularGram, UnsupportedFunctional
-from .gaussian import DEFAULT_JITTER_SCALE, MAX_CONDITION, _spd_factor
+from .gaussian import DEFAULT_JITTER_SCALE, MAX_CONDITION, _add_jitter, _spd_factor
 
 # Name of the SE assembly implementation; recorded in benchmark environments.
 BACKEND = "numpy"
@@ -233,12 +233,15 @@ def _split_obs(kernel, observations):
 class ConditionedPredictor:
     """GP posterior predictor: mean and covariance over query points.
 
-    The jittered Gram matrix is factored once, at construction; ``mean``,
-    ``cov``, ``cov_functionals`` and ``cov_from_blocks`` reuse that Cholesky
-    factor.
+    The Gram matrix gets its nugget here, in two stages: first ``jitter`` =
+    DEFAULT_JITTER_SCALE * mean(diag Gram), then, after the 1e12 condition
+    gate (SingularGram), ``_add_jitter``'s DEFAULT_JITTER_SCALE * (mean
+    diagonal + 1). It is factored once, at construction; ``mean``, ``cov``,
+    ``var``, ``cov_functionals`` and ``cov_from_blocks`` reuse that
+    Cholesky factor.
     """
 
-    def __init__(self, kernel, observations, jitter: float | None = None):
+    def __init__(self, kernel, observations):
         self.kernel = kernel
         self.observations = tuple(observations)
         pts, codes, values = _split_obs(kernel, observations)
@@ -250,16 +253,11 @@ class ConditionedPredictor:
             self.jitter = 0.0
             return
         gram = kernel.cross_cov(pts, codes, pts, codes)
-        n = gram.shape[0]
-        if jitter is None:
-            jitter = DEFAULT_JITTER_SCALE * np.trace(gram) / n
-        if jitter <= 0:
-            raise ValueError("jitter must be positive")
-        self.jitter = float(jitter)
-        gram = gram + self.jitter * np.eye(n)
+        self.jitter = float(DEFAULT_JITTER_SCALE * np.trace(gram) / gram.shape[0])
+        np.fill_diagonal(gram, np.diagonal(gram) + self.jitter)
         if np.linalg.cond(gram) > MAX_CONDITION:
             raise SingularGram("Gram matrix condition number exceeds 1e12 after jitter")
-        self._factor = _spd_factor(gram)
+        self._factor = _spd_factor(_add_jitter(gram))
         prior_mean = kernel.mean(pts)
         self._weights = scipy.linalg.cho_solve(self._factor, values - prior_mean)
 
@@ -331,6 +329,6 @@ class ConditionedPredictor:
         return prior - np.einsum("ij,ji->i", cross, solved)
 
 
-def gp_condition(kernel, observations, jitter: float | None = None) -> ConditionedPredictor:
+def gp_condition(kernel, observations) -> ConditionedPredictor:
     """Condition ``kernel``'s GP on a list of linear observations."""
-    return ConditionedPredictor(kernel, observations, jitter)
+    return ConditionedPredictor(kernel, observations)

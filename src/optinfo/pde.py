@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import MonteCarloConfig
+from .criteria import MonteCarloConfig, mean_and_stderr
 from .errors import SingularGram
 from .gaussian import _psd_factor, derive_rng
 from .kernels import (
@@ -119,10 +119,9 @@ class EllipticDesignProblem:
 
 @dataclass
 class DesignState:
-    """Chosen interior points and the cached grid posterior covariance."""
+    """Chosen interior points."""
 
     points: list = field(default_factory=list)
-    grid_cov: np.ndarray | None = None
 
 
 def _check_separation(problem: EllipticDesignProblem, points) -> np.ndarray:
@@ -289,10 +288,7 @@ def _candidate_values(problem, joint, n_grid, cand_idx, weights, cfg, step, thre
             list(pool.map(eval_chunk, chunks))
     else:
         eval_chunk(positions)
-    values = np.mean(maxes, axis=1)
-    if n_pairs == 1:
-        return values, np.zeros(len(cols))
-    return values, np.std(maxes, axis=1, ddof=1) / np.sqrt(n_pairs)
+    return mean_and_stderr(maxes)
 
 
 def bpn_surface(problem: EllipticDesignProblem, state: DesignState, candidate,
@@ -332,9 +328,8 @@ def design_criterion(problem: EllipticDesignProblem, points,
     rng = derive_rng(cfg.seed, 10**6)
     factor = _psd_factor(2.0 * cov)
     z = rng.standard_normal((cfg.n_outer, cov.shape[0])) @ factor.T
-    vals = np.max(np.abs(z), axis=1)
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(cfg.n_outer)) if cfg.n_outer > 1 else 0.0
-    return float(np.mean(vals)), stderr
+    value, stderr = mean_and_stderr(np.max(np.abs(z), axis=1))
+    return float(value), float(stderr)
 
 
 def greedy_design(problem: EllipticDesignProblem, m: int,
@@ -393,11 +388,7 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
                                                    cands[best:best + 1], [NEG_LAPLACIAN])])
         contours.append(surface.reshape(C, C))
         trace.append(float(values[np.argmin(values)]))
-    grid_cov = _predictor(problem, chosen).cov_from_blocks(
-        prior[:n_grid, :n_grid], cross[:n_grid]
-    )
-    state = DesignState(points=[p.copy() for p in chosen], grid_cov=grid_cov)
-    return state, contours, trace
+    return DesignState(points=[p.copy() for p in chosen]), contours, trace
 
 
 def greedy_trace_design(problem: EllipticDesignProblem, m: int) -> list:

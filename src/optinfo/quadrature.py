@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import MonteCarloConfig
+from .criteria import MonteCarloConfig, mean_and_stderr
 from .errors import LengthMismatch, OptimizerDiverged, SamplerFailure
 from .gaussian import derive_rng
 
@@ -26,15 +26,15 @@ class QuadratureDesign:
     """Interior nodes t_1..t_{n-1} in [0, 1]; endpoints 0 and 1 are implied.
 
     Nodes are sorted on construction; coincident nodes are permitted and
-    contribute zero-length intervals.
+    contribute zero-length intervals. NaN and infinite nodes are rejected.
     """
 
     interior: tuple
 
     def __init__(self, interior=()):
         interior = tuple(sorted(float(t) for t in np.atleast_1d(np.asarray(interior, dtype=float)).ravel()))
-        if interior and (interior[0] < 0.0 or interior[-1] > 1.0):
-            raise ValueError("interior nodes must lie in [0, 1]")
+        if not all(0.0 <= t <= 1.0 for t in interior):
+            raise ValueError("interior nodes must be finite and lie in [0, 1]")
         object.__setattr__(self, "interior", interior)
 
     @property
@@ -120,9 +120,8 @@ def bpn_monte_carlo(design: QuadratureDesign, cfg: MonteCarloConfig,
     inner_means = losses.mean(axis=1)
     if not np.all(np.isfinite(inner_means)):
         raise SamplerFailure("non-finite bridge samples")
-    estimate = float(inner_means.mean())
-    stderr = float(inner_means.std(ddof=1) / np.sqrt(cfg.n_outer)) if cfg.n_outer > 1 else 0.0
-    return estimate, stderr
+    estimate, stderr = mean_and_stderr(inner_means)
+    return float(estimate), float(stderr)
 
 
 def optimize_design(n: int, optimizer: str = "closed-form", seed: int = 0,

@@ -47,6 +47,12 @@ class TestQuadratureCommand:
         mc = doc["bpn_monte_carlo"]
         assert abs(mc["estimate"] - doc["bpn"]) <= 3.0 * mc["stderr"]
 
+    def test_nan_node_exits_2(self, capsys):
+        code, out, err = run(["quadrature", "--nodes", "nan", "0.5"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "finite" in err
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code, out, _ = run(["quadrature", "--n", "2", "--optimize", "--output", str(target)], capsys)
@@ -94,6 +100,18 @@ class TestDiscreteCommand:
         code, _, err = run(["discrete", "--problem", str(bad)], capsys)
         assert code == EXIT_USAGE
         assert "non-finite" in err
+
+    def test_boolean_numbers_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps({
+            "states": [{"name": "a", "prior": True}, {"name": "b", "prior": False}],
+            "experiments": {"e": [[True, False], [False, True]]},
+            "actions": ["u", "v"],
+            "loss": [[0.0, 1.0], [1.0, 0.0]],
+        }))
+        code, _, err = run(["discrete", "--problem", str(bad)], capsys)
+        assert code == EXIT_USAGE
+        assert "$.states[0].prior" in err
 
     def test_missing_file(self, capsys):
         code, _, _ = run(["discrete", "--problem", "/nonexistent/p.json"], capsys)
@@ -230,6 +248,15 @@ class TestRegressionCommand:
         code, _, err = run(["regression", "--config", self.write_config(tmp_path, doc)], capsys)
         assert code == EXIT_USAGE
         assert path in err
+
+    def test_boolean_prior_exits_2(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, {
+            "prior_cov": [[True, False], [False, True]],
+            "candidates": {"e": [[1.0, 0.0]]},
+        })
+        code, _, err = run(["regression", "--config", config], capsys)
+        assert code == EXIT_USAGE
+        assert "$.prior_cov" in err
 
     def test_non_psd_prior_exits_3(self, tmp_path, capsys):
         config = self.write_config(tmp_path, {

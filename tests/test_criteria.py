@@ -24,7 +24,7 @@ from optinfo.discrete import (
     posterior,
 )
 from optinfo.errors import AllValuesNonFinite, MissingLossTable, NonPSDInput
-from optinfo.gaussian import GaussianDensity, _psd_factor, derive_rng
+from optinfo.gaussian import GaussianDensity, _psd_factor, conjugate_posterior, derive_rng
 
 # Property tests replay the same examples on every run and have no deadline,
 # so Tier-1 stays deterministic and free of timing failures.
@@ -258,6 +258,24 @@ class TestBPNEstimators:
         ref_est, ref_se = per_draw_bpn_mc(problem, "e", cfg)
         assert est == pytest.approx(ref_est, rel=1e-12, abs=0.0)
         assert se == pytest.approx(ref_se, rel=1e-12, abs=0.0)
+
+    def test_gaussian_experiment_conditioned_once(self, cho_factor_calls):
+        # posterior_cov, posterior and bpn_mc share one cached conditioning.
+        rng = np.random.default_rng(2)
+        L = rng.standard_normal((3, 3))
+        prior = GaussianDensity(rng.standard_normal(3), L @ L.T + np.eye(3))
+        A = rng.standard_normal((2, 3))
+        problem = GaussianLinearProblem(prior, {"e": (A, np.eye(2))},
+                                        PNormOnGrid(np.inf, np.ones(3)))
+        cov = problem.posterior_cov("e")
+        np.testing.assert_array_equal(problem.posterior_cov("e"), cov)
+        y = rng.standard_normal(2)
+        post = problem.posterior("e", y)
+        bpn_mc(problem, "e", MonteCarloConfig(n_outer=20, n_inner=2))
+        assert len(cho_factor_calls) == 1
+        want = conjugate_posterior(prior, A, np.eye(2), y)
+        assert post.mean == pytest.approx(want.mean, rel=1e-12, abs=1e-14)
+        np.testing.assert_array_equal(post.cov, want.cov)
 
     def test_pair_reduction_zero_covariance(self):
         loss = PNormOnGrid(2.0, [1.0, 1.0], squared=True)

@@ -14,6 +14,12 @@ from optinfo.gaussian import (
     derive_rng,
     sample_gaussian,
 )
+from optinfo.kernels import (
+    NegativeLaplacianEvaluation,
+    PointEvaluation,
+    SquaredExponential,
+    gp_condition,
+)
 
 
 def grid_posterior_oracle(prior, A, noise, y, half_width=6.0, resolution=400):
@@ -120,27 +126,81 @@ class TestConjugatePosterior:
             conjugate_posterior(prior, [[1.0, 0.0]], np.eye(2), [1.0, 2.0])
 
     def test_rank_deficient_prior_is_stabilised(self):
-        # A rank-deficient (but PSD) prior is rescued by the documented
-        # trace-scaled jitter instead of crashing; the posterior stays PSD.
+        # A rank-deficient (but PSD) prior conditions without crashing; the
+        # posterior stays PSD.
         prior = GaussianDensity([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
         post = conjugate_posterior(prior, np.eye(2), np.eye(2), [0.0, 0.0])
         assert np.linalg.eigvalsh(post.cov)[0] >= -1e-9
 
-    def test_information_form_factors_each_matrix_once(self, cho_factor_calls):
-        # One Cholesky factorisation each for the noise, the prior and the
-        # posterior precision.
+    def test_factors_innovation_once(self, cho_factor_calls):
+        # One Cholesky factorisation, of the innovation, per posterior.
         rng = np.random.default_rng(3)
         L = rng.standard_normal((3, 3))
         prior = GaussianDensity(rng.standard_normal(3), L @ L.T + np.eye(3))
         A = rng.standard_normal((2, 3))
         conjugate_posterior(prior, A, np.eye(2), rng.standard_normal(2))
-        assert len(cho_factor_calls) == 3
+        assert len(cho_factor_calls) == 1
 
     def test_indefinite_system_fails_loudly(self):
-        from optinfo.gaussian import _spd_solve
-
         with pytest.raises(SingularSystem):
-            _spd_solve(np.array([[1.0, 0.0], [0.0, -1.0]]), np.ones(2))
+            _spd_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    @pytest.mark.parametrize("noise_kind", ["diagonal", "dense"])
+    def test_exact_against_explicit_joint_formula(self, noise_kind):
+        # Nonsingular noise is conditioned without jitter, so the posterior
+        # matches the joint formula through a dense solve to roundoff.
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            d = int(rng.integers(1, 6))
+            n = int(rng.integers(1, d + 1))
+            L = rng.standard_normal((d, d))
+            prior = GaussianDensity(rng.standard_normal(d), L @ L.T + np.eye(d))
+            A = rng.standard_normal((n, d))
+            if noise_kind == "diagonal":
+                noise = np.diag(rng.uniform(0.1, 2.0, n))
+            else:
+                M = rng.standard_normal((n, n))
+                noise = M @ M.T + 0.1 * np.eye(n)
+            y = rng.standard_normal(n)
+            post = conjugate_posterior(prior, A, noise, y)
+
+            gain = np.linalg.solve(A @ prior.cov @ A.T + noise, A @ prior.cov).T
+            mean = prior.mean + gain @ (y - A @ prior.mean)
+            cov = prior.cov - gain @ A @ prior.cov
+            assert np.max(np.abs(post.mean - mean)) <= 1e-12 * np.max(np.abs(mean))
+            assert np.max(np.abs(post.cov - cov)) <= 1e-12 * np.max(np.abs(cov))
+
+    def test_zero_noise_square_design(self):
+        # Full information: the posterior collapses onto A^-1 y, up to the
+        # jitter that the singular noise calls for.
+        rng = np.random.default_rng(5)
+        L = rng.standard_normal((3, 3))
+        prior = GaussianDensity(rng.standard_normal(3), L @ L.T + np.eye(3))
+        A = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+        y = rng.standard_normal(3)
+        post = conjugate_posterior(prior, A, np.zeros((3, 3)), y)
+        assert A @ post.mean == pytest.approx(y, abs=1e-6)
+        assert np.max(np.abs(post.cov)) <= 1e-6
+
+    @pytest.mark.parametrize("noise_var", [0.0, 1e-12])
+    def test_redundant_rows(self, noise_var):
+        # Two identical rows: the innovation is singular up to the noise and
+        # gets the jitter; the posterior equals the one-row posterior.
+        prior = GaussianDensity([0.5, -0.2], [[2.0, 0.3], [0.3, 1.0]])
+        row = np.array([[1.0, 2.0]])
+        post = conjugate_posterior(prior, np.vstack([row, row]), noise_var * np.eye(2),
+                                   [0.7, 0.7])
+        single = conjugate_posterior(prior, row, [[0.0]], [0.7])
+        assert post.mean == pytest.approx(single.mean, abs=1e-8)
+        assert post.cov == pytest.approx(single.cov, abs=1e-8)
+
+    def test_tiny_noise_is_not_swamped_by_jitter(self):
+        # A well-conditioned innovation is factored as it is, so a 1e-12
+        # observation noise sets the posterior variance.
+        prior = GaussianDensity([0.0, 0.0], np.diag([1e3, 1.0]))
+        post = conjugate_posterior(prior, np.eye(2), 1e-12 * np.eye(2), [0.0, 0.0])
+        assert post.cov[1, 1] == pytest.approx(1e-12, rel=0.05)
+        assert post.cov[0, 0] == pytest.approx(1e-12, rel=0.05)
 
 
 class TestFactorJitter:
@@ -149,18 +209,33 @@ class TestFactorJitter:
         a = rng.standard_normal((40, 30))
         cov = a @ a.T
         n = cov.shape[0]
-        sym = 0.5 * (cov + cov.T)
         jitter_psd = DEFAULT_JITTER_SCALE * (np.trace(cov) / n + 1.0)
-        jitter_spd = DEFAULT_JITTER_SCALE * (np.trace(sym) / n + 1.0)
         want_psd = np.linalg.cholesky(cov + jitter_psd * np.eye(n))
-        want_spd = scipy.linalg.cho_factor(sym + jitter_spd * np.eye(n))[0]
+
+        b = rng.standard_normal((40, 60))
+        spd = b @ b.T
+        want_spd = scipy.linalg.cho_factor(0.5 * (spd + spd.T))[0]
+
+        kernel = SquaredExponential(lengthscale=0.5, dim=2)
+        obs = [PointEvaluation([t, 0.0], 0.0) for t in (0.0, 0.5, 1.0)]
+        obs += [NegativeLaplacianEvaluation([0.3, 0.6], 1.0),
+                NegativeLaplacianEvaluation([0.7, 0.4], -1.0)]
+        pts = np.array([o.location for o in obs])
+        codes = np.array([o.code for o in obs])
+        gram = kernel.cross_cov(pts, codes, pts, codes)
+        m = gram.shape[0]
+        stage1 = gram + DEFAULT_JITTER_SCALE * np.trace(gram) / m * np.eye(m)
+        sym = 0.5 * (stage1 + stage1.T)
+        stage2 = sym + DEFAULT_JITTER_SCALE * (np.trace(sym) / m + 1.0) * np.eye(m)
+        want_gram = scipy.linalg.cho_factor(stage2)[0]
 
         def no_dense_identity(*args, **kwargs):
             raise AssertionError("jitter must not build a dense identity")
 
         monkeypatch.setattr(np, "eye", no_dense_identity)
         np.testing.assert_array_equal(_psd_factor(cov), want_psd)
-        np.testing.assert_array_equal(_spd_factor(cov)[0], want_spd)
+        np.testing.assert_array_equal(_spd_factor(spd)[0], want_spd)
+        np.testing.assert_array_equal(gp_condition(kernel, obs)._factor[0], want_gram)
 
 
 class TestSampling:

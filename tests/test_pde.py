@@ -275,12 +275,6 @@ class TestGreedy:
         for a, b in zip(contours1, contours3):
             np.testing.assert_array_equal(a, b)
 
-    def test_grid_cov_cache_consistent(self):
-        problem = small_problem()
-        state, _, _ = greedy_design(problem, 2)
-        recomputed = posterior_on_grid(problem, state.points)
-        np.testing.assert_array_equal(state.grid_cov, recomputed)
-
     @pytest.mark.parametrize("p", [2.0, np.inf])
     def test_contours_equal_full_reconditioning(self, p):
         # Oracle: every step reassembles and reconditions the joint

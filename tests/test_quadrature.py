@@ -26,6 +26,11 @@ class TestDesign:
         with pytest.raises(ValueError):
             QuadratureDesign([1.2])
 
+    @pytest.mark.parametrize("node", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, node):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureDesign([0.5, node])
+
     def test_coincident_nodes_permitted(self):
         design = QuadratureDesign([0.5, 0.5])
         assert design.intervals == pytest.approx([0.5, 0.0, 0.5])

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DimensionMismatch, IntegratorFailure, OptimizerDiverged, UnboundedObjective
 from .gaussian import GaussianDensity, _psd_factor, derive_rng, linear_gaussian_update, sample_gaussian
@@ -247,6 +246,10 @@ def posterior_expected_loss(posterior, loss, action, mc_samples: int = 4096, see
 
 def _coordinate_search(objective, box, tol: float) -> np.ndarray:
     """Coordinate-wise bounded scalar minimisation (golden/parabolic) with sweeps."""
+    # Imported here: scipy.optimize costs about 0.3 s to import, and only
+    # this function needs it.
+    from scipy.optimize import minimize_scalar
+
     box = [(float(lo), float(hi)) for lo, hi in box]
     a = np.array([0.5 * (lo + hi) for lo, hi in box])
     best = objective(a)

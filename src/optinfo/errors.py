@@ -10,8 +10,9 @@ class DimensionMismatch(OptinfoError):
 
 
 class SingularSystem(OptinfoError):
-    """A symmetric system failed the 1e12 condition gate or its Cholesky
-    factorisation; the design is degenerate."""
+    """A symmetric system, such as a GP Gram matrix, failed the 1e12
+    condition gate of ``gaussian._spd_factor`` or its Cholesky
+    factorisation; the design is numerically degenerate."""
 
 
 class FactorizationFailure(OptinfoError):
@@ -23,7 +24,8 @@ class UnsupportedFunctional(OptinfoError):
 
 
 class SingularGram(OptinfoError):
-    """Gram matrix is numerically singular (e.g. coincident points)."""
+    """Observation geometry makes the Gram matrix singular: coincident
+    locations, or design points closer than the minimum separation."""
 
 
 class NonPSDInput(OptinfoError):

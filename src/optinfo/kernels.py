@@ -6,9 +6,11 @@ squared-exponential kernel amp * exp(-||t - t'||^2 / lengthscale^2) in one
 or two dimensions (the only kernel smooth enough to support Laplacian
 observations).
 
-Cross-covariance assembly for the SE kernel is vectorised numpy; the
-elliptic design search assembles its large blocks once per search and
-conditions them through ``ConditionedPredictor.cov_from_blocks``.
+Cross-covariance assembly for the SE kernel is vectorised numpy.
+``ConditionedPredictor`` is the one conditioning path: it alone knows its
+observations and assembles every block against them. The elliptic design
+search assembles its prior block over the query functionals once per
+search and passes it to ``cov_functionals`` at each step.
 
 Each kernel also has ``diag(pts)``, the prior variance of point values,
 equal bit for bit to the diagonal of ``cross_cov(pts, 0, pts, 0)``.
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularGram, UnsupportedFunctional
-from .gaussian import DEFAULT_JITTER_SCALE, MAX_CONDITION, _add_jitter, _spd_factor
+from .errors import DimensionMismatch, SingularGram, UnsupportedFunctional
+from .gaussian import DEFAULT_JITTER_SCALE, _add_jitter, _spd_factor
 
 # Name of the SE assembly implementation; recorded in benchmark environments.
 BACKEND = "numpy"
@@ -233,12 +235,15 @@ def _split_obs(kernel, observations):
 class ConditionedPredictor:
     """GP posterior predictor: mean and covariance over query points.
 
-    The Gram matrix gets its nugget here, in two stages: first ``jitter`` =
-    DEFAULT_JITTER_SCALE * mean(diag Gram), then, after the 1e12 condition
-    gate (SingularGram), ``_add_jitter``'s DEFAULT_JITTER_SCALE * (mean
-    diagonal + 1). It is factored once, at construction; ``mean``, ``cov``,
-    ``var``, ``cov_functionals`` and ``cov_from_blocks`` reuse that
-    Cholesky factor.
+    The predictor is the only code that knows its observations: ``mean``,
+    ``var`` and ``cov_functionals`` all read the query-by-observation block
+    from ``_cross``. The Gram matrix gets its nugget here, in two stages:
+    ``jitter`` = DEFAULT_JITTER_SCALE * mean(diag Gram), then
+    ``_add_jitter``'s DEFAULT_JITTER_SCALE * (mean diagonal + 1). It is
+    factored once, at construction, by ``_spd_factor``, whose 1e12
+    condition gate on that matrix is the one gate. Coincident observation
+    locations raise SingularGram (geometry); a Gram that fails the gate or
+    its Cholesky factorisation raises SingularSystem (numerics).
     """
 
     def __init__(self, kernel, observations):
@@ -255,8 +260,6 @@ class ConditionedPredictor:
         gram = kernel.cross_cov(pts, codes, pts, codes)
         self.jitter = float(DEFAULT_JITTER_SCALE * np.trace(gram) / gram.shape[0])
         np.fill_diagonal(gram, np.diagonal(gram) + self.jitter)
-        if np.linalg.cond(gram) > MAX_CONDITION:
-            raise SingularGram("Gram matrix condition number exceeds 1e12 after jitter")
         self._factor = _spd_factor(_add_jitter(gram))
         prior_mean = kernel.mean(pts)
         self._weights = scipy.linalg.cho_solve(self._factor, values - prior_mean)
@@ -269,42 +272,40 @@ class ConditionedPredictor:
             pts = np.atleast_2d(pts)
         return pts
 
+    def _cross(self, pts, codes):
+        """Prior covariance of the query functionals with the observations,
+        one column per observation in conditioning order."""
+        return self.kernel.cross_cov(pts, codes, self._obs_pts, self._obs_codes)
+
     def mean(self, points) -> np.ndarray:
         pts = self._query(points)
         base = self.kernel.mean(pts)
-        if self._obs_pts.shape[0] == 0:
+        if self._factor is None:
             return base
-        codes = np.zeros(pts.shape[0], dtype=np.int64)
-        cross = self.kernel.cross_cov(pts, codes, self._obs_pts, self._obs_codes)
-        return base + cross @ self._weights
+        return base + self._cross(pts, np.zeros(pts.shape[0], dtype=np.int64)) @ self._weights
 
     def cov(self, points) -> np.ndarray:
         pts = self._query(points)
-        codes = np.zeros(pts.shape[0], dtype=np.int64)
-        return self.cov_functionals(pts, codes)
+        return self.cov_functionals(pts, np.zeros(pts.shape[0], dtype=np.int64))
 
-    def cov_functionals(self, points, codes) -> np.ndarray:
-        """Posterior covariance between arbitrary linear functionals
-        (points with per-point functional codes)."""
+    def cov_functionals(self, points, codes, prior=None) -> np.ndarray:
+        """Posterior covariance ``prior - cross K^-1 cross^T``, symmetrised,
+        between linear functionals (points with per-point functional codes).
+
+        ``prior`` is the prior covariance among these functionals. A caller
+        that keeps it across several conditionings passes it; otherwise it
+        is assembled here. A prior that is not n x n raises
+        DimensionMismatch. The cross block is always assembled here.
+        """
         pts = self._query(points)
         codes = np.asarray(codes, dtype=np.int64)
-        prior = self.kernel.cross_cov(pts, codes, pts, codes)
-        if self._obs_pts.shape[0] == 0:
-            return self.cov_from_blocks(prior, None)
-        cross = self.kernel.cross_cov(pts, codes, self._obs_pts, self._obs_codes)
-        return self.cov_from_blocks(prior, cross)
-
-    def cov_from_blocks(self, prior, cross) -> np.ndarray:
-        """Posterior covariance ``prior - cross K^-1 cross^T``, symmetrised.
-
-        ``prior`` is the prior covariance among some query functionals and
-        ``cross`` their prior covariance with the observations, one column
-        per observation in conditioning order. Callers that keep these
-        blocks across several conditionings pass them here instead of
-        reassembling them through ``cov_functionals``.
-        """
-        if self._obs_pts.shape[0] == 0:
+        if prior is None:
+            prior = self.kernel.cross_cov(pts, codes, pts, codes)
+        elif np.shape(prior) != (len(codes), len(codes)):
+            raise DimensionMismatch(f"prior is {np.shape(prior)} for {len(codes)} functionals")
+        if self._factor is None:
             return 0.5 * (prior + prior.T)
+        cross = self._cross(pts, codes)
         reduction = cross @ scipy.linalg.cho_solve(self._factor, cross.T)
         out = prior - reduction
         return 0.5 * (out + out.T)
@@ -321,10 +322,9 @@ class ConditionedPredictor:
         """
         pts = self._query(points)
         prior = self.kernel.diag(pts)
-        if self._obs_pts.shape[0] == 0:
+        if self._factor is None:
             return prior
-        codes = np.zeros(pts.shape[0], dtype=np.int64)
-        cross = self.kernel.cross_cov(pts, codes, self._obs_pts, self._obs_codes)
+        cross = self._cross(pts, np.zeros(pts.shape[0], dtype=np.int64))
         solved = scipy.linalg.cho_solve(self._factor, cross.T)
         return prior - np.einsum("ij,ji->i", cross, solved)
 

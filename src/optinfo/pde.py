@@ -145,7 +145,10 @@ def _observations(problem: EllipticDesignProblem, points):
 
 
 def _predictor(problem: EllipticDesignProblem, points):
-    return gp_condition(problem.kernel, _observations(problem, points))
+    """GP conditioned on ``_observations(problem, points)``; SingularGram if
+    two points are closer than min_separation."""
+    pts = _check_separation(problem, points)
+    return gp_condition(problem.kernel, _observations(problem, pts))
 
 
 @functools.lru_cache(maxsize=1)
@@ -166,19 +169,16 @@ def posterior_on_grid(problem: EllipticDesignProblem, points) -> np.ndarray:
 
     The grid x grid prior block comes from a cache of one entry per process,
     keyed by (eval_grid, lengthscale, amplitude) and read-only (8 MB at the
-    default 32 x 32 grid); only the grid x observation block is assembled per
-    call. Both are conditioned through ``cov_from_blocks``, so the result
-    equals ``_predictor(problem, points).cov(problem.grid_points)`` bit for
-    bit and is a fresh writable array.
+    default 32 x 32 grid) and is passed to ``cov_functionals``, which
+    assembles only the grid x observation block. The result equals
+    ``_predictor(problem, points).cov(problem.grid_points)`` bit for bit and
+    is a fresh writable array.
     """
-    pts = _check_separation(problem, points)
     grid = problem.grid_points
-    boundary = problem.boundary
-    obs_pts = np.vstack([boundary, pts])
-    obs_codes = np.repeat([POINT, NEG_LAPLACIAN], [boundary.shape[0], pts.shape[0]])
-    cross = problem.kernel.cross_cov(grid, np.full(grid.shape[0], POINT), obs_pts, obs_codes)
     prior = _grid_prior(problem.eval_grid, problem.lengthscale, problem.amplitude)
-    return _predictor(problem, pts).cov_from_blocks(prior, cross)
+    return _predictor(problem, points).cov_functionals(
+        grid, np.full(grid.shape[0], POINT, dtype=np.int64), prior
+    )
 
 
 def _joint_functionals(problem: EllipticDesignProblem, extra_points):
@@ -194,9 +194,7 @@ def _joint_functionals(problem: EllipticDesignProblem, extra_points):
 
 def _joint_cov(problem: EllipticDesignProblem, chosen, extra_points):
     """Posterior covariance over [grid values; -Laplacian at extra points]."""
-    pts = _check_separation(problem, chosen)
-    predictor = _predictor(problem, pts)
-    return predictor.cov_functionals(*_joint_functionals(problem, extra_points))
+    return _predictor(problem, chosen).cov_functionals(*_joint_functionals(problem, extra_points))
 
 
 def _free_candidates(problem: EllipticDesignProblem, chosen, step: int) -> np.ndarray:
@@ -321,8 +319,7 @@ def design_criterion(problem: EllipticDesignProblem, points,
     cfg = cfg or MonteCarloConfig()
     weights = problem.grid_weights
     if problem.p == 2.0:
-        pts = _check_separation(problem, points)
-        var = _predictor(problem, pts).var(problem.grid_points)
+        var = _predictor(problem, points).var(problem.grid_points)
         return 2.0 * float(weights @ var), 0.0
     cov = posterior_on_grid(problem, points)
     rng = derive_rng(cfg.seed, 10**6)
@@ -337,10 +334,10 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
     """Sequentially add m interior points, each minimising the candidate
     criterion surface.
 
-    The prior covariance over [grid; -Laplacian at every candidate] and its
-    cross-covariance with the boundary observations are assembled once; each
-    choice appends one column to the cross block, and each step conditions on
-    the boundary plus the chosen points through ``cov_from_blocks``.
+    The prior covariance over [grid; -Laplacian at every candidate] is
+    assembled once. Each step conditions on the boundary plus the chosen
+    points with one ``cov_functionals`` call that is passed this prior; the
+    predictor assembles the block against its own observations.
 
     Each step takes the first minimum of the computed candidate values
     (``np.argmin``); there is no tie tolerance. Candidates that tie in exact
@@ -365,17 +362,13 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
     cands = problem.candidates
     n_grid = problem.grid_points.shape[0]
     weights = problem.grid_weights
-    kernel = problem.kernel
     joint_pts, joint_codes = _joint_functionals(problem, cands)
-    boundary = problem.boundary
-    prior = kernel.cross_cov(joint_pts, joint_codes, joint_pts, joint_codes)
-    cross = kernel.cross_cov(joint_pts, joint_codes,
-                             boundary, np.full(boundary.shape[0], POINT))
+    prior = problem.kernel.cross_cov(joint_pts, joint_codes, joint_pts, joint_codes)
     chosen: list = []
     contours = []
     trace = []
     for step in range(m):
-        joint = _predictor(problem, chosen).cov_from_blocks(prior, cross)
+        joint = _predictor(problem, chosen).cov_functionals(joint_pts, joint_codes, prior)
         free = _free_candidates(problem, chosen, step)
         values, _ = _candidate_values(
             problem, joint, n_grid, free, weights, cfg, step, threads
@@ -384,8 +377,6 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
         surface[free] = values
         best = free[int(np.argmin(values))]
         chosen.append(cands[best].copy())
-        cross = np.hstack([cross, kernel.cross_cov(joint_pts, joint_codes,
-                                                   cands[best:best + 1], [NEG_LAPLACIAN])])
         contours.append(surface.reshape(C, C))
         trace.append(float(values[np.argmin(values)]))
     return DesignState(points=[p.copy() for p in chosen]), contours, trace

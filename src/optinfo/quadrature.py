@@ -18,7 +18,8 @@ from .criteria import MonteCarloConfig, mean_and_stderr
 from .errors import LengthMismatch, OptimizerDiverged, SamplerFailure
 from .gaussian import derive_rng
 
-MIN_BRIDGE_POINTS = 8
+# Steps of the discretised Brownian bridge on each interval.
+BRIDGE_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,10 @@ def bpn_closed_form(design: QuadratureDesign) -> float:
     return float(np.sum(design.intervals**3) / 6.0)
 
 
-def _bridge_integral_variances(deltas: np.ndarray, bridge_points: int) -> np.ndarray:
+def _bridge_integral_variances(deltas: np.ndarray) -> np.ndarray:
     """Variance of the trapezoid integral of a discretised Brownian bridge
     on each interval, from the K-step bridge construction."""
-    K = bridge_points
+    K = BRIDGE_POINTS
     # Interior grid j = 1..K-1 in unit coordinates; bridge covariance
     # cov(B_s, B_t) = s (1 - t) for s <= t, scaled by interval length.
     s = np.arange(1, K) / K
@@ -97,8 +98,7 @@ def _bridge_integral_variances(deltas: np.ndarray, bridge_points: int) -> np.nda
     return deltas**3 * unit_var
 
 
-def bpn_monte_carlo(design: QuadratureDesign, cfg: MonteCarloConfig,
-                    bridge_points: int = 64):
+def bpn_monte_carlo(design: QuadratureDesign, cfg: MonteCarloConfig):
     """Nested Monte Carlo estimate of the concentration criterion via the
     between-node Brownian bridges.
 
@@ -107,9 +107,7 @@ def bpn_monte_carlo(design: QuadratureDesign, cfg: MonteCarloConfig,
     the squared difference of two such draws. Returns (estimate, stderr),
     deterministic given cfg.seed.
     """
-    if bridge_points < MIN_BRIDGE_POINTS:
-        raise ValueError(f"bridge discretisation must use >= {MIN_BRIDGE_POINTS} points")
-    sigmas = np.sqrt(_bridge_integral_variances(design.intervals, bridge_points))
+    sigmas = np.sqrt(_bridge_integral_variances(design.intervals))
     rng = derive_rng(cfg.seed)
     n_int = design.n_intervals
     # Outer draws: true-state bridge integrals given the node values.

@@ -1,10 +1,16 @@
 """CLI subcommands: exit codes, JSON/CSV outputs and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import optinfo
+from optinfo import gaussian
 from optinfo.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -158,6 +164,12 @@ class TestPdeDesignCommand:
         assert code == EXIT_USAGE
         assert name in err
 
+    def test_failed_condition_gate_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(gaussian, "MAX_CONDITION", 1.0)
+        code, _, err = run(self.BASE + ["--outdir", str(tmp_path)], capsys)
+        assert code == EXIT_NUMERICAL
+        assert "SingularSystem" in err
+
     def test_single_sample_pinf_runs(self, tmp_path, capsys):
         code, _, _ = run(self.BASE + ["--p", "inf", "--samples", "1",
                                       "--outdir", str(tmp_path)], capsys)
@@ -293,3 +305,13 @@ class TestArgparseBehaviour:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == EXIT_OK
         capsys.readouterr()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 0.3 s to import, and no subcommand needs it.
+    src = str(Path(optinfo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, optinfo, optinfo.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from optinfo.errors import SingularGram, UnsupportedFunctional
+from optinfo import gaussian
+from optinfo.errors import DimensionMismatch, SingularGram, SingularSystem, UnsupportedFunctional
 from optinfo.kernels import (
     NEG_LAPLACIAN,
     POINT,
@@ -204,6 +205,46 @@ class TestFactorOnce:
         assert len(cho_factor_calls) == 1
 
 
+def mixed_predictor():
+    """SE predictor on boundary values and two -Laplacian observations."""
+    kernel = SquaredExponential(lengthscale=0.5, dim=2)
+    boundary = [PointEvaluation([t, 0.0], 0.0) for t in (0.0, 0.5, 1.0)]
+    interior = [NegativeLaplacianEvaluation([0.3, 0.6], 1.0),
+                NegativeLaplacianEvaluation([0.7, 0.4], -1.0)]
+    return kernel, boundary + interior
+
+
+class TestOneGate:
+    def test_one_condition_number_per_conditioning(self, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cond(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counting)
+        gp_condition(*mixed_predictor())
+        assert len(calls) == 1
+
+    def test_failed_gate_raises_singular_system(self, monkeypatch):
+        monkeypatch.setattr(gaussian, "MAX_CONDITION", 1.0)
+        with pytest.raises(SingularSystem):
+            gp_condition(*mixed_predictor())
+
+
+class TestCovFunctionalsPrior:
+    @pytest.mark.parametrize("observed", [True, False])
+    def test_passed_prior_equals_assembled_prior(self, observed):
+        kernel, obs = mixed_predictor()
+        pred = gp_condition(kernel, obs if observed else [])
+        query = np.array([[0.2, 0.2], [0.5, 0.5], [0.8, 0.3], [0.4, 0.7]])
+        codes = np.array([POINT, NEG_LAPLACIAN, POINT, NEG_LAPLACIAN])
+        prior = kernel.cross_cov(query, codes, query, codes)
+        np.testing.assert_array_equal(pred.cov_functionals(query, codes, prior),
+                                      pred.cov_functionals(query, codes))
+
+
 class TestConditioningProperties:
     def test_monotone_variance_reduction_nested_sets(self):
         rng = np.random.default_rng(4)
@@ -269,3 +310,10 @@ class TestPosteriorVariance:
         np.testing.assert_allclose(pred.var(query), want, rtol=1e-12, atol=1e-13)
         if not observed:
             np.testing.assert_array_equal(pred.var(query), want)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (3, 3)])
+    def test_wrong_prior_shape_rejected(self, shape):
+        kernel, obs = mixed_predictor()
+        query = np.array([[0.2, 0.2], [0.5, 0.5], [0.8, 0.3], [0.4, 0.7]])
+        with pytest.raises(DimensionMismatch):
+            gp_condition(kernel, obs).cov_functionals(query, [POINT] * 4, np.zeros(shape))

@@ -10,10 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optinfo import pde
-from optinfo.criteria import MonteCarloConfig
+from optinfo.criteria import MonteCarloConfig, bdt_criterion
+from optinfo.decisions import GaussianLinearProblem, WeightedQuadratic
 from optinfo.errors import SingularGram
-from optinfo.gaussian import _psd_factor, derive_rng
-from optinfo.kernels import NEG_LAPLACIAN, POINT, SquaredExponential
+from optinfo.gaussian import GaussianDensity, _psd_factor, derive_rng
+from optinfo.kernels import NEG_LAPLACIAN, POINT, ConditionedPredictor, SquaredExponential
 from optinfo.pde import (
     DesignState,
     EllipticDesignProblem,
@@ -313,6 +314,18 @@ class TestGreedy:
         assert shapes.count((n_joint, n_joint)) == 1
         assert shapes.count((n_grid, n_grid)) == 0
 
+    def test_one_cov_functionals_call_per_step(self, monkeypatch):
+        calls = []
+        cov_functionals = ConditionedPredictor.cov_functionals
+
+        def recording(self, *args):
+            calls.append(1)
+            return cov_functionals(self, *args)
+
+        monkeypatch.setattr(ConditionedPredictor, "cov_functionals", recording)
+        greedy_design(small_problem(), 3)
+        assert len(calls) == 3
+
     def test_more_points_than_candidates_rejected_up_front(self, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("a candidate was scored before m was checked")
@@ -427,6 +440,35 @@ class TestEstimatorCrossValidation:
         naive = float(vals.mean())
         naive_se = float(vals.std(ddof=1) / np.sqrt(n))
         assert abs(est - naive) <= 3.0 * np.hypot(se, naive_se)
+
+
+class TestSquaredLossCrossPath:
+    @pytest.mark.parametrize("eval_grid, candidate_grid, n_boundary, lengthscale", [
+        (4, 3, 8, 1.0), (5, 4, 12, 0.6), (6, 3, 8, 0.4),
+    ])
+    def test_p2_criterion_is_twice_bayes_risk(self, eval_grid, candidate_grid,
+                                              n_boundary, lengthscale):
+        # For squared loss under a Gaussian posterior that does not depend on
+        # the observation, BPN = 2 BR. The Bayes risk comes from the generic
+        # linear-Gaussian engine: one SE prior over [grid; boundary; -Laplacian
+        # at the points], an experiment that selects the observed coordinates
+        # without noise, and the grid weights as a quadratic loss.
+        problem = EllipticDesignProblem(eval_grid=eval_grid, candidate_grid=candidate_grid,
+                                        n_boundary=n_boundary, lengthscale=lengthscale)
+        cands = problem.candidates
+        points = cands[[0, len(cands) // 2, -1]]
+        n_grid, n_obs = eval_grid**2, n_boundary + len(points)
+        pts = np.vstack([problem.grid_points, problem.boundary, points])
+        codes = np.repeat([POINT, POINT, NEG_LAPLACIAN], [n_grid, n_boundary, len(points)])
+        prior = GaussianDensity(np.zeros(len(pts)),
+                                problem.kernel.cross_cov(pts, codes, pts, codes))
+        select = np.eye(len(pts))[n_grid:]
+        weights = np.zeros(len(pts))
+        weights[:n_grid] = problem.grid_weights
+        linear = GaussianLinearProblem(prior, {"e": (select, np.zeros((n_obs, n_obs)))},
+                                       WeightedQuadratic(np.diag(weights)))
+        value, _ = design_criterion(problem, points)
+        assert value == pytest.approx(2.0 * bdt_criterion(linear, "e"), rel=1e-5)
 
 
 class TestJointCovariance:

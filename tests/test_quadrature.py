@@ -114,10 +114,6 @@ class TestMonteCarlo:
         cfg = MonteCarloConfig(seed=5, n_outer=1000, n_inner=2)
         assert bpn_monte_carlo(design, cfg) == bpn_monte_carlo(design, cfg)
 
-    def test_bridge_discretisation_floor(self):
-        with pytest.raises(ValueError):
-            bpn_monte_carlo(QuadratureDesign([0.5]), MonteCarloConfig(), bridge_points=4)
-
 
 class TestOptimizeDesign:
     def test_closed_form_equispaced(self):

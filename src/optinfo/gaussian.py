@@ -16,6 +16,10 @@ from .errors import DimensionMismatch, FactorizationFailure, SingularSystem
 
 # Scale of the diagonal jitter that ``_add_jitter`` applies.
 DEFAULT_JITTER_SCALE = 1e-10
+# Relative diagonal jitter of ``_unit_diagonal_factor``. It stays far below
+# the GP nugget (at least 2e-10 of the mean Gram diagonal), so pathwise draws
+# of observed functionals carry almost no extra variance for K^-1 to amplify.
+SAMPLING_JITTER = 1e-12
 # Condition-number ceiling beyond which a solve is declared degenerate.
 MAX_CONDITION = 1e12
 
@@ -72,11 +76,16 @@ class GaussianDensity:
         return self.mean.shape[0]
 
 
+def _jitter(mat: np.ndarray) -> float:
+    """``DEFAULT_JITTER_SCALE * (mean diagonal + 1)`` of the square ``mat``:
+    the amount ``_add_jitter`` adds."""
+    return DEFAULT_JITTER_SCALE * (np.trace(mat) / mat.shape[0] + 1.0)
+
+
 def _add_jitter(mat: np.ndarray) -> np.ndarray:
-    """Add ``DEFAULT_JITTER_SCALE * (mean diagonal + 1)`` to the diagonal of
-    the square ``mat`` in place; return ``mat``."""
-    jitter = DEFAULT_JITTER_SCALE * (np.trace(mat) / mat.shape[0] + 1.0)
-    np.fill_diagonal(mat, np.diagonal(mat) + jitter)
+    """Add ``_jitter(mat)`` to the diagonal of the square ``mat`` in place;
+    return ``mat``."""
+    np.fill_diagonal(mat, np.diagonal(mat) + _jitter(mat))
     return mat
 
 
@@ -93,6 +102,31 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
             raise FactorizationFailure("covariance has no nonnegative eigenvalues")
         w = np.clip(w, 0.0, None)
         return v * np.sqrt(w)
+
+
+def _unit_diagonal_factor(cov: np.ndarray) -> np.ndarray:
+    """Return F with F F^T = cov + SAMPLING_JITTER * diag(cov), overwriting
+    ``cov``.
+
+    Factors the unit-diagonal form D^-1/2 cov D^-1/2 + SAMPLING_JITTER * I
+    by Cholesky, with ``_psd_factor``'s eigenvalue-clip fallback, and scales
+    the rows back by D^1/2. The jitter is relative to each variance, not to
+    the mean diagonal as in ``_add_jitter``, so a small variance next to
+    large ones keeps its size. The diagonal must be positive.
+    """
+    scale = np.sqrt(np.diagonal(cov))
+    if not np.all(scale > 0.0):
+        raise FactorizationFailure("unit-diagonal factor needs a positive diagonal")
+    cov /= scale[:, None]
+    cov /= scale[None, :]
+    np.fill_diagonal(cov, 1.0 + SAMPLING_JITTER)
+    try:
+        factor = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(cov)
+        factor = v * np.sqrt(np.clip(w, 0.0, None))
+    factor *= scale[:, None]
+    return factor
 
 
 def sample_gaussian(g: GaussianDensity, seed: int, count: int) -> np.ndarray:

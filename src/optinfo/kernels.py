@@ -10,7 +10,11 @@ Cross-covariance assembly for the SE kernel is vectorised numpy.
 ``ConditionedPredictor`` is the one conditioning path: it alone knows its
 observations and assembles every block against them. The elliptic design
 search assembles its prior block over the query functionals once per
-search and passes it to ``cov_functionals`` at each step.
+search. At p = 2 it passes that block to ``cov_functionals`` at each step.
+At p = inf it draws prior pair differences once per search and turns them
+into posterior ones at each step by Matheron's rule, reading the two
+blocks of ``cross_solve`` and the predictor's total ``nugget``; no query
+by query posterior covariance is formed.
 
 Each kernel also has ``diag(pts)``, the prior variance of point values,
 equal bit for bit to the diagonal of ``cross_cov(pts, 0, pts, 0)``.
@@ -31,7 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, SingularGram, UnsupportedFunctional
-from .gaussian import DEFAULT_JITTER_SCALE, _add_jitter, _spd_factor
+from .gaussian import DEFAULT_JITTER_SCALE, _add_jitter, _jitter, _spd_factor
 
 # Name of the SE assembly implementation; recorded in benchmark environments.
 BACKEND = "numpy"
@@ -239,11 +243,15 @@ class ConditionedPredictor:
     ``var`` and ``cov_functionals`` all read the query-by-observation block
     from ``_cross``. The Gram matrix gets its nugget here, in two stages:
     ``jitter`` = DEFAULT_JITTER_SCALE * mean(diag Gram), then
-    ``_add_jitter``'s DEFAULT_JITTER_SCALE * (mean diagonal + 1). It is
-    factored once, at construction, by ``_spd_factor``, whose 1e12
-    condition gate on that matrix is the one gate. Coincident observation
-    locations raise SingularGram (geometry); a Gram that fails the gate or
-    its Cholesky factorisation raises SingularSystem (numerics).
+    ``_add_jitter``'s DEFAULT_JITTER_SCALE * (mean diagonal + 1).
+    ``nugget`` is the total of both stages, the variance that the factored
+    matrix adds to every observation (0 without observations); a pathwise
+    draw that conditions through this factor adds noise of that variance
+    to its observed values. The Gram is factored once, at construction, by
+    ``_spd_factor``, whose 1e12 condition gate on that matrix is the one
+    gate. Coincident observation locations raise SingularGram (geometry); a
+    Gram that fails the gate or its Cholesky factorisation raises
+    SingularSystem (numerics).
     """
 
     def __init__(self, kernel, observations):
@@ -255,11 +263,12 @@ class ConditionedPredictor:
         if pts.shape[0] == 0:
             self._weights = np.zeros(0)
             self._factor = None
-            self.jitter = 0.0
+            self.jitter = self.nugget = 0.0
             return
         gram = kernel.cross_cov(pts, codes, pts, codes)
         self.jitter = float(DEFAULT_JITTER_SCALE * np.trace(gram) / gram.shape[0])
         np.fill_diagonal(gram, np.diagonal(gram) + self.jitter)
+        self.nugget = self.jitter + float(_jitter(gram))
         self._factor = _spd_factor(_add_jitter(gram))
         prior_mean = kernel.mean(pts)
         self._weights = scipy.linalg.cho_solve(self._factor, values - prior_mean)
@@ -276,6 +285,23 @@ class ConditionedPredictor:
         """Prior covariance of the query functionals with the observations,
         one column per observation in conditioning order."""
         return self.kernel.cross_cov(pts, codes, self._obs_pts, self._obs_codes)
+
+    def cross_solve(self, points, codes):
+        """``(cross, K^-1 cross^T)`` for linear functionals (points with
+        per-point functional codes): their prior covariance with the
+        observations, n x n_obs, and its solve against the factored Gram,
+        n_obs x n. Posterior covariances and pathwise draws are read from
+        these two blocks: a covariance block is ``prior - cross_a @
+        solved_b``, and a pathwise draw is ``prior draw - (observed draw +
+        noise) @ solved`` with noise of variance ``nugget``. Without
+        observations both have zero width.
+        """
+        pts = self._query(points)
+        codes = np.asarray(codes, dtype=np.int64)
+        if self._factor is None:
+            return np.zeros((len(codes), 0)), np.zeros((0, len(codes)))
+        cross = self._cross(pts, codes)
+        return cross, scipy.linalg.cho_solve(self._factor, cross.T)
 
     def mean(self, points) -> np.ndarray:
         pts = self._query(points)
@@ -305,8 +331,8 @@ class ConditionedPredictor:
             raise DimensionMismatch(f"prior is {np.shape(prior)} for {len(codes)} functionals")
         if self._factor is None:
             return 0.5 * (prior + prior.T)
-        cross = self._cross(pts, codes)
-        reduction = cross @ scipy.linalg.cho_solve(self._factor, cross.T)
+        # The two blocks are freed before the n x n temporaries below.
+        reduction = np.matmul(*self.cross_solve(pts, codes))
         out = prior - reduction
         return 0.5 * (out + out.T)
 
@@ -314,9 +340,9 @@ class ConditionedPredictor:
         """Posterior variances at points: ``diag(cov(points))`` without the
         n x n covariance.
 
-        Reads the kernel's prior diagonal and the points-by-observation
-        cross block, and takes ``prior_diag - rowsum(cross * (K^-1
-        cross^T)^T)`` through the stored factor. The rowsum adds in another
+        Reads the kernel's prior diagonal and the two blocks of
+        ``cross_solve``, and takes ``prior_diag - rowsum(cross *
+        solved^T)``. The rowsum adds in another
         order than the matrix product inside ``cov``, so the two agree to
         roundoff, not bit for bit.
         """
@@ -324,8 +350,7 @@ class ConditionedPredictor:
         prior = self.kernel.diag(pts)
         if self._factor is None:
             return prior
-        cross = self._cross(pts, np.zeros(pts.shape[0], dtype=np.int64))
-        solved = scipy.linalg.cho_solve(self._factor, cross.T)
+        cross, solved = self.cross_solve(pts, np.zeros(pts.shape[0], dtype=np.int64))
         return prior - np.einsum("ij,ji->i", cross, solved)
 
 

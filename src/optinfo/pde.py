@@ -9,6 +9,16 @@ under the grid-weighted L^p loss (p = 2 analytic via the squared-norm pair
 reduction; p = inf by seeded Monte Carlo over posterior pair differences).
 Since the criterion is a prior expectation, no manufactured source or
 boundary data are needed; only the information operator matters.
+
+At p = inf the greedy search samples pathwise (Matheron's rule; Wilson et
+al., "Efficiently sampling functions from Gaussian process posteriors",
+ICML 2020). It factors the pair-difference prior over [grid; -Laplacian at
+every candidate; boundary] once per search and draws one pool of prior pair
+differences and observation noise from cfg.seed. Each step maps that pool
+to posterior pair differences with one small solve against the step's
+Gram, so no step factors a posterior covariance, and the draws depend on
+cfg.seed alone, not on the step. ``design_criterion`` keeps a dense sampler
+of the grid posterior as the independent estimator for fixed designs.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ import numpy as np
 
 from .criteria import MonteCarloConfig, mean_and_stderr
 from .errors import SingularGram
-from .gaussian import _psd_factor, derive_rng
+from .gaussian import _psd_factor, _unit_diagonal_factor, derive_rng
 from .kernels import (
     NEG_LAPLACIAN,
     POINT,
@@ -201,7 +211,7 @@ def _free_candidates(problem: EllipticDesignProblem, chosen, step: int) -> np.nd
     """Indices of the candidates at least min_separation from every chosen
     point; a ValueError naming the step when none is left."""
     cands = problem.candidates
-    if not chosen:
+    if len(chosen) == 0:
         return np.arange(cands.shape[0])
     taken = np.atleast_2d(np.asarray(chosen))
     dists = np.linalg.norm(cands[:, None, :] - taken[None, :, :], axis=-1)
@@ -214,18 +224,154 @@ def _free_candidates(problem: EllipticDesignProblem, chosen, step: int) -> np.nd
     return free
 
 
-def _candidate_values(problem, joint, n_grid, cand_idx, weights, cfg, step, threads=1):
-    """Criterion value for each candidate functional, given the joint
-    covariance over [grid; candidate functionals].
+@dataclass
+class _SearchPrior:
+    """What a search keeps across its steps.
+
+    ``points`` and ``codes`` are the query functionals [grid values;
+    -Laplacian at each of ``candidates``] and ``prior`` is their prior
+    covariance, assembled once. At p = inf, ``pairs`` holds n_pairs prior
+    pair differences X - X' over [query functionals; boundary values], and
+    ``noise`` holds one standard normal per candidate and boundary
+    observation for each of them, column-aligned with
+    ``pairs[:, n_grid:]``. Both are None at p = 2.
+    """
+
+    candidates: np.ndarray
+    points: np.ndarray
+    codes: np.ndarray
+    prior: np.ndarray
+    pairs: np.ndarray | None = None
+    noise: np.ndarray | None = None
+
+    @property
+    def n_grid(self) -> int:
+        return len(self.codes) - len(self.candidates)
+
+
+def _pair_factor(problem: EllipticDesignProblem, candidates):
+    """(prior, F): the prior covariance over the query functionals [grid;
+    -Laplacian at the candidates], and F with F F^T = 2 P up to a relative
+    jitter of 1e-12, where P is the prior over [query functionals; boundary
+    values] and 2 P the prior of a pair difference X - X'.
+
+    P is assembled block by block, one ``cross_cov`` call per pair of the
+    grid, candidate and boundary blocks, so no call holds the temporaries of
+    the whole matrix. F is a Cholesky factor of the unit-diagonal form
+    (``_unit_diagonal_factor``). An additive jitter scaled by the mean
+    diagonal, as in ``_psd_factor``, would give every observed value extra
+    variance of the size of the GP nugget, which K^-1 then amplifies.
+    """
+    blocks = [(problem.grid_points, POINT), (candidates, NEG_LAPLACIAN),
+              (problem.boundary, POINT)]
+    ends = np.cumsum([len(pts) for pts, _ in blocks])
+    cov = np.empty((ends[-1], ends[-1]))
+    for i, (pts_a, code_a) in enumerate(blocks):
+        rows = slice(ends[i] - len(pts_a), ends[i])
+        for j in range(i, len(blocks)):
+            pts_b, code_b = blocks[j]
+            cols = slice(ends[j] - len(pts_b), ends[j])
+            cov[rows, cols] = problem.kernel.cross_cov(
+                pts_a, np.full(len(pts_a), code_a), pts_b, np.full(len(pts_b), code_b))
+            cov[cols, rows] = cov[rows, cols].T
+    prior = cov[:ends[1], :ends[1]].copy()
+    cov *= 2.0
+    return prior, _unit_diagonal_factor(cov)
+
+
+def _search_prior(problem: EllipticDesignProblem, candidates,
+                  cfg: MonteCarloConfig) -> _SearchPrior:
+    """Assemble the prior over [grid; -Laplacian at the candidates] once.
+
+    At p = inf, also draw the pool from ``derive_rng(cfg.seed)``: first
+    cfg.n_outer rows of pair differences ``z F^T`` (``_pair_factor``), then
+    the observation noise, one standard normal per candidate and boundary
+    observation in each row.
+    """
+    points, codes = _joint_functionals(problem, candidates)
+    if problem.p == 2.0:
+        return _SearchPrior(candidates, points, codes,
+                            problem.kernel.cross_cov(points, codes, points, codes))
+    prior, factor = _pair_factor(problem, candidates)
+    search = _SearchPrior(candidates, points, codes, prior)
+    rng = derive_rng(cfg.seed)
+    search.pairs = rng.standard_normal((cfg.n_outer, factor.shape[0])) @ factor.T
+    search.noise = rng.standard_normal((cfg.n_outer, factor.shape[0] - search.n_grid))
+    return search
+
+
+def _pathwise_pairs(search: _SearchPrior, predictor, chosen, solved) -> np.ndarray:
+    """Posterior pair differences over the query functionals by Matheron's
+    rule: ``D_q - (D_o + sqrt(2 nugget) eps_o) K^-1 C_oq`` for each pool row.
+
+    The observations o are the predictor's, in the order of
+    ``_observations``: the boundary values, then -Laplacian at the
+    candidates indexed by ``chosen``. ``solved`` is K^-1 C_oq from
+    ``predictor.cross_solve``. The map is linear in the pool, and with pool
+    rows drawn from N(0, 2 P) it has twice the posterior covariance that the
+    predictor's factor and total nugget give.
+    """
+    n_grid, n_q = search.n_grid, len(search.codes)
+    obs = np.concatenate([np.arange(n_q, search.pairs.shape[1]),
+                          n_grid + np.asarray(chosen, dtype=np.int64)])
+    observed = (search.pairs[:, obs]
+                + np.sqrt(2.0 * predictor.nugget) * search.noise[:, obs - n_grid])
+    return search.pairs[:, :n_q] - observed @ solved
+
+
+def _candidate_values(problem, search: _SearchPrior, predictor, chosen, free, threads=1):
+    """Criterion value and stderr of each free candidate (indices into
+    ``search.candidates``) added to the predictor's observations, which are
+    the boundary and the ``chosen`` candidates.
 
     p = 2: analytic squared-norm pair reduction, 2 * weighted trace of the
-    rank-1-updated grid covariance. p = inf: shared posterior pair samples
-    (common random numbers across candidates), deterministic given
-    (cfg.seed, step).
+    rank-1-updated grid covariance, read from the joint posterior over
+    [grid; candidates] (one ``cov_functionals`` call); the stderr is 0.
 
-    The p = inf kernel walks the candidates in blocks of _CAND_BLOCK and the
-    grid in blocks of _GRID_BLOCK. Each worker fills one preallocated buffer
-    in place with fl(dx - fl(a * v)), takes |.| and the maximum over the grid
+    p = inf: the pool's prior pair draws become posterior ones through
+    ``_pathwise_pairs``, so every candidate and every step shares one set of
+    random numbers, fixed by the seed of the pool. Apart from the draws, the
+    step reads only what scoring needs, all from the two blocks of
+    ``predictor.cross_solve``: the grid x candidate posterior covariance,
+    the candidate variances and the mean variance that sets the 1e-12
+    scoring jitter. ``_pinf_values`` then scores each candidate.
+    """
+    n_grid = search.n_grid
+    if problem.p == 2.0:
+        joint = predictor.cov_functionals(search.points, search.codes, search.prior)
+        weights = problem.grid_weights
+        diag = np.diag(joint[:n_grid, :n_grid])
+        jitter = 1e-12 * (np.trace(joint) / joint.shape[0] + 1.0)
+
+        def value_for(c):
+            j = n_grid + c
+            v = joint[:n_grid, j]
+            s = joint[j, j] + jitter
+            return 2.0 * float(weights @ (diag - v**2 / s))
+
+        return np.array([value_for(c) for c in free]), np.zeros(len(free))
+
+    cross, solved = predictor.cross_solve(search.points, search.codes)
+    pairs = _pathwise_pairs(search, predictor, chosen, solved)
+    var = np.diagonal(search.prior) - np.einsum("ij,ji->i", cross, solved)
+    cols = n_grid + np.asarray(free, dtype=np.int64)
+    columns = search.prior[cols, :n_grid] - solved[:, cols].T @ cross[:n_grid].T
+    jitter = 1e-12 * (np.mean(var) + 1.0)
+    return _pinf_values(pairs[:, :n_grid], pairs[:, cols], columns, var[cols] + jitter, threads)
+
+
+def _pinf_values(dx, dg, columns, variances, threads=1):
+    """Mean and stderr over the pair draws of max_g |dx - (dg_c / s_c) v_c|
+    for each candidate c: the grid pair difference once c is observed.
+
+    dx: (n_pairs, n_grid) posterior pair differences on the grid; dg:
+    (n_pairs, n_cand) the same at the candidate functionals; columns:
+    (n_cand, n_grid) their posterior covariance with the grid, v_c;
+    variances: (n_cand,) their jittered posterior variances, s_c.
+
+    The kernel walks the candidates in blocks of _CAND_BLOCK and the grid in
+    blocks of _GRID_BLOCK. Each worker fills one preallocated buffer in
+    place with fl(dx - fl(a * v)), takes |.| and the maximum over the grid
     block, and merges it into a running maximum per pair sample; the means
     and standard errors are taken once over all candidates. Each element
     sees the same single product and subtraction as a per-candidate
@@ -233,34 +379,10 @@ def _candidate_values(problem, joint, n_grid, cand_idx, weights, cfg, step, thre
     value and stderr is bit-identical to that loop for any block size and
     thread count. With one pair sample the stderr is 0.
     """
-    grid_cov = joint[:n_grid, :n_grid]
-    diag = np.diag(grid_cov)
-    jitter = 1e-12 * (np.trace(joint) / joint.shape[0] + 1.0)
-
-    if problem.p == 2.0:
-        def value_for(c):
-            j = n_grid + c
-            v = joint[:n_grid, j]
-            s = joint[j, j] + jitter
-            return 2.0 * float(weights @ (diag - v**2 / s))
-
-        return np.array([value_for(c) for c in cand_idx]), np.zeros(len(cand_idx))
-
-    # p = inf: Z = pair difference of posterior draws after adding the
-    # candidate observation; fluctuation trick collapses the y-average.
-    rng = derive_rng(cfg.seed, step)
-    factor = _psd_factor(joint)
-    n_pairs = cfg.n_outer
-    draws = rng.standard_normal((2 * n_pairs, joint.shape[0])) @ factor.T
-    dx = draws[:n_pairs, :n_grid] - draws[n_pairs:, :n_grid]
-    dg = draws[:n_pairs, n_grid:] - draws[n_pairs:, n_grid:]
-
-    cand = np.asarray(cand_idx, dtype=np.int64)
-    cols = n_grid + cand
-    scales = (dg[:, cand] / (joint[cols, cols] + jitter)).T
-    columns = joint[:n_grid, cols].T
+    n_pairs, n_grid = dx.shape
+    scales = (dg / variances).T
     dx_t = np.ascontiguousarray(dx.T)
-    maxes = np.empty((len(cols), n_pairs))
+    maxes = np.empty((len(variances), n_pairs))
 
     def eval_chunk(chunk):
         buf = np.empty((_CAND_BLOCK, _GRID_BLOCK, n_pairs))
@@ -278,7 +400,7 @@ def _candidate_values(problem, joint, n_grid, cand_idx, weights, cfg, step, thre
                 np.maximum(running, z.max(axis=1), out=running)
             maxes[rows] = running
 
-    positions = np.arange(len(cols))
+    positions = np.arange(len(variances))
     workers = min(threads, len(positions))
     if workers > 1:
         chunks = [positions[i::workers] for i in range(workers)]
@@ -291,17 +413,22 @@ def _candidate_values(problem, joint, n_grid, cand_idx, weights, cfg, step, thre
 
 def bpn_surface(problem: EllipticDesignProblem, state: DesignState, candidate,
                 cfg: MonteCarloConfig | None = None) -> float:
-    """Criterion value of the design (state's points plus one candidate)."""
+    """Criterion value of the design (state's points plus one candidate),
+    scored by the greedy search's own step, ``_candidate_values``, with the
+    state's points as the chosen candidates. At p = inf the pool is drawn
+    over [grid; -Laplacian at the state's points and the candidate;
+    boundary] from cfg.seed.
+    """
     cfg = cfg or MonteCarloConfig()
     candidate = np.asarray(candidate, dtype=float)
     for p in state.points:
         if np.linalg.norm(candidate - np.asarray(p)) < problem.min_separation:
             raise SingularGram("candidate collides with an already chosen point")
-    joint = _joint_cov(problem, state.points, candidate[None, :])
-    n_grid = problem.grid_points.shape[0]
-    values, _ = _candidate_values(
-        problem, joint, n_grid, [0], problem.grid_weights, cfg, step=len(state.points)
-    )
+    k = len(state.points)
+    cands = np.vstack([np.asarray(p, dtype=float) for p in state.points] + [candidate])
+    search = _search_prior(problem, cands, cfg)
+    values, _ = _candidate_values(problem, search, _predictor(problem, state.points),
+                                  np.arange(k), np.array([k]))
     return float(values[0])
 
 
@@ -315,6 +442,11 @@ def design_criterion(problem: EllipticDesignProblem, points,
     over cfg.n_outer seeded pair differences of the largest absolute grid
     value, drawn from the full covariance of ``posterior_on_grid``, whose
     grid prior is assembled once per process.
+
+    The p = inf sampler is dense on purpose: it shares no sampling code with
+    the greedy search's pathwise draws, so it is the independent estimator
+    that the benchmark's p = inf check and acceptance criterion 8 score the
+    searched designs with.
     """
     cfg = cfg or MonteCarloConfig()
     weights = problem.grid_weights
@@ -335,9 +467,14 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
     criterion surface.
 
     The prior covariance over [grid; -Laplacian at every candidate] is
-    assembled once. Each step conditions on the boundary plus the chosen
-    points with one ``cov_functionals`` call that is passed this prior; the
-    predictor assembles the block against its own observations.
+    assembled once (``_search_prior``). Each step conditions on the
+    boundary plus the chosen points with one ``ConditionedPredictor``, which
+    assembles the block against its own observations. At p = 2 the step
+    makes one ``cov_functionals`` call that is passed the prior. At p = inf
+    the prior, with thin boundary blocks, is factored once per search, one
+    pool of pair draws is taken from cfg.seed, and each step maps that pool
+    to posterior pair draws (``_pathwise_pairs``). The draws are therefore
+    deterministic given cfg.seed alone, the same at every step.
 
     Each step takes the first minimum of the computed candidate values
     (``np.argmin``); there is no tie tolerance. Candidates that tie in exact
@@ -360,26 +497,22 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
         )
     cfg = cfg or MonteCarloConfig()
     cands = problem.candidates
-    n_grid = problem.grid_points.shape[0]
-    weights = problem.grid_weights
-    joint_pts, joint_codes = _joint_functionals(problem, cands)
-    prior = problem.kernel.cross_cov(joint_pts, joint_codes, joint_pts, joint_codes)
-    chosen: list = []
+    search = _search_prior(problem, cands, cfg)
+    picked: list = []
     contours = []
     trace = []
     for step in range(m):
-        joint = _predictor(problem, chosen).cov_functionals(joint_pts, joint_codes, prior)
+        chosen = cands[picked]
         free = _free_candidates(problem, chosen, step)
         values, _ = _candidate_values(
-            problem, joint, n_grid, free, weights, cfg, step, threads
+            problem, search, _predictor(problem, chosen), picked, free, threads
         )
         surface = np.full(cands.shape[0], np.nan)
         surface[free] = values
-        best = free[int(np.argmin(values))]
-        chosen.append(cands[best].copy())
+        picked.append(free[int(np.argmin(values))])
         contours.append(surface.reshape(C, C))
         trace.append(float(values[np.argmin(values)]))
-    return DesignState(points=[p.copy() for p in chosen]), contours, trace
+    return DesignState(points=list(cands[picked])), contours, trace
 
 
 def greedy_trace_design(problem: EllipticDesignProblem, m: int) -> list:

@@ -5,6 +5,7 @@ echoed in the terminal summary so every run ends with an explicit
 pass/fail line for each criterion.
 """
 
+import numpy as np
 import pytest
 import scipy.linalg
 
@@ -39,4 +40,18 @@ def cho_factor_calls(monkeypatch):
         return cho_factor(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+    return calls
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """List that grows by one entry per ``np.linalg.cholesky`` call."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
     return calls

@@ -7,9 +7,11 @@ import scipy.linalg
 from optinfo.errors import DimensionMismatch, FactorizationFailure, SingularSystem
 from optinfo.gaussian import (
     DEFAULT_JITTER_SCALE,
+    SAMPLING_JITTER,
     GaussianDensity,
     _psd_factor,
     _spd_factor,
+    _unit_diagonal_factor,
     conjugate_posterior,
     derive_rng,
     sample_gaussian,
@@ -236,6 +238,30 @@ class TestFactorJitter:
         np.testing.assert_array_equal(_psd_factor(cov), want_psd)
         np.testing.assert_array_equal(_spd_factor(spd)[0], want_spd)
         np.testing.assert_array_equal(gp_condition(kernel, obs)._factor[0], want_gram)
+
+
+class TestUnitDiagonalFactor:
+    def test_jitter_is_relative_to_each_variance(self):
+        # Variances over eight decades; each gets a 1e-12 relative jitter,
+        # where _psd_factor's mean-diagonal jitter would swamp the small ones.
+        a = derive_rng(12).standard_normal((6, 6))
+        scale = np.logspace(-4, 4, 6)
+        cov = (a @ a.T + np.eye(6)) * np.outer(scale, scale)
+        factor = _unit_diagonal_factor(cov.copy())
+        want = cov + SAMPLING_JITTER * np.diag(np.diag(cov))
+        assert np.max(np.abs(factor @ factor.T - want) / np.outer(scale, scale)) <= 1e-13
+
+    def test_indefinite_form_falls_back_to_eigenvalue_clip(self):
+        scale = np.array([2.0, 0.5])
+        corr = np.array([[1.0, 1.001], [1.001, 1.0]])
+        factor = _unit_diagonal_factor(corr * np.outer(scale, scale))
+        clipped = (2.001 + SAMPLING_JITTER) / 2.0 * np.ones((2, 2))
+        np.testing.assert_allclose(factor @ factor.T, clipped * np.outer(scale, scale),
+                                   rtol=1e-12)
+
+    def test_nonpositive_variance_rejected(self):
+        with pytest.raises(FactorizationFailure):
+            _unit_diagonal_factor(np.diag([1.0, 0.0]))
 
 
 class TestSampling:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from optinfo import gaussian
+from optinfo import gaussian, kernels
 from optinfo.errors import DimensionMismatch, SingularGram, SingularSystem, UnsupportedFunctional
 from optinfo.kernels import (
     NEG_LAPLACIAN,
@@ -231,6 +231,28 @@ class TestOneGate:
         monkeypatch.setattr(gaussian, "MAX_CONDITION", 1.0)
         with pytest.raises(SingularSystem):
             gp_condition(*mixed_predictor())
+
+
+class TestNugget:
+    def test_total_nugget_is_the_factored_diagonal_excess(self, monkeypatch):
+        factored = []
+        spd_factor = kernels._spd_factor
+
+        def recording(mat):
+            factored.append(mat.copy())
+            return spd_factor(mat)
+
+        monkeypatch.setattr(kernels, "_spd_factor", recording)
+        kernel, obs = mixed_predictor()
+        pred = gp_condition(kernel, obs)
+        pts = np.array([o.location for o in obs])
+        codes = np.array([o.code for o in obs])
+        excess = np.diagonal(factored[0]) - np.diagonal(kernel.cross_cov(pts, codes, pts, codes))
+        # The diagonal reaches 512, whose ulp is 1.1e-13, and the nugget is
+        # 4.1e-8, so two roundings move each excess by up to 3e-6 relative.
+        np.testing.assert_allclose(excess, pred.nugget, rtol=1e-5)
+        assert pred.nugget > pred.jitter > 0.0
+        assert gp_condition(kernel, []).nugget == 0.0
 
 
 class TestCovFunctionalsPrior:

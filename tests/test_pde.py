@@ -4,6 +4,8 @@ Resolutions are deliberately coarse here; full-resolution behaviour is
 covered by the acceptance suite.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +23,11 @@ from optinfo.pde import (
     _candidate_values,
     _grid_prior,
     _joint_cov,
+    _pair_factor,
+    _pathwise_pairs,
+    _pinf_values,
     _predictor,
+    _search_prior,
     boundary_points,
     bpn_surface,
     design_criterion,
@@ -218,10 +224,9 @@ class TestCriterionSurface:
         cfg = MonteCarloConfig(seed=4, n_outer=1)
         est, se = design_criterion(problem, [[0.5, 0.5]], cfg)
         assert np.isfinite(est) and se == 0.0
-        joint = _joint_cov(problem, [], problem.candidates)
-        n_grid = problem.grid_points.shape[0]
-        values, stderrs = _candidate_values(problem, joint, n_grid, np.arange(3),
-                                            problem.grid_weights, cfg, 0)
+        search = _search_prior(problem, problem.candidates, cfg)
+        values, stderrs = _candidate_values(problem, search, _predictor(problem, []), [],
+                                            np.arange(3))
         assert np.all(np.isfinite(values))
         np.testing.assert_array_equal(stderrs, np.zeros(3))
 
@@ -278,21 +283,22 @@ class TestGreedy:
 
     @pytest.mark.parametrize("p", [2.0, np.inf])
     def test_contours_equal_full_reconditioning(self, p):
-        # Oracle: every step reassembles and reconditions the joint
-        # covariance from scratch; the cached blocks must give the same bits.
+        # Oracle: every step rebuilds from scratch a freshly assembled prior
+        # (and at p = inf the pool drawn from the same seed) and a predictor
+        # conditioned on the prefix; the search's kept state must give the
+        # same bits.
         problem = small_problem(p=p)
         cfg = MonteCarloConfig(seed=3, n_outer=64)
         state, contours, _ = greedy_design(problem, 3, cfg)
         cands = problem.candidates
-        n_grid = problem.grid_points.shape[0]
         for step, contour in enumerate(contours):
             prefix = state.points[:step]
+            chosen = [int(np.argmin(np.linalg.norm(cands - q, axis=1))) for q in prefix]
             free = np.array([c for c in range(len(cands))
                              if all(np.linalg.norm(cands[c] - q) >= problem.min_separation
                                     for q in prefix)])
-            joint = _joint_cov(problem, prefix, cands)
-            values, _ = _candidate_values(problem, joint, n_grid, free,
-                                          problem.grid_weights, cfg, step)
+            values, _ = _candidate_values(problem, _search_prior(problem, cands, cfg),
+                                          _predictor(problem, prefix), chosen, free)
             surface = np.full(len(cands), np.nan)
             surface[free] = values
             np.testing.assert_array_equal(contour.ravel(), surface)
@@ -369,25 +375,33 @@ class TestGreedy:
             np.testing.assert_array_equal(a, b)
 
 
-def per_candidate_pinf(joint, n_grid, cand_idx, cfg, step):
+def per_candidate_pinf(dx, dg, columns, variances):
     """Reference p = inf scoring: one outer-product temporary per candidate."""
-    jitter = 1e-12 * (np.trace(joint) / joint.shape[0] + 1.0)
-    rng = derive_rng(cfg.seed, step)
-    factor = _psd_factor(joint)
-    n_pairs = cfg.n_outer
-    draws = rng.standard_normal((2 * n_pairs, joint.shape[0])) @ factor.T
-    dx = draws[:n_pairs, :n_grid] - draws[n_pairs:, :n_grid]
-    dg = draws[:n_pairs, n_grid:] - draws[n_pairs:, n_grid:]
-    values = np.empty(len(cand_idx))
-    stderrs = np.zeros(len(cand_idx))
-    for pos, c in enumerate(cand_idx):
-        j = n_grid + c
-        z = dx - np.outer(dg[:, c] / (joint[j, j] + jitter), joint[:n_grid, j])
+    n_pairs = dx.shape[0]
+    values = np.empty(len(variances))
+    stderrs = np.zeros(len(variances))
+    for pos in range(len(variances)):
+        z = dx - np.outer(dg[:, pos] / variances[pos], columns[pos])
         vals = np.max(np.abs(z), axis=1)
         values[pos] = float(np.mean(vals))
         if n_pairs > 1:
             stderrs[pos] = float(np.std(vals, ddof=1) / np.sqrt(n_pairs))
     return values, stderrs
+
+
+def dense_pinf_inputs(joint, n_grid, cand_idx, cfg):
+    """The p = inf step that the search used before pathwise draws: shared
+    pair draws from ``_psd_factor(joint)`` of the dense joint posterior over
+    [grid; candidates], factored at every step, and the scoring inputs read
+    from that joint."""
+    rng = derive_rng(cfg.seed)
+    n_pairs = cfg.n_outer
+    draws = rng.standard_normal((2 * n_pairs, joint.shape[0])) @ _psd_factor(joint).T
+    pairs = draws[:n_pairs] - draws[n_pairs:]
+    cols = n_grid + np.asarray(cand_idx)
+    jitter = 1e-12 * (np.trace(joint) / joint.shape[0] + 1.0)
+    return (pairs[:, :n_grid], pairs[:, cols], joint[:n_grid, cols].T,
+            joint[cols, cols] + jitter)
 
 
 class TestBlockedPinfKernel:
@@ -403,11 +417,97 @@ class TestBlockedPinfKernel:
         cand_idx = np.array([c for c in range(len(cands)) if c % 3 != 2 and c != 13])
         assert len(cand_idx) == 23
         cfg = MonteCarloConfig(seed=6, n_outer=n_outer)
-        want = per_candidate_pinf(joint, n_grid, cand_idx, cfg, step=1)
-        got = _candidate_values(problem, joint, n_grid, cand_idx, problem.grid_weights,
-                                cfg, 1, threads)
+        inputs = dense_pinf_inputs(joint, n_grid, cand_idx, cfg)
+        want = per_candidate_pinf(*inputs)
+        got = _pinf_values(*inputs, threads)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
+
+
+def pathwise_variances(search, predictor, chosen, factor):
+    """Exact diagonal of the covariance of ``_pathwise_pairs`` for a pool
+    drawn through ``factor``. The map is linear, so its covariance is the
+    sum over the columns of ``factor`` fed in as pool rows with zero noise,
+    plus the noise basis fed in with zero pairs."""
+    _, solved = predictor.cross_solve(search.points, search.codes)
+    n_all = factor.shape[0]
+    n_noise = n_all - search.n_grid
+    signal = replace(search, pairs=factor.T, noise=np.zeros((n_all, n_noise)))
+    noise = replace(search, pairs=np.zeros((n_noise, n_all)), noise=np.eye(n_noise))
+    return sum((_pathwise_pairs(pool, predictor, chosen, solved) ** 2).sum(axis=0)
+               for pool in (signal, noise))
+
+
+# The first eight points of the recorded p = 2 reference design at default
+# sizes, in units of the candidate spacing 1/26.
+PREFIX_8 = np.array([(13, 13), (14, 13), (13, 14), (12, 12), (15, 12), (9, 15),
+                     (17, 15), (13, 20)]) / 26.0
+
+
+class TestPathwiseSampler:
+    def test_map_covariance_is_twice_the_posterior(self):
+        # Deterministic oracle at default sizes, before the ninth step: the
+        # pathwise map's variances against 2 x cov_functionals through the
+        # same predictor. A pool drawn through _psd_factor(2 P), whose
+        # jitter is scaled by the mean diagonal, fails the same check.
+        problem = EllipticDesignProblem(p=np.inf)
+        cands = problem.candidates
+        chosen = [int(np.argmin(np.linalg.norm(cands - q, axis=1))) for q in PREFIX_8]
+        prior, factor = _pair_factor(problem, cands)
+        search = _search_prior(problem, cands, MonteCarloConfig(n_outer=1))
+        np.testing.assert_array_equal(search.prior, prior)
+        predictor = _predictor(problem, cands[chosen])
+        want = 2.0 * np.diagonal(
+            predictor.cov_functionals(search.points, search.codes, search.prior))
+        got = pathwise_variances(search, predictor, chosen, factor)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-2
+
+        pts = np.vstack([search.points, problem.boundary])
+        codes = np.concatenate([search.codes, np.full(problem.n_boundary, POINT)])
+        dense = _psd_factor(2.0 * problem.kernel.cross_cov(pts, codes, pts, codes))
+        leaked = pathwise_variances(search, predictor, chosen, dense)
+        assert np.max(np.abs(leaked / want - 1.0)) > 1e-2
+
+    def test_step_values_agree_with_dense_sampler(self):
+        # Two independent estimators of the same step, at 4096 pairs:
+        # pathwise draws from the search's pool, and dense draws from the
+        # factored joint posterior.
+        problem = small_problem(p=np.inf)
+        cands = problem.candidates
+        n_grid = problem.grid_points.shape[0]
+        chosen = [12, 6]
+        free = np.array([c for c in range(len(cands)) if c not in chosen])
+        cfg = MonteCarloConfig(seed=8, n_outer=4096)
+        values, stderrs = _candidate_values(problem, _search_prior(problem, cands, cfg),
+                                            _predictor(problem, cands[chosen]), chosen, free)
+        joint = _joint_cov(problem, cands[chosen], cands)
+        dense, dense_se = per_candidate_pinf(*dense_pinf_inputs(joint, n_grid, free, cfg))
+        assert np.all(np.abs(values - dense) <= 4.0 * np.hypot(stderrs, dense_se))
+
+    def test_one_prior_factorisation_per_search(self, cholesky_calls, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a p = inf step formed a query covariance")
+
+        monkeypatch.setattr(ConditionedPredictor, "cov_functionals", never)
+        greedy_design(small_problem(p=np.inf), 3, MonteCarloConfig(seed=1, n_outer=16))
+        assert len(cholesky_calls) == 1
+
+    def test_search_without_boundary(self):
+        # With no boundary points the first step has no observations: the
+        # posterior pairs are the pool's prior pairs.
+        problem = small_problem(p=np.inf, n_boundary=0)
+        cfg = MonteCarloConfig(seed=7, n_outer=32)
+        state, contours, trace = greedy_design(problem, 3, cfg)
+        assert len(state.points) == 3 and np.all(np.isfinite(trace))
+        search = _search_prior(problem, problem.candidates, cfg)
+        n_grid = search.n_grid
+        assert search.pairs.shape[1] == search.prior.shape[0]
+        cols = n_grid + np.arange(len(problem.candidates))
+        variances = np.diagonal(search.prior)
+        jitter = 1e-12 * (np.mean(variances) + 1.0)
+        want, _ = _pinf_values(search.pairs[:, :n_grid], search.pairs[:, cols],
+                               search.prior[cols, :n_grid], variances[cols] + jitter)
+        np.testing.assert_array_equal(contours[0].ravel(), want)
 
 
 class TestEstimatorCrossValidation:

@@ -10,11 +10,13 @@ Cross-covariance assembly for the SE kernel is vectorised numpy.
 ``ConditionedPredictor`` is the one conditioning path: it alone knows its
 observations and assembles every block against them. The elliptic design
 search assembles its prior block over the query functionals once per
-search. At p = 2 it passes that block to ``cov_functionals`` at each step.
-At p = inf it draws prior pair differences once per search and turns them
-into posterior ones at each step by Matheron's rule, reading the two
-blocks of ``cross_solve`` and the predictor's total ``nugget``; no query
-by query posterior covariance is formed.
+search and, at both p = 2 and p = inf, reads each step from the two
+blocks of ``cross_solve``: query variances and the grid x candidate
+posterior covariance. At p = inf it also draws prior pair differences
+once per search and turns them into posterior ones at each step by
+Matheron's rule, through the same solved block and the predictor's total
+``nugget``. No step forms a query by query posterior covariance, so the
+search never calls ``cov_functionals``.
 
 Each kernel also has ``diag(pts)``, the prior variance of point values,
 equal bit for bit to the diagonal of ``cross_cov(pts, 0, pts, 0)``.

@@ -10,6 +10,13 @@ reduction; p = inf by seeded Monte Carlo over posterior pair differences).
 Since the criterion is a prior expectation, no manufactured source or
 boundary data are needed; only the information operator matters.
 
+Each greedy step, at either p, reads the grid variances, the candidate
+variances and the grid x candidate posterior covariance from one
+``cross_solve`` of the step's predictor against the query functionals;
+no step forms a query x query posterior covariance. At p = 2 that is all
+the step needs: the criterion is the grid-weighted A-optimal trace, so
+each candidate is a rank-1 update scored in closed form.
+
 At p = inf the greedy search samples pathwise (Matheron's rule; Wilson et
 al., "Efficiently sampling functions from Gaussian process posteriors",
 ICML 2020). It factors the pair-difference prior over [grid; -Laplacian at
@@ -97,6 +104,9 @@ class EllipticDesignProblem:
             raise ValueError(f"candidate_grid must be >= 1, got {self.candidate_grid}")
         if self.n_boundary < 0:
             raise ValueError(f"n_boundary must be >= 0, got {self.n_boundary}")
+        if not (np.isfinite(self.min_separation) and self.min_separation > 0):
+            raise ValueError(
+                f"min_separation must be finite and > 0, got {self.min_separation}")
 
     @property
     def kernel(self) -> SquaredExponential:
@@ -226,14 +236,15 @@ def _free_candidates(problem: EllipticDesignProblem, chosen, step: int) -> np.nd
 
 @dataclass
 class _SearchPrior:
-    """What a search keeps across its steps.
+    """What a search keeps across its steps, at either p.
 
     ``points`` and ``codes`` are the query functionals [grid values;
     -Laplacian at each of ``candidates``] and ``prior`` is their prior
-    covariance, assembled once. At p = inf, ``pairs`` holds n_pairs prior
-    pair differences X - X' over [query functionals; boundary values], and
-    ``noise`` holds one standard normal per candidate and boundary
-    observation for each of them, column-aligned with
+    covariance, assembled once. Both criteria score every step from this
+    block and the step's ``cross_solve``. At p = inf, ``pairs`` holds
+    n_pairs prior pair differences X - X' over [query functionals; boundary
+    values], and ``noise`` holds one standard normal per candidate and
+    boundary observation for each of them, column-aligned with
     ``pairs[:, n_grid:]``. Both are None at p = 2.
     """
 
@@ -249,21 +260,27 @@ class _SearchPrior:
         return len(self.codes) - len(self.candidates)
 
 
-def _pair_factor(problem: EllipticDesignProblem, candidates):
-    """(prior, F): the prior covariance over the query functionals [grid;
-    -Laplacian at the candidates], and F with F F^T = 2 P up to a relative
-    jitter of 1e-12, where P is the prior over [query functionals; boundary
-    values] and 2 P the prior of a pair difference X - X'.
+def _search_prior(problem: EllipticDesignProblem, candidates,
+                  cfg: MonteCarloConfig) -> _SearchPrior:
+    """Assemble the prior over [grid; -Laplacian at the candidates] once.
 
-    P is assembled block by block, one ``cross_cov`` call per pair of the
-    grid, candidate and boundary blocks, so no call holds the temporaries of
-    the whole matrix. F is a Cholesky factor of the unit-diagonal form
+    The prior is assembled block by block, one ``cross_cov`` call per pair
+    of the grid and candidate blocks, so no call holds the temporaries of
+    the whole matrix. At p = inf the boundary block joins them, giving P
+    over [query functionals; boundary values], and 2 P, the prior of a pair
+    difference X - X', is factored once as F F^T up to a relative jitter of
+    1e-12: a Cholesky factor of the unit-diagonal form
     (``_unit_diagonal_factor``). An additive jitter scaled by the mean
     diagonal, as in ``_psd_factor``, would give every observed value extra
-    variance of the size of the GP nugget, which K^-1 then amplifies.
+    variance of the size of the GP nugget, which K^-1 then amplifies. The
+    pool is drawn from ``derive_rng(cfg.seed)``: first cfg.n_outer rows of
+    pair differences ``z F^T``, then the observation noise, one standard
+    normal per candidate and boundary observation in each row.
     """
-    blocks = [(problem.grid_points, POINT), (candidates, NEG_LAPLACIAN),
-              (problem.boundary, POINT)]
+    points, codes = _joint_functionals(problem, candidates)
+    blocks = [(problem.grid_points, POINT), (candidates, NEG_LAPLACIAN)]
+    if problem.p != 2.0:
+        blocks.append((problem.boundary, POINT))
     ends = np.cumsum([len(pts) for pts, _ in blocks])
     cov = np.empty((ends[-1], ends[-1]))
     for i, (pts_a, code_a) in enumerate(blocks):
@@ -274,26 +291,11 @@ def _pair_factor(problem: EllipticDesignProblem, candidates):
             cov[rows, cols] = problem.kernel.cross_cov(
                 pts_a, np.full(len(pts_a), code_a), pts_b, np.full(len(pts_b), code_b))
             cov[cols, rows] = cov[rows, cols].T
-    prior = cov[:ends[1], :ends[1]].copy()
-    cov *= 2.0
-    return prior, _unit_diagonal_factor(cov)
-
-
-def _search_prior(problem: EllipticDesignProblem, candidates,
-                  cfg: MonteCarloConfig) -> _SearchPrior:
-    """Assemble the prior over [grid; -Laplacian at the candidates] once.
-
-    At p = inf, also draw the pool from ``derive_rng(cfg.seed)``: first
-    cfg.n_outer rows of pair differences ``z F^T`` (``_pair_factor``), then
-    the observation noise, one standard normal per candidate and boundary
-    observation in each row.
-    """
-    points, codes = _joint_functionals(problem, candidates)
     if problem.p == 2.0:
-        return _SearchPrior(candidates, points, codes,
-                            problem.kernel.cross_cov(points, codes, points, codes))
-    prior, factor = _pair_factor(problem, candidates)
-    search = _SearchPrior(candidates, points, codes, prior)
+        return _SearchPrior(candidates, points, codes, cov)
+    search = _SearchPrior(candidates, points, codes, cov[:ends[1], :ends[1]].copy())
+    cov *= 2.0
+    factor = _unit_diagonal_factor(cov)
     rng = derive_rng(cfg.seed)
     search.pairs = rng.standard_normal((cfg.n_outer, factor.shape[0])) @ factor.T
     search.noise = rng.standard_normal((cfg.n_outer, factor.shape[0] - search.n_grid))
@@ -324,40 +326,32 @@ def _candidate_values(problem, search: _SearchPrior, predictor, chosen, free, th
     ``search.candidates``) added to the predictor's observations, which are
     the boundary and the ``chosen`` candidates.
 
+    Both criteria read the step from the two blocks of
+    ``predictor.cross_solve``: the query variances, the grid x candidate
+    posterior covariance and the candidate variances, which get a scoring
+    jitter of 1e-12 (mean query variance + 1). No query x query posterior
+    covariance is formed. Only the scoring differs:
+
     p = 2: analytic squared-norm pair reduction, 2 * weighted trace of the
-    rank-1-updated grid covariance, read from the joint posterior over
-    [grid; candidates] (one ``cov_functionals`` call); the stderr is 0.
+    rank-1-updated grid covariance; the stderr is 0.
 
     p = inf: the pool's prior pair draws become posterior ones through
     ``_pathwise_pairs``, so every candidate and every step shares one set of
-    random numbers, fixed by the seed of the pool. Apart from the draws, the
-    step reads only what scoring needs, all from the two blocks of
-    ``predictor.cross_solve``: the grid x candidate posterior covariance,
-    the candidate variances and the mean variance that sets the 1e-12
-    scoring jitter. ``_pinf_values`` then scores each candidate.
+    random numbers, fixed by the seed of the pool, and ``_pinf_values``
+    scores each candidate.
     """
     n_grid = search.n_grid
-    if problem.p == 2.0:
-        joint = predictor.cov_functionals(search.points, search.codes, search.prior)
-        weights = problem.grid_weights
-        diag = np.diag(joint[:n_grid, :n_grid])
-        jitter = 1e-12 * (np.trace(joint) / joint.shape[0] + 1.0)
-
-        def value_for(c):
-            j = n_grid + c
-            v = joint[:n_grid, j]
-            s = joint[j, j] + jitter
-            return 2.0 * float(weights @ (diag - v**2 / s))
-
-        return np.array([value_for(c) for c in free]), np.zeros(len(free))
-
     cross, solved = predictor.cross_solve(search.points, search.codes)
-    pairs = _pathwise_pairs(search, predictor, chosen, solved)
     var = np.diagonal(search.prior) - np.einsum("ij,ji->i", cross, solved)
     cols = n_grid + np.asarray(free, dtype=np.int64)
     columns = search.prior[cols, :n_grid] - solved[:, cols].T @ cross[:n_grid].T
-    jitter = 1e-12 * (np.mean(var) + 1.0)
-    return _pinf_values(pairs[:, :n_grid], pairs[:, cols], columns, var[cols] + jitter, threads)
+    variances = var[cols] + 1e-12 * (np.mean(var) + 1.0)
+    if problem.p == 2.0:
+        weights = problem.grid_weights
+        values = 2.0 * (weights @ var[:n_grid] - (columns**2 @ weights) / variances)
+        return values, np.zeros(len(free))
+    pairs = _pathwise_pairs(search, predictor, chosen, solved)
+    return _pinf_values(pairs[:, :n_grid], pairs[:, cols], columns, variances, threads)
 
 
 def _pinf_values(dx, dg, columns, variances, threads=1):
@@ -411,27 +405,6 @@ def _pinf_values(dx, dg, columns, variances, threads=1):
     return mean_and_stderr(maxes)
 
 
-def bpn_surface(problem: EllipticDesignProblem, state: DesignState, candidate,
-                cfg: MonteCarloConfig | None = None) -> float:
-    """Criterion value of the design (state's points plus one candidate),
-    scored by the greedy search's own step, ``_candidate_values``, with the
-    state's points as the chosen candidates. At p = inf the pool is drawn
-    over [grid; -Laplacian at the state's points and the candidate;
-    boundary] from cfg.seed.
-    """
-    cfg = cfg or MonteCarloConfig()
-    candidate = np.asarray(candidate, dtype=float)
-    for p in state.points:
-        if np.linalg.norm(candidate - np.asarray(p)) < problem.min_separation:
-            raise SingularGram("candidate collides with an already chosen point")
-    k = len(state.points)
-    cands = np.vstack([np.asarray(p, dtype=float) for p in state.points] + [candidate])
-    search = _search_prior(problem, cands, cfg)
-    values, _ = _candidate_values(problem, search, _predictor(problem, state.points),
-                                  np.arange(k), np.array([k]))
-    return float(values[0])
-
-
 def design_criterion(problem: EllipticDesignProblem, points,
                      cfg: MonteCarloConfig | None = None):
     """Criterion value (and stderr) of a complete design of interior points.
@@ -469,12 +442,14 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
     The prior covariance over [grid; -Laplacian at every candidate] is
     assembled once (``_search_prior``). Each step conditions on the
     boundary plus the chosen points with one ``ConditionedPredictor``, which
-    assembles the block against its own observations. At p = 2 the step
-    makes one ``cov_functionals`` call that is passed the prior. At p = inf
-    the prior, with thin boundary blocks, is factored once per search, one
-    pool of pair draws is taken from cfg.seed, and each step maps that pool
-    to posterior pair draws (``_pathwise_pairs``). The draws are therefore
-    deterministic given cfg.seed alone, the same at every step.
+    assembles the block against its own observations, and scores every
+    free candidate through one body, ``_candidate_values``, from that
+    predictor's ``cross_solve``; the two criteria differ only in the final
+    scoring. At p = inf the prior, with thin boundary blocks, is factored
+    once per search, one pool of pair draws is taken from cfg.seed, and
+    each step maps that pool to posterior pair draws
+    (``_pathwise_pairs``). The draws are therefore deterministic given
+    cfg.seed alone, the same at every step.
 
     Each step takes the first minimum of the computed candidate values
     (``np.argmin``); there is no tie tolerance. Candidates that tie in exact

@@ -18,18 +18,15 @@ from optinfo.errors import SingularGram
 from optinfo.gaussian import GaussianDensity, _psd_factor, derive_rng
 from optinfo.kernels import NEG_LAPLACIAN, POINT, ConditionedPredictor, SquaredExponential
 from optinfo.pde import (
-    DesignState,
     EllipticDesignProblem,
     _candidate_values,
     _grid_prior,
     _joint_cov,
-    _pair_factor,
     _pathwise_pairs,
     _pinf_values,
     _predictor,
     _search_prior,
     boundary_points,
-    bpn_surface,
     design_criterion,
     greedy_design,
     greedy_trace_design,
@@ -74,6 +71,8 @@ class TestGeometry:
 
     @pytest.mark.parametrize("field, value", [
         ("eval_grid", 0), ("eval_grid", -2), ("candidate_grid", 0), ("n_boundary", -1),
+        ("min_separation", 0.0), ("min_separation", -1.0), ("min_separation", np.nan),
+        ("min_separation", np.inf),
     ])
     def test_bad_sizes_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -192,14 +191,25 @@ class TestFixedDesignScoring:
         assert posterior_on_grid(problem, [[0.5, 0.5]])[0, 0] > 0.0
 
 
+def step_value(problem, chosen, candidate, cfg=None):
+    """The greedy step's value of ``candidate`` added to the boundary and the
+    ``chosen`` points: one ``_candidate_values`` call over the candidates
+    [chosen points; candidate]."""
+    cands = np.vstack([np.reshape(chosen, (-1, 2)), candidate])
+    search = _search_prior(problem, cands, cfg or MonteCarloConfig())
+    k = len(cands) - 1
+    values, _ = _candidate_values(problem, search, _predictor(problem, cands[:k]),
+                                  np.arange(k), np.array([k]))
+    return float(values[0])
+
+
 class TestCriterionSurface:
     def test_p2_surface_matches_direct_recomputation(self):
         # The rank-1 shortcut must agree with conditioning from scratch.
         problem = small_problem()
-        state = DesignState(points=[np.array([0.3, 0.3])])
-        candidate = np.array([0.7, 0.7])
-        via_surface = bpn_surface(problem, state, candidate)
-        cov = posterior_on_grid(problem, [state.points[0], candidate])
+        chosen, candidate = np.array([0.3, 0.3]), np.array([0.7, 0.7])
+        via_surface = step_value(problem, [chosen], candidate)
+        cov = posterior_on_grid(problem, [chosen, candidate])
         direct = 2.0 * float(problem.grid_weights @ np.diag(cov))
         # The two routes stabilise different Gram matrices, so agreement is
         # limited by the jitter scale rather than machine precision.
@@ -207,17 +217,10 @@ class TestCriterionSurface:
 
     def test_redundant_candidate_adds_nothing(self):
         problem = small_problem()
-        state = DesignState(points=[np.array([0.5, 0.5])])
-        nearby = np.array([0.5, 0.5 + 2e-6])
-        with_nearby = bpn_surface(problem, state, nearby)
-        without, _ = design_criterion(problem, state.points)
+        chosen = np.array([0.5, 0.5])
+        with_nearby = step_value(problem, [chosen], np.array([0.5, 0.5 + 2e-6]))
+        without, _ = design_criterion(problem, [chosen])
         assert with_nearby == pytest.approx(without, rel=2e-2)
-
-    def test_collision_rejected(self):
-        problem = small_problem()
-        state = DesignState(points=[np.array([0.5, 0.5])])
-        with pytest.raises(SingularGram):
-            bpn_surface(problem, state, np.array([0.5, 0.5]))
 
     def test_single_pair_sample_gives_zero_stderr(self):
         problem = small_problem(p=np.inf)
@@ -232,10 +235,9 @@ class TestCriterionSurface:
 
     def test_pinf_deterministic(self):
         problem = small_problem(p=np.inf)
-        state = DesignState(points=[])
         cfg = MonteCarloConfig(seed=9, n_outer=64)
-        a = bpn_surface(problem, state, np.array([0.4, 0.6]), cfg)
-        b = bpn_surface(problem, state, np.array([0.4, 0.6]), cfg)
+        a = step_value(problem, [], np.array([0.4, 0.6]), cfg)
+        b = step_value(problem, [], np.array([0.4, 0.6]), cfg)
         assert a == b
 
 
@@ -304,33 +306,47 @@ class TestGreedy:
             np.testing.assert_array_equal(contour.ravel(), surface)
 
     def test_prior_assembled_once(self, monkeypatch):
-        problem = small_problem()
+        # Each block of the [grid; candidates] prior is assembled once per
+        # search, whatever m is; the steps assemble only blocks against
+        # their observations, whose width grows with the step.
+        shapes = record_cross_cov_shapes(monkeypatch)
+        for p in (2.0, np.inf):
+            problem = small_problem(p=p)
+            n_grid, n_cand = problem.grid_points.shape[0], problem.candidates.shape[0]
+            shapes.clear()
+            greedy_design(problem, 3, MonteCarloConfig(seed=1, n_outer=16))
+            for block in [(n_grid, n_grid), (n_grid, n_cand), (n_cand, n_cand)]:
+                assert shapes.count(block) == 1, (p, block)
+
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    def test_no_cov_functionals_call_during_search(self, p, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a search step formed a query covariance")
+
+        monkeypatch.setattr(ConditionedPredictor, "cov_functionals", never)
+        state, _, _ = greedy_design(small_problem(p=p), 3, MonteCarloConfig(seed=1, n_outer=16))
+        assert len(state.points) == 3
+
+    @pytest.mark.parametrize("n_boundary", [12, 0])
+    def test_p2_contours_match_joint_posterior(self, n_boundary):
+        # Oracle: at every step, the rank-1 update of the dense joint
+        # posterior over [grid; candidates] from _joint_cov, with the scoring
+        # jitter of that joint (measured worst cell 1.7e-13 relative, 4.4e-16
+        # without boundary).
+        problem = small_problem(n_boundary=n_boundary)
+        state, contours, _ = greedy_design(problem, 4)
+        cands, weights = problem.candidates, problem.grid_weights
         n_grid = problem.grid_points.shape[0]
-        n_joint = n_grid + problem.candidates.shape[0]
-        shapes = []
-        cross_cov = SquaredExponential.cross_cov
-
-        def recording(self, *args):
-            out = cross_cov(self, *args)
-            shapes.append(out.shape)
-            return out
-
-        monkeypatch.setattr(SquaredExponential, "cross_cov", recording)
-        greedy_design(problem, 3)
-        assert shapes.count((n_joint, n_joint)) == 1
-        assert shapes.count((n_grid, n_grid)) == 0
-
-    def test_one_cov_functionals_call_per_step(self, monkeypatch):
-        calls = []
-        cov_functionals = ConditionedPredictor.cov_functionals
-
-        def recording(self, *args):
-            calls.append(1)
-            return cov_functionals(self, *args)
-
-        monkeypatch.setattr(ConditionedPredictor, "cov_functionals", recording)
-        greedy_design(small_problem(), 3)
-        assert len(calls) == 3
+        for step, contour in enumerate(contours):
+            joint = _joint_cov(problem, state.points[:step], cands)
+            diag = np.diag(joint)[:n_grid]
+            jitter = 1e-12 * (np.trace(joint) / joint.shape[0] + 1.0)
+            free = np.flatnonzero(np.isfinite(contour.ravel()))
+            assert len(free) == len(cands) - step
+            want = np.array([2.0 * weights @ (diag - joint[:n_grid, n_grid + c] ** 2
+                                              / (joint[n_grid + c, n_grid + c] + jitter))
+                             for c in free])
+            np.testing.assert_allclose(contour.ravel()[free], want, rtol=1e-10, atol=0)
 
     def test_more_points_than_candidates_rejected_up_front(self, monkeypatch):
         def never(*args, **kwargs):
@@ -445,7 +461,7 @@ PREFIX_8 = np.array([(13, 13), (14, 13), (13, 14), (12, 12), (15, 12), (9, 15),
 
 
 class TestPathwiseSampler:
-    def test_map_covariance_is_twice_the_posterior(self):
+    def test_map_covariance_is_twice_the_posterior(self, monkeypatch):
         # Deterministic oracle at default sizes, before the ninth step: the
         # pathwise map's variances against 2 x cov_functionals through the
         # same predictor. A pool drawn through _psd_factor(2 P), whose
@@ -453,9 +469,20 @@ class TestPathwiseSampler:
         problem = EllipticDesignProblem(p=np.inf)
         cands = problem.candidates
         chosen = [int(np.argmin(np.linalg.norm(cands - q, axis=1))) for q in PREFIX_8]
-        prior, factor = _pair_factor(problem, cands)
+        factors = []
+        unit_diagonal_factor = pde._unit_diagonal_factor
+
+        def capturing(cov):
+            factors.append(unit_diagonal_factor(cov))
+            return factors[-1]
+
+        monkeypatch.setattr(pde, "_unit_diagonal_factor", capturing)
         search = _search_prior(problem, cands, MonteCarloConfig(n_outer=1))
-        np.testing.assert_array_equal(search.prior, prior)
+        (factor,) = factors
+        # The blockwise prior is the one-call assembly, bit for bit.
+        np.testing.assert_array_equal(
+            search.prior,
+            problem.kernel.cross_cov(search.points, search.codes, search.points, search.codes))
         predictor = _predictor(problem, cands[chosen])
         want = 2.0 * np.diagonal(
             predictor.cov_functionals(search.points, search.codes, search.prior))

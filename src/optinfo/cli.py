@@ -29,11 +29,21 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def _default_seed() -> int:
-    env = os.environ.get("OPTINFO_SEED")
+def _seed(text: str) -> int:
+    """A --seed or OPTINFO_SEED value: an integer >= 0."""
     try:
-        return int(env) if env is not None else 0
+        seed = int(text)
     except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return seed
+
+
+def _default_seed() -> int:
+    try:
+        return _seed(os.environ.get("OPTINFO_SEED", "0"))
+    except argparse.ArgumentTypeError:
         return 0
 
 
@@ -55,10 +65,6 @@ class UsageError(Exception):
 
 
 def cmd_quadrature(args) -> int:
-    if args.nodes is None and not args.optimize:
-        raise UsageError("either --nodes or --optimize is required")
-    if args.nodes is not None and args.optimize:
-        raise UsageError("--nodes and --optimize are mutually exclusive")
     if args.optimize:
         if args.n is None:
             raise UsageError("--optimize requires --n")
@@ -129,8 +135,6 @@ def cmd_pde_design(args) -> int:
 
 
 def cmd_discrete(args) -> int:
-    if (args.problem is None) == (args.counterexample is None):
-        raise UsageError("exactly one of --problem or --counterexample is required")
     if args.counterexample is not None:
         p1, p2, p3 = args.counterexample
         problem = discrete.build_counterexample(discrete.CounterexampleSpec(p1, p2, p3))
@@ -232,11 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("quadrature", help="node-placement case study")
     q.add_argument("--n", type=int, default=None, help="number of intervals")
-    q.add_argument("--nodes", type=float, nargs="+", default=None,
-                   help="explicit interior nodes in [0, 1]")
-    q.add_argument("--optimize", action="store_true", help="use the optimal equispaced nodes")
+    nodes = q.add_mutually_exclusive_group(required=True)
+    nodes.add_argument("--nodes", type=float, nargs="+", default=None,
+                       help="explicit interior nodes in [0, 1]")
+    nodes.add_argument("--optimize", action="store_true", help="use the optimal equispaced nodes")
     q.add_argument("--mc", action="store_true", help="add a Monte Carlo criterion estimate")
-    q.add_argument("--seed", type=int, default=seed)
+    q.add_argument("--seed", type=_seed, default=seed)
     q.add_argument("--n-outer", type=int, default=20000)
     q.add_argument("--n-inner", type=int, default=4)
     q.add_argument("--output", default=None, help="write the JSON report to this file")
@@ -249,17 +254,18 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--candidate-grid", type=int, default=25)
     g.add_argument("--n-boundary", type=int, default=32)
     g.add_argument("--samples", type=int, default=128, help="pair samples per candidate (p=inf)")
-    g.add_argument("--seed", type=int, default=seed)
+    g.add_argument("--seed", type=_seed, default=seed)
     g.add_argument("--threads", type=int, default=1,
                    help="parallel candidate evaluation; never changes results")
     g.add_argument("--outdir", required=True)
     g.set_defaults(func=cmd_pde_design)
 
     d = sub.add_parser("discrete", help="finite-state criteria report")
-    d.add_argument("--problem", default=None, help="problem description JSON file")
-    d.add_argument("--counterexample", type=float, nargs=3, default=None,
-                   metavar=("P1", "P2", "P3"),
-                   help="built-in two-experiment counterexample with these cell probabilities")
+    source = d.add_mutually_exclusive_group(required=True)
+    source.add_argument("--problem", default=None, help="problem description JSON file")
+    source.add_argument("--counterexample", type=float, nargs=3, default=None,
+                        metavar=("P1", "P2", "P3"),
+                        help="built-in two-experiment counterexample with these cell probabilities")
     d.add_argument("--output", default=None)
     d.set_defaults(func=cmd_discrete)
 

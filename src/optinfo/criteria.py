@@ -9,6 +9,7 @@ independent covariance, via the pair reduction Z ~ N(0, 2 Sigma_e).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,19 @@ from .errors import AllValuesNonFinite, NonPSDInput, SamplerFailure
 from .gaussian import _psd_factor, derive_rng
 
 
+def _check_integers(obj, lows: dict):
+    """ValueError naming the first field of ``obj`` in ``lows`` that is not
+    an integer (a bool is not one) of at least its bound."""
+    for name, low in lows.items():
+        value = getattr(obj, name)
+        try:
+            valid = not isinstance(value, bool) and operator.index(value) >= low
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Budget for the nested BPN estimator: outer draws of (x, y) and inner
@@ -34,8 +48,7 @@ class MonteCarloConfig:
     n_inner: int = 4
 
     def __post_init__(self):
-        if self.n_outer < 1 or self.n_inner < 1:
-            raise ValueError("sample counts must be >= 1")
+        _check_integers(self, {"seed": 0, "n_outer": 1, "n_inner": 1})
 
 
 @dataclass

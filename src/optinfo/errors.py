@@ -24,8 +24,9 @@ class UnsupportedFunctional(OptinfoError):
 
 
 class SingularGram(OptinfoError):
-    """Observation geometry makes the Gram matrix singular: coincident
-    locations, or design points closer than the minimum separation."""
+    """Observation geometry makes the Gram matrix singular: two observations
+    of one kind closer than ``kernels.MIN_SEPARATION``, the one check, in
+    ``kernels._split_obs``."""
 
 
 class NonPSDInput(OptinfoError):

@@ -4,29 +4,21 @@ Three kernels are provided: the Wiener kernel min(t, t') on [0, 1], the
 Brownian bridge on an interval with pinned endpoint values, and the
 squared-exponential kernel amp * exp(-||t - t'||^2 / lengthscale^2) in one
 or two dimensions (the only kernel smooth enough to support Laplacian
-observations).
+observations). Cross-covariance assembly for the SE kernel is vectorised
+numpy.
 
-Cross-covariance assembly for the SE kernel is vectorised numpy.
 ``ConditionedPredictor`` is the one conditioning path: it alone knows its
-observations and assembles every block against them. The elliptic design
-search assembles its prior block over the query functionals once per
-search and, at both p = 2 and p = inf, reads each step from the two
-blocks of ``cross_solve``: query variances and the grid x candidate
-posterior covariance. At p = inf it also draws prior pair differences
-once per search and turns them into posterior ones at each step by
-Matheron's rule, through the same solved block and the predictor's total
-``nugget``. No step forms a query by query posterior covariance, so the
-search never calls ``cov_functionals``.
+observations, checks their geometry (``_split_obs``), factors the Gram
+once and assembles every block against its observations. Callers read
+posterior covariances and pathwise draws from the two blocks of
+``cross_solve``.
 
 Each kernel also has ``diag(pts)``, the prior variance of point values,
 equal bit for bit to the diagonal of ``cross_cov(pts, 0, pts, 0)``.
 ``ConditionedPredictor.var`` reads only that diagonal and the query-by-
 observation block, so a posterior variance costs O(n_query * n_obs) kernel
 entries and never assembles the n_query x n_query covariance that ``cov``
-returns. ``pde.design_criterion`` scores p = 2 designs through ``var``; at
-p = inf it needs the full grid covariance, and ``pde.posterior_on_grid``
-keeps the grid x grid prior block in a read-only cache of one entry per
-process (8 MB at the default 32 x 32 grid).
+returns.
 """
 
 from __future__ import annotations
@@ -44,6 +36,9 @@ BACKEND = "numpy"
 
 POINT = 0
 NEG_LAPLACIAN = 1
+
+# Two observations of one kind closer than this make the Gram singular.
+MIN_SEPARATION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -139,10 +134,9 @@ class SquaredExponential:
     smooth = True
 
     def __init__(self, lengthscale: float = 1.0, amplitude: float = 1.0, dim: int = 2):
-        if lengthscale <= 0:
-            raise ValueError("lengthscale must be positive")
-        if amplitude <= 0:
-            raise ValueError("amplitude must be positive")
+        for name, value in (("lengthscale", lengthscale), ("amplitude", amplitude)):
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         self.lengthscale = float(lengthscale)
@@ -217,24 +211,33 @@ def se_functional_covariances(lengthscale: float, t, t_prime):
 
 
 def _split_obs(kernel, observations):
+    """Locations, codes and values of the observations, and the one check of
+    their geometry: a non-finite location raises ValueError, and two
+    observations of one kind closer than MIN_SEPARATION raise SingularGram
+    naming both locations. Observations of different kinds may share a
+    location."""
     if not observations:
         d = kernel.dim
         return np.zeros((0, d)), np.zeros(0, dtype=np.int64), np.zeros(0)
     pts = np.vstack([np.atleast_1d(o.location) for o in observations])
     codes = np.array([o.code for o in observations], dtype=np.int64)
     values = np.array([o.value for o in observations], dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("observation locations must be finite")
     if np.any(codes == NEG_LAPLACIAN) and not kernel.smooth:
         raise UnsupportedFunctional(
             "Laplacian observations require a twice-differentiable kernel"
         )
-    # Reject coincident locations within a functional kind.
     for kind in np.unique(codes):
         sub = pts[codes == kind]
-        if sub.shape[0] > 1:
-            dists = np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=-1)
-            np.fill_diagonal(dists, np.inf)
-            if np.min(dists) == 0.0:
-                raise SingularGram("observation locations must be pairwise distinct")
+        dists = np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=-1)
+        np.fill_diagonal(dists, np.inf)
+        i, j = np.unravel_index(np.argmin(dists), dists.shape)
+        if dists[i, j] < MIN_SEPARATION:
+            raise SingularGram(
+                f"observation locations {sub[i].tolist()} and {sub[j].tolist()} "
+                f"are closer than MIN_SEPARATION = {MIN_SEPARATION}"
+            )
     return pts, codes, values
 
 
@@ -251,9 +254,10 @@ class ConditionedPredictor:
     draw that conditions through this factor adds noise of that variance
     to its observed values. The Gram is factored once, at construction, by
     ``_spd_factor``, whose 1e12 condition gate on that matrix is the one
-    gate. Coincident observation locations raise SingularGram (geometry); a
-    Gram that fails the gate or its Cholesky factorisation raises
-    SingularSystem (numerics).
+    gate. ``_split_obs`` checks the geometry: a non-finite location raises
+    ValueError and same-kind observations closer than MIN_SEPARATION raise
+    SingularGram; a Gram that fails the gate or its Cholesky factorisation
+    raises SingularSystem (numerics).
     """
 
     def __init__(self, kernel, observations):

@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import MonteCarloConfig, mean_and_stderr
-from .errors import SingularGram
+from .criteria import MonteCarloConfig, _check_integers, mean_and_stderr
 from .gaussian import _psd_factor, _unit_diagonal_factor, derive_rng
 from .kernels import (
     NEG_LAPLACIAN,
@@ -93,20 +92,13 @@ class EllipticDesignProblem:
     p: float = 2.0
     lengthscale: float = 1.0
     amplitude: float = 1.0
-    min_separation: float = 1e-6
 
     def __post_init__(self):
         if self.p not in (2.0, np.inf):
             raise ValueError("p must be 2 or inf")
-        if self.eval_grid < 1:
-            raise ValueError(f"eval_grid must be >= 1, got {self.eval_grid}")
-        if self.candidate_grid < 1:
-            raise ValueError(f"candidate_grid must be >= 1, got {self.candidate_grid}")
-        if self.n_boundary < 0:
-            raise ValueError(f"n_boundary must be >= 0, got {self.n_boundary}")
-        if not (np.isfinite(self.min_separation) and self.min_separation > 0):
-            raise ValueError(
-                f"min_separation must be finite and > 0, got {self.min_separation}")
+        _check_integers(self, {"eval_grid": 1, "candidate_grid": 1, "n_boundary": 0})
+        # ``kernel`` is built on use; check its parameters now.
+        SquaredExponential(self.lengthscale, self.amplitude, dim=2)
 
     @property
     def kernel(self) -> SquaredExponential:
@@ -144,20 +136,6 @@ class DesignState:
     points: list = field(default_factory=list)
 
 
-def _check_separation(problem: EllipticDesignProblem, points) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float)) if len(points) else np.zeros((0, 2))
-    if pts.shape[0] > 1:
-        dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-        np.fill_diagonal(dists, np.inf)
-        i, j = np.unravel_index(np.argmin(dists), dists.shape)
-        if dists[i, j] < problem.min_separation:
-            raise SingularGram(
-                f"points {pts[i].tolist()} and {pts[j].tolist()} are closer than "
-                f"the minimum separation {problem.min_separation}"
-            )
-    return pts
-
-
 def _observations(problem: EllipticDesignProblem, points):
     obs = [PointEvaluation(p) for p in problem.boundary]
     obs += [NegativeLaplacianEvaluation(p) for p in points]
@@ -165,9 +143,18 @@ def _observations(problem: EllipticDesignProblem, points):
 
 
 def _predictor(problem: EllipticDesignProblem, points):
-    """GP conditioned on ``_observations(problem, points)``; SingularGram if
-    two points are closer than min_separation."""
-    pts = _check_separation(problem, points)
+    """GP conditioned on ``_observations(problem, points)``.
+
+    ``points`` is an empty list, one flat point or a (k, 2) array; any other
+    shape raises ValueError. ``gp_condition`` checks the geometry: a
+    non-finite point raises ValueError, and two points closer than
+    ``kernels.MIN_SEPARATION`` raise SingularGram.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.shape in ((0,), (2,)):
+        pts = pts.reshape(-1, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"design points must form a (k, 2) array, got shape {pts.shape}")
     return gp_condition(problem.kernel, _observations(problem, pts))
 
 
@@ -217,21 +204,12 @@ def _joint_cov(problem: EllipticDesignProblem, chosen, extra_points):
     return _predictor(problem, chosen).cov_functionals(*_joint_functionals(problem, extra_points))
 
 
-def _free_candidates(problem: EllipticDesignProblem, chosen, step: int) -> np.ndarray:
-    """Indices of the candidates at least min_separation from every chosen
-    point; a ValueError naming the step when none is left."""
-    cands = problem.candidates
-    if len(chosen) == 0:
-        return np.arange(cands.shape[0])
-    taken = np.atleast_2d(np.asarray(chosen))
-    dists = np.linalg.norm(cands[:, None, :] - taken[None, :, :], axis=-1)
-    free = np.flatnonzero(np.min(dists, axis=1) >= problem.min_separation)
-    if free.size == 0:
-        raise ValueError(
-            f"step {step + 1}: no candidate is at least min_separation = "
-            f"{problem.min_separation} from the points already chosen"
-        )
-    return free
+def _check_design_size(problem: EllipticDesignProblem, m: int):
+    """ValueError unless a greedy search can pick m distinct candidates."""
+    n = problem.candidate_grid ** 2
+    if not 1 <= m <= n:
+        raise ValueError(f"m = {m} must be between 1 and the {n} candidates "
+                         f"of candidate_grid {problem.candidate_grid}")
 
 
 @dataclass
@@ -443,13 +421,13 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
     assembled once (``_search_prior``). Each step conditions on the
     boundary plus the chosen points with one ``ConditionedPredictor``, which
     assembles the block against its own observations, and scores every
-    free candidate through one body, ``_candidate_values``, from that
-    predictor's ``cross_solve``; the two criteria differ only in the final
-    scoring. At p = inf the prior, with thin boundary blocks, is factored
-    once per search, one pool of pair draws is taken from cfg.seed, and
-    each step maps that pool to posterior pair draws
-    (``_pathwise_pairs``). The draws are therefore deterministic given
-    cfg.seed alone, the same at every step.
+    free candidate, the sorted candidate indices not yet picked, through
+    one body, ``_candidate_values``, from that predictor's ``cross_solve``;
+    the two criteria differ only in the final scoring. At p = inf the
+    prior, with thin boundary blocks, is factored once per search, one pool
+    of pair draws is taken from cfg.seed, and each step maps that pool to
+    posterior pair draws (``_pathwise_pairs``). The draws are therefore
+    deterministic given cfg.seed alone, the same at every step.
 
     Each step takes the first minimum of the computed candidate values
     (``np.argmin``); there is no tie tolerance. Candidates that tie in exact
@@ -458,35 +436,30 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
     candidate order.
 
     Returns (DesignState, contour_grids, criterion_trace) where
-    contour_grids[k] is the C x C candidate-value matrix at step k (NaN for
-    candidates excluded by collision with already chosen points).
+    contour_grids[k] is the C x C candidate-value matrix at step k (NaN at
+    the candidates already picked).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_design_size(problem, m)
     if threads < 1:
         raise ValueError("threads must be >= 1")
     C = problem.candidate_grid
-    if m > C * C:
-        raise ValueError(
-            f"m = {m} exceeds the {C * C} candidates of candidate_grid {C}"
-        )
     cfg = cfg or MonteCarloConfig()
     cands = problem.candidates
     search = _search_prior(problem, cands, cfg)
     picked: list = []
     contours = []
     trace = []
-    for step in range(m):
-        chosen = cands[picked]
-        free = _free_candidates(problem, chosen, step)
-        values, _ = _candidate_values(
-            problem, search, _predictor(problem, chosen), picked, free, threads
-        )
-        surface = np.full(cands.shape[0], np.nan)
+    for _ in range(m):
+        free = np.setdiff1d(np.arange(len(cands)), picked)
+        values = _candidate_values(
+            problem, search, _predictor(problem, cands[picked]), picked, free, threads
+        )[0]
+        best = int(np.argmin(values))
+        surface = np.full(len(cands), np.nan)
         surface[free] = values
-        picked.append(free[int(np.argmin(values))])
         contours.append(surface.reshape(C, C))
-        trace.append(float(values[np.argmin(values)]))
+        picked.append(int(free[best]))
+        trace.append(float(values[best]))
     return DesignState(points=list(cands[picked])), contours, trace
 
 
@@ -497,20 +470,20 @@ def greedy_trace_design(problem: EllipticDesignProblem, m: int) -> list:
     This is the full-reconditioning oracle for ``greedy_design``: every step
     reassembles and reconditions the joint covariance through ``_joint_cov``.
     """
+    _check_design_size(problem, m)
     cands = problem.candidates
     n_grid = problem.grid_points.shape[0]
     weights = problem.grid_weights
-    chosen: list = []
-    for step in range(m):
-        joint = _joint_cov(problem, chosen, cands)
+    picked: list = []
+    for _ in range(m):
+        joint = _joint_cov(problem, cands[picked], cands)
         diag = np.diag(joint)[:n_grid]
         jitter = 1e-12 * (np.trace(joint) / joint.shape[0] + 1.0)
-        free = _free_candidates(problem, chosen, step)
+        free = np.setdiff1d(np.arange(len(cands)), picked)
         traces = np.array([
             float(weights @ (diag - joint[:n_grid, n_grid + c] ** 2
                              / (joint[n_grid + c, n_grid + c] + jitter)))
             for c in free
         ])
-        best = free[int(np.argmin(traces))]
-        chosen.append(cands[best].copy())
-    return chosen
+        picked.append(int(free[int(np.argmin(traces))]))
+    return list(cands[picked])

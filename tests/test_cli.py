@@ -296,6 +296,31 @@ class TestSeedFallback:
         _, out, _ = run(["quadrature", "--n", "1", "--optimize"], capsys)
         assert json.loads(out)["seed"] == 0
 
+    def test_negative_env_falls_back_to_zero(self, capsys, monkeypatch):
+        monkeypatch.setenv("OPTINFO_SEED", "-5")
+        _, out, _ = run(["quadrature", "--n", "1", "--optimize"], capsys)
+        assert json.loads(out)["seed"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["quadrature", "--n", "2", "--optimize"],
+        ["quadrature", "--n", "2", "--optimize", "--mc"],
+    ])
+    def test_negative_seed_flag_exits_2(self, capsys, argv):
+        code, out, err = run(argv + ["--seed", "-1"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--seed" in err
+
+    @pytest.mark.parametrize("p", ["2", "inf"])
+    def test_negative_seed_flag_writes_nothing(self, tmp_path, capsys, p):
+        outdir = tmp_path / "out"
+        code, _, err = run(["pde-design", "--m", "1", "--eval-grid", "8", "--candidate-grid", "5",
+                            "--n-boundary", "12", "--samples", "32", "--p", p, "--seed", "-1",
+                            "--outdir", str(outdir)], capsys)
+        assert code == EXIT_USAGE
+        assert "--seed" in err
+        assert not outdir.exists()
+
 
 class TestArgparseBehaviour:
     def test_unknown_subcommand_exits_2(self, capsys):

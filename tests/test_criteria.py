@@ -213,6 +213,19 @@ class TestBDTCriterion:
         assert bdt_criterion(problem, "e2") == pytest.approx(min(risks), abs=1e-14)
 
 
+class TestMonteCarloConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.5), ("n_outer", 0), ("n_outer", 2.5), ("n_inner", 0),
+        ("n_inner", 4.0), ("n_outer", True),
+    ])
+    def test_bad_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MonteCarloConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        assert MonteCarloConfig(seed=np.int64(3), n_outer=np.int32(5)).n_outer == 5
+
+
 class TestBPNEstimators:
     def test_zero_loss_gives_zero(self):
         problem = build_counterexample(CounterexampleSpec(0.2, 0.3, 0.5))

@@ -92,6 +92,34 @@ class TestWienerConditioning:
             gp_condition(Wiener(), [PointEvaluation([0.5], 0.0), PointEvaluation([0.5], 1.0)])
 
 
+class TestObservationGeometry:
+    @pytest.mark.parametrize("kernel, loc", [
+        (Wiener(), np.array([0.5])),
+        (SquaredExponential(dim=2), np.array([0.3, 0.6])),
+    ])
+    def test_same_kind_observations_too_close_rejected(self, kernel, loc):
+        near = loc + 5e-7
+        with pytest.raises(SingularGram) as err:
+            gp_condition(kernel, [PointEvaluation(loc, 0.0), PointEvaluation(near, 1.0)])
+        assert str(loc.tolist()) in str(err.value)
+        assert str(near.tolist()) in str(err.value)
+
+    def test_point_and_laplacian_at_one_location_condition(self):
+        loc = [0.4, 0.7]
+        pred = gp_condition(SquaredExponential(dim=2),
+                            [PointEvaluation(loc, 1.0), NegativeLaplacianEvaluation(loc, 0.0)])
+        assert pred.var([loc])[0] <= 10 * pred.nugget
+
+    @pytest.mark.parametrize("kernel, loc", [
+        (Wiener(), [np.nan]),
+        (SquaredExponential(dim=2), [0.5, np.inf]),
+    ])
+    def test_non_finite_location_rejected(self, kernel, loc):
+        with pytest.raises(ValueError, match="finite"):
+            gp_condition(kernel, [PointEvaluation([0.2] * len(loc), 0.0),
+                                  PointEvaluation(loc, 0.0)])
+
+
 class TestSquaredExponentialCalculus:
     def test_zero_distance(self):
         k, lap, dlap = se_functional_covariances(1.0, [0.3, 0.3], [0.3, 0.3])
@@ -167,6 +195,10 @@ class TestSquaredExponentialCalculus:
             SquaredExponential(amplitude=-1.0)
         with pytest.raises(ValueError):
             SquaredExponential(dim=3)
+        for name in ("lengthscale", "amplitude"):
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match=name):
+                    SquaredExponential(**{name: value})
 
 
 class TestCrossCovBatch:

@@ -71,8 +71,9 @@ class TestGeometry:
 
     @pytest.mark.parametrize("field, value", [
         ("eval_grid", 0), ("eval_grid", -2), ("candidate_grid", 0), ("n_boundary", -1),
-        ("min_separation", 0.0), ("min_separation", -1.0), ("min_separation", np.nan),
-        ("min_separation", np.inf),
+        ("candidate_grid", 2.5), ("eval_grid", 2.5), ("n_boundary", 3.5), ("eval_grid", True),
+        ("lengthscale", np.nan), ("lengthscale", np.inf), ("lengthscale", 0.0),
+        ("amplitude", np.nan), ("amplitude", np.inf), ("amplitude", -1.0),
     ])
     def test_bad_sizes_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -93,6 +94,25 @@ class TestPosteriorOnGrid:
         with pytest.raises(SingularGram) as err:
             posterior_on_grid(problem, [[0.5, 0.5], [0.5, 0.5]])
         assert "0.5" in str(err.value)
+
+    @pytest.mark.parametrize("points", [[0.5, 0.5], [[0.5, 0.5]], np.array([[0.5, 0.5]])])
+    def test_one_point_accepted_flat_or_as_row(self, points):
+        problem = small_problem()
+        np.testing.assert_array_equal(posterior_on_grid(problem, points),
+                                      posterior_on_grid(problem, np.array([[0.5, 0.5]])))
+
+    @pytest.mark.parametrize("points", [[0.5], [[0.5, 0.5, 0.5]], np.zeros((1, 2, 2)), 0.5])
+    def test_bad_point_shape_names_k_by_2(self, points):
+        with pytest.raises(ValueError, match=r"\(k, 2\)"):
+            _predictor(small_problem(), points)
+
+    def test_nan_point_rejected_as_bad_input(self):
+        with pytest.raises(ValueError, match="finite"):
+            design_criterion(small_problem(), [[0.5, np.nan]])
+
+    def test_point_pair_too_close_rejected(self):
+        with pytest.raises(SingularGram, match="MIN_SEPARATION"):
+            design_criterion(small_problem(), [[0.5, 0.5], [0.5 + 5e-7, 0.5]])
 
     def test_one_interior_point_reduces_trace(self):
         problem = small_problem()
@@ -296,9 +316,7 @@ class TestGreedy:
         for step, contour in enumerate(contours):
             prefix = state.points[:step]
             chosen = [int(np.argmin(np.linalg.norm(cands - q, axis=1))) for q in prefix]
-            free = np.array([c for c in range(len(cands))
-                             if all(np.linalg.norm(cands[c] - q) >= problem.min_separation
-                                    for q in prefix)])
+            free = np.array([c for c in range(len(cands)) if c not in chosen])
             values, _ = _candidate_values(problem, _search_prior(problem, cands, cfg),
                                           _predictor(problem, prefix), chosen, free)
             surface = np.full(len(cands), np.nan)
@@ -348,21 +366,27 @@ class TestGreedy:
                              for c in free])
             np.testing.assert_allclose(contour.ravel()[free], want, rtol=1e-10, atol=0)
 
-    def test_more_points_than_candidates_rejected_up_front(self, monkeypatch):
+    @pytest.mark.parametrize("search", [greedy_design, greedy_trace_design])
+    def test_more_points_than_candidates_rejected_up_front(self, search, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("a candidate was scored before m was checked")
 
         monkeypatch.setattr(pde, "_candidate_values", never)
+        monkeypatch.setattr(pde, "_joint_cov", never)
         with pytest.raises(ValueError, match="candidate_grid"):
-            greedy_design(small_problem(candidate_grid=2), 5)
+            search(small_problem(candidate_grid=2), 5)
 
     @pytest.mark.parametrize("search", [greedy_design, greedy_trace_design])
-    def test_exhausted_candidates_name_separation_and_step(self, search):
-        # The 3 x 3 lattice spans at most 0.71, so one point blocks the rest.
-        problem = EllipticDesignProblem(eval_grid=6, candidate_grid=3, n_boundary=8,
-                                        min_separation=0.9)
-        with pytest.raises(ValueError, match="step 2: .*min_separation"):
-            search(problem, 2)
+    def test_no_points_rejected(self, search):
+        with pytest.raises(ValueError, match="m = 0"):
+            search(small_problem(), 0)
+
+    def test_search_picks_every_candidate(self):
+        # m = C^2 picks each candidate once; the last step has one free.
+        problem = EllipticDesignProblem(eval_grid=6, candidate_grid=2, n_boundary=8)
+        state, contours, _ = greedy_design(problem, 4)
+        assert sorted(map(tuple, state.points)) == sorted(map(tuple, problem.candidates))
+        assert np.isfinite(contours[-1]).sum() == 1
 
     def test_nonpositive_threads_rejected(self):
         with pytest.raises(ValueError):

@@ -25,17 +25,24 @@ from .errors import AllValuesNonFinite, NonPSDInput, SamplerFailure
 from .gaussian import _psd_factor, derive_rng
 
 
+def _check_integer(name: str, value, low=None):
+    """ValueError naming ``name`` unless ``value`` is an integer (a bool is
+    not one, and ``operator.index`` decides the rest) of at least ``low``,
+    if a bound is given."""
+    try:
+        index = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or (low is not None and index < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
 def _check_integers(obj, lows: dict):
     """ValueError naming the first field of ``obj`` in ``lows`` that is not
     an integer (a bool is not one) of at least its bound."""
     for name, low in lows.items():
-        value = getattr(obj, name)
-        try:
-            valid = not isinstance(value, bool) and operator.index(value) >= low
-        except TypeError:
-            valid = False
-        if not valid:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        _check_integer(name, getattr(obj, name), low)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,10 @@ every candidate; boundary] once per search and draws one pool of prior pair
 differences and observation noise from cfg.seed. Each step maps that pool
 to posterior pair differences with one small solve against the step's
 Gram, so no step factors a posterior covariance, and the draws depend on
-cfg.seed alone, not on the step. ``design_criterion`` keeps a dense sampler
-of the grid posterior as the independent estimator for fixed designs.
+cfg.seed alone, not on the step. ``design_criterion`` samples a fixed
+design pathwise too, from a factor of the grid pair-difference prior that
+is computed once per process; the dense sampler of the grid posterior that
+it replaced is kept in the tests as the independent oracle.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
-from .criteria import MonteCarloConfig, _check_integers, mean_and_stderr
-from .gaussian import _psd_factor, _unit_diagonal_factor, derive_rng
+from .criteria import MonteCarloConfig, _check_integer, _check_integers, mean_and_stderr
+from .errors import FactorizationFailure
+from .gaussian import _unit_diagonal_factor, derive_rng
 from .kernels import (
     NEG_LAPLACIAN,
     POINT,
@@ -51,6 +55,9 @@ from .kernels import (
 # default 128 pair samples one block buffer is 1 MB.
 _CAND_BLOCK = 16
 _GRID_BLOCK = 64
+# Draws per block of a fixed design's Matheron update: 4 MB of temporaries
+# at the default 1024 grid points.
+_DRAW_BLOCK = 512
 
 
 def boundary_points(n_boundary: int) -> np.ndarray:
@@ -188,6 +195,32 @@ def posterior_on_grid(problem: EllipticDesignProblem, points) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_pair_factor(eval_grid: int, lengthscale: float, amplitude: float) -> np.ndarray:
+    """Read-only lower-triangular F with F F^T = 2 P_gg + 1e-12 diag(2 P_gg),
+    where P_gg is the prior covariance over the evaluation grid: the factor
+    of the grid pair-difference prior, by ``_unit_diagonal_factor`` as in
+    the search. One entry per process, keyed like ``_grid_prior``; the prior
+    is assembled here, so no ``_grid_prior`` entry is kept beside it.
+
+    ``_design_pairs`` needs F triangular, so the eigenvalue-clip fallback of
+    ``_unit_diagonal_factor`` raises FactorizationFailure here. The
+    Cholesky succeeded on every grid tried: G x G for G up to 48 at
+    lengthscales 0.3 to 3, and G up to 32 at lengthscales up to 100.
+    """
+    problem = EllipticDesignProblem(eval_grid=eval_grid, lengthscale=lengthscale,
+                                    amplitude=amplitude)
+    grid = problem.grid_points
+    codes = np.full(grid.shape[0], POINT, dtype=np.int64)
+    cov = problem.kernel.cross_cov(grid, codes, grid, codes)
+    cov *= 2.0
+    factor = _unit_diagonal_factor(cov)
+    if np.any(np.triu(factor, 1)):
+        raise FactorizationFailure("the grid pair-difference prior has no Cholesky factor")
+    factor.setflags(write=False)
+    return factor
+
+
 def _joint_functionals(problem: EllipticDesignProblem, extra_points):
     """Points and codes of [grid values; -Laplacian at extra points]."""
     grid = problem.grid_points
@@ -206,6 +239,7 @@ def _joint_cov(problem: EllipticDesignProblem, chosen, extra_points):
 
 def _check_design_size(problem: EllipticDesignProblem, m: int):
     """ValueError unless a greedy search can pick m distinct candidates."""
+    _check_integer("m", m)
     n = problem.candidate_grid ** 2
     if not 1 <= m <= n:
         raise ValueError(f"m = {m} must be between 1 and the {n} candidates "
@@ -280,9 +314,22 @@ def _search_prior(problem: EllipticDesignProblem, candidates,
     return search
 
 
+def _matheron(draws, observed, noise, nugget: float, solved) -> np.ndarray:
+    """Matheron's rule for pair differences, ``draws - (observed + sqrt(2
+    nugget) noise) @ solved``: prior pair draws D_q at the query
+    functionals, the same draws D_o at the observations, one standard
+    normal per observation and draw, the predictor's total nugget, and
+    K^-1 C_oq from ``predictor.cross_solve``. The difference is written into
+    the product's buffer, so ``draws`` is left as it is and no other
+    (draws x queries) array is allocated."""
+    out = (observed + np.sqrt(2.0 * nugget) * noise) @ solved
+    return np.subtract(draws, out, out=out)
+
+
 def _pathwise_pairs(search: _SearchPrior, predictor, chosen, solved) -> np.ndarray:
     """Posterior pair differences over the query functionals by Matheron's
-    rule: ``D_q - (D_o + sqrt(2 nugget) eps_o) K^-1 C_oq`` for each pool row.
+    rule (``_matheron``): ``D_q - (D_o + sqrt(2 nugget) eps_o) K^-1 C_oq``
+    for each pool row.
 
     The observations o are the predictor's, in the order of
     ``_observations``: the boundary values, then -Laplacian at the
@@ -294,9 +341,8 @@ def _pathwise_pairs(search: _SearchPrior, predictor, chosen, solved) -> np.ndarr
     n_grid, n_q = search.n_grid, len(search.codes)
     obs = np.concatenate([np.arange(n_q, search.pairs.shape[1]),
                           n_grid + np.asarray(chosen, dtype=np.int64)])
-    observed = (search.pairs[:, obs]
-                + np.sqrt(2.0 * predictor.nugget) * search.noise[:, obs - n_grid])
-    return search.pairs[:, :n_q] - observed @ solved
+    return _matheron(search.pairs[:, :n_q], search.pairs[:, obs],
+                     search.noise[:, obs - n_grid], predictor.nugget, solved)
 
 
 def _candidate_values(problem, search: _SearchPrior, predictor, chosen, free, threads=1):
@@ -383,6 +429,46 @@ def _pinf_values(dx, dg, columns, variances, threads=1):
     return mean_and_stderr(maxes)
 
 
+def _design_pairs(problem: EllipticDesignProblem, predictor, z, z_obs, noise) -> np.ndarray:
+    """Posterior pair differences X - X' on the grid of a fixed design, one
+    row per row of standard normals: z (n, n_grid), z_obs and noise (n,
+    n_obs), for the n_obs observations of ``predictor``.
+
+    The prior pair differences over [grid; observations] are drawn through
+    the lower-triangular factor of 2 P over that joint, whose grid block is
+    the cached F (``_grid_pair_factor``). Its observation rows are L_og^T
+    with L_og = F^-1 2 P_go, one triangular solve, and the n_obs x n_obs
+    Schur complement 2 P_oo - L_og^T L_og is factored by ``eigh`` with its
+    eigenvalues clipped at 0. The draws become posterior ones by
+    ``_matheron`` through the predictor's ``cross_solve`` and nugget, so no
+    matrix larger than n_obs x n_obs is factored here. Without observations
+    the prior pair draws are returned.
+
+    The grid draws z F^T are formed in place, by a triangular multiply into
+    the buffer of a C-contiguous z, which is overwritten and returned; Matheron's
+    rule then rewrites it _DRAW_BLOCK rows at a time. So beyond z the map
+    allocates only (n, n_obs) and (_DRAW_BLOCK, n_grid) arrays.
+    """
+    factor = _grid_pair_factor(problem.eval_grid, problem.lengthscale, problem.amplitude)
+    observed = None
+    if predictor.observations:
+        grid = problem.grid_points
+        cross, solved = predictor.cross_solve(grid, np.full(grid.shape[0], POINT, dtype=np.int64))
+        l_og = scipy.linalg.solve_triangular(factor, 2.0 * cross, lower=True)
+        obs_pts = np.vstack([o.location for o in predictor.observations])
+        obs_codes = np.array([o.code for o in predictor.observations], dtype=np.int64)
+        schur = 2.0 * problem.kernel.cross_cov(obs_pts, obs_codes, obs_pts, obs_codes)
+        w, v = np.linalg.eigh(schur - l_og.T @ l_og)
+        observed = z @ l_og + z_obs @ (v * np.sqrt(np.clip(w, 0.0, None))).T
+    draws = scipy.linalg.blas.dtrmm(1.0, factor.T, z.T, lower=0, trans_a=1, overwrite_b=1).T
+    if observed is not None:
+        for start in range(0, len(draws), _DRAW_BLOCK):
+            rows = slice(start, start + _DRAW_BLOCK)
+            draws[rows] = _matheron(draws[rows], observed[rows], noise[rows],
+                                    predictor.nugget, solved)
+    return draws
+
+
 def design_criterion(problem: EllipticDesignProblem, points,
                      cfg: MonteCarloConfig | None = None):
     """Criterion value (and stderr) of a complete design of interior points.
@@ -391,24 +477,33 @@ def design_criterion(problem: EllipticDesignProblem, points,
     from the posterior variances alone (``ConditionedPredictor.var``); no
     grid x grid block is assembled, and the stderr is 0. p = inf: the mean
     over cfg.n_outer seeded pair differences of the largest absolute grid
-    value, drawn from the full covariance of ``posterior_on_grid``, whose
-    grid prior is assembled once per process.
+    value, sampled pathwise (``_design_pairs``) from the grid
+    pair-difference factor that is computed once per process. Once that
+    factor is cached, no grid x grid block is assembled or factored. The
+    normals come from ``derive_rng(cfg.seed, 10**6)`` in this order: the
+    (n_outer, n_grid) grid normals, then one normal per observation in each
+    draw, then the observation noise, one normal per observation in each
+    draw.
 
-    The p = inf sampler is dense on purpose: it shares no sampling code with
-    the greedy search's pathwise draws, so it is the independent estimator
-    that the benchmark's p = inf check and acceptance criterion 8 score the
-    searched designs with.
+    The dense sampler that this replaced, which factors each grid posterior
+    from ``posterior_on_grid``, shares no sampling code with it or with the
+    greedy search; it is kept in the tests (``dense_design_criterion`` in
+    tests/test_pde.py) as the independent oracle of this estimator.
     """
     cfg = cfg or MonteCarloConfig()
     weights = problem.grid_weights
+    predictor = _predictor(problem, points)
     if problem.p == 2.0:
-        var = _predictor(problem, points).var(problem.grid_points)
+        var = predictor.var(problem.grid_points)
         return 2.0 * float(weights @ var), 0.0
-    cov = posterior_on_grid(problem, points)
+    n_obs = len(predictor.observations)
     rng = derive_rng(cfg.seed, 10**6)
-    factor = _psd_factor(2.0 * cov)
-    z = rng.standard_normal((cfg.n_outer, cov.shape[0])) @ factor.T
-    value, stderr = mean_and_stderr(np.max(np.abs(z), axis=1))
+    z = rng.standard_normal((cfg.n_outer, len(weights)))
+    z_obs = rng.standard_normal((cfg.n_outer, n_obs))
+    noise = rng.standard_normal((cfg.n_outer, n_obs))
+    pairs = _design_pairs(problem, predictor, z, z_obs, noise)
+    np.abs(pairs, out=pairs)
+    value, stderr = mean_and_stderr(pairs.max(axis=1))
     return float(value), float(stderr)
 
 
@@ -440,8 +535,7 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
     the candidates already picked).
     """
     _check_design_size(problem, m)
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    _check_integer("threads", threads, 1)
     C = problem.candidate_grid
     cfg = cfg or MonteCarloConfig()
     cands = problem.candidates

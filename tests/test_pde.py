@@ -8,18 +8,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optinfo import pde
-from optinfo.criteria import MonteCarloConfig, bdt_criterion
+from optinfo.criteria import MonteCarloConfig, bdt_criterion, mean_and_stderr
 from optinfo.decisions import GaussianLinearProblem, WeightedQuadratic
-from optinfo.errors import SingularGram
+from optinfo.errors import FactorizationFailure, SingularGram
 from optinfo.gaussian import GaussianDensity, _psd_factor, derive_rng
 from optinfo.kernels import NEG_LAPLACIAN, POINT, ConditionedPredictor, SquaredExponential
 from optinfo.pde import (
     EllipticDesignProblem,
     _candidate_values,
+    _design_pairs,
+    _grid_pair_factor,
     _grid_prior,
     _joint_cov,
     _pathwise_pairs,
@@ -144,6 +147,24 @@ def record_cross_cov_shapes(monkeypatch):
 DEFAULT_DESIGN = [[0.3, 0.3], [0.5, 0.5], [0.7, 0.3], [0.3, 0.7], [0.7, 0.7]]
 
 
+def dense_design_criterion(problem, points, cfg):
+    """Independent oracle of the p = inf ``design_criterion``: pair
+    differences drawn from ``_psd_factor`` of twice the dense grid posterior
+    ``posterior_on_grid``, factored for every design. It shares no sampling
+    code with the pathwise estimator."""
+    cov = posterior_on_grid(problem, points)
+    rng = derive_rng(cfg.seed, 10**6)
+    factor = _psd_factor(2.0 * cov)
+    z = rng.standard_normal((cfg.n_outer, cov.shape[0])) @ factor.T
+    value, stderr = mean_and_stderr(np.max(np.abs(z), axis=1))
+    return float(value), float(stderr)
+
+
+def criterion8_design(i):
+    """The i-th off-lattice 9-point random design of acceptance criterion 8."""
+    return derive_rng(1000, i).uniform(0.05, 0.95, (9, 2))
+
+
 class TestFixedDesignScoring:
     def test_p2_assembles_no_grid_block(self, monkeypatch):
         problem = EllipticDesignProblem()
@@ -152,14 +173,28 @@ class TestFixedDesignScoring:
         design_criterion(problem, DEFAULT_DESIGN)
         assert shapes and (n_grid, n_grid) not in shapes
 
-    def test_pinf_assembles_grid_prior_once(self, monkeypatch):
+    def test_pinf_assembles_grid_prior_once(self, monkeypatch, cholesky_calls):
+        # Once the grid factor is cached, a p = inf call makes no Cholesky
+        # call, assembles no grid x grid block and factors nothing larger
+        # than the n_obs x n_obs Gram and Schur complement.
         problem = EllipticDesignProblem(p=np.inf)
         n_grid = problem.grid_points.shape[0]
+        n_obs = problem.n_boundary + len(DEFAULT_DESIGN)
         cfg = MonteCarloConfig(seed=1, n_outer=8)
-        design_criterion(problem, DEFAULT_DESIGN, cfg)
-        shapes = record_cross_cov_shapes(monkeypatch)
         design_criterion(problem, DEFAULT_DESIGN[:3], cfg)
+        cholesky_calls.clear()
+        shapes = record_cross_cov_shapes(monkeypatch)
+        factored = []
+        for module, name in [(np.linalg, "eigh"), (scipy.linalg, "cho_factor")]:
+            def recording(mat, *args, _f=getattr(module, name), **kwargs):
+                factored.append(np.shape(mat))
+                return _f(mat, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+        design_criterion(problem, DEFAULT_DESIGN, cfg)
+        assert not cholesky_calls
         assert shapes and (n_grid, n_grid) not in shapes
+        assert factored and max(max(shape) for shape in factored) == n_obs
 
     @PROPERTY
     @given(
@@ -184,14 +219,19 @@ class TestFixedDesignScoring:
         assert got == pytest.approx(want, rel=1e-9) and stderr == 0.0
 
     def test_pinf_cached_prior_cannot_alias(self):
-        # Interleaved grids and lengthscales: with one cache entry, every
-        # call below replaces the entry the previous call left.
+        # Interleaved grids and lengthscales: with one entry in each cache,
+        # the grid prior and the grid pair factor, every call below replaces
+        # the entry the previous call left, and the first problem, repeated
+        # last, finds its own values again.
         problems = [small_problem(p=np.inf), small_problem(p=np.inf, lengthscale=0.5),
                     small_problem(p=np.inf, eval_grid=7), small_problem(p=np.inf)]
         points = [[0.35, 0.4], [0.6, 0.65]]
         cfg = MonteCarloConfig(seed=2, n_outer=32)
         _grid_prior.cache_clear()
+        _grid_pair_factor.cache_clear()
+        values = []
         for problem in problems:
+            key = (problem.eval_grid, problem.lengthscale, problem.amplitude)
             oracle = _predictor(problem, np.array(points)).cov(problem.grid_points)
             cold = posterior_on_grid(problem, points)
             cold_value = design_criterion(problem, points, cfg)
@@ -199,7 +239,19 @@ class TestFixedDesignScoring:
             np.testing.assert_array_equal(cold, oracle)
             np.testing.assert_array_equal(warm, oracle)
             assert design_criterion(problem, points, cfg) == cold_value
+            np.testing.assert_array_equal(_grid_pair_factor(*key),
+                                          _grid_pair_factor.__wrapped__(*key))
+            values.append(cold_value)
+        assert values[-1] == values[0] and len(set(values)) == 3
         assert _grid_prior.cache_info().misses == len(problems)
+        assert _grid_pair_factor.cache_info().misses == len(problems)
+
+    def test_cached_grid_pair_factor_is_read_only(self):
+        problem = small_problem(p=np.inf)
+        design_criterion(problem, [[0.5, 0.5]], MonteCarloConfig(seed=0, n_outer=4))
+        factor = _grid_pair_factor(problem.eval_grid, problem.lengthscale, problem.amplitude)
+        with pytest.raises(ValueError):
+            factor[0, 0] = 0.0
 
     def test_cached_grid_prior_is_read_only(self):
         problem = small_problem()
@@ -394,6 +446,30 @@ class TestGreedy:
         with pytest.raises(ValueError):
             greedy_design(small_problem(), 1, threads=-1)
 
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    @pytest.mark.parametrize("search", [greedy_design, greedy_trace_design])
+    @pytest.mark.parametrize("m", [2.5, True, np.float64(2.0), "2"])
+    def test_non_integer_m_rejected(self, search, p, m, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a candidate was scored before m was checked")
+
+        monkeypatch.setattr(pde, "_candidate_values", never)
+        monkeypatch.setattr(pde, "_joint_cov", never)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            search(small_problem(p=p), m)
+
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    @pytest.mark.parametrize("threads", [1.5, True, np.float64(2.0), "2"])
+    def test_non_integer_threads_rejected(self, p, threads):
+        with pytest.raises(ValueError, match="threads must be an integer"):
+            greedy_design(small_problem(p=p), 1, MonteCarloConfig(n_outer=4), threads=threads)
+
+    def test_numpy_integer_sizes_accepted(self):
+        problem = small_problem(p=np.inf)
+        cfg = MonteCarloConfig(seed=1, n_outer=8)
+        want = greedy_design(problem, 2, cfg, threads=2)[2]
+        assert greedy_design(problem, np.int64(2), cfg, threads=np.int32(2))[2] == want
+
     def test_thread_pool_capped_at_free_candidates(self, monkeypatch):
         problem = small_problem(p=np.inf, candidate_grid=2)
         cfg = MonteCarloConfig(seed=5, n_outer=32)
@@ -559,6 +635,81 @@ class TestPathwiseSampler:
         want, _ = _pinf_values(search.pairs[:, :n_grid], search.pairs[:, cols],
                                search.prior[cols, :n_grid], variances[cols] + jitter)
         np.testing.assert_array_equal(contours[0].ravel(), want)
+
+
+def design_map_variances(problem, points):
+    """Exact diagonal of the covariance of ``_design_pairs`` for a design:
+    the map is linear in its three blocks of standard normals, so each basis
+    block is fed in as draws (the grid block gives the factor's columns)
+    with the other two at zero, and the squared outputs are summed."""
+    predictor = _predictor(problem, points)
+    n_grid, n_obs = problem.grid_points.shape[0], len(predictor.observations)
+    total = np.zeros(n_grid)
+    for k, n in enumerate((n_grid, n_obs, n_obs)):
+        blocks = [np.zeros((n, n_grid)), np.zeros((n, n_obs)), np.zeros((n, n_obs))]
+        blocks[k] = np.eye(n)
+        total += (_design_pairs(problem, predictor, *blocks) ** 2).sum(axis=0)
+    return total
+
+
+class TestPathwiseDesignCriterion:
+    @pytest.mark.parametrize("n_boundary, points", [
+        (12, []), (0, []), (12, [[0.5, 0.5]]), (12, DEFAULT_DESIGN),
+        (12, criterion8_design(0)), (12, criterion8_design(1)),
+    ], ids=["empty", "empty-no-boundary", "one-point", "default", "random-0", "random-1"])
+    @pytest.mark.parametrize("lengthscale", [1.0, 0.3])
+    def test_agrees_with_dense_sampler(self, n_boundary, points, lengthscale):
+        # Two estimators of one value at 4096 pairs. Both read the stream of
+        # derive_rng(seed, 10**6), so their errors are positively
+        # correlated and the independent-error bound below is conservative.
+        problem = small_problem(p=np.inf, n_boundary=n_boundary, lengthscale=lengthscale)
+        cfg = MonteCarloConfig(seed=11, n_outer=4096)
+        value, stderr = design_criterion(problem, points, cfg)
+        dense, dense_se = dense_design_criterion(problem, points, cfg)
+        assert abs(value - dense) <= 4.0 * np.hypot(stderr, dense_se)
+
+    @pytest.mark.parametrize("points", [PREFIX_8, criterion8_design(0)],
+                             ids=["prefix-8", "random-0"])
+    def test_map_covariance_is_twice_the_posterior(self, points):
+        # Deterministic oracle at default sizes: the exact variances of the
+        # pathwise map against twice the dense grid posterior.
+        problem = EllipticDesignProblem(p=np.inf)
+        want = 2.0 * np.diagonal(posterior_on_grid(problem, points))
+        got = design_map_variances(problem, points)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-2
+
+    @pytest.mark.parametrize("lengthscale", [0.3, 0.5])
+    def test_map_covariance_exact_where_grid_leaves_observations_free(self, lengthscale):
+        # At lengthscale 1 the grid values all but fix the observations, so
+        # the Schur complement moves the default-size map by under 1e-3. On
+        # an 8 x 8 grid at lengthscale 0.3 (0.5) leaving it out puts the
+        # variances 21 % (2.1 %) off; with it they agree to 6e-11 (3e-9).
+        problem = small_problem(p=np.inf, lengthscale=lengthscale)
+        points = criterion8_design(0)
+        want = 2.0 * np.diagonal(posterior_on_grid(problem, points))
+        got = design_map_variances(problem, points)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-6
+
+    def test_deterministic_across_reruns_and_cache_states(self):
+        problem = small_problem(p=np.inf)
+        cfg = MonteCarloConfig(seed=5, n_outer=64)
+        _grid_pair_factor.cache_clear()
+        cold = design_criterion(problem, DEFAULT_DESIGN, cfg)
+        warm = design_criterion(problem, DEFAULT_DESIGN, cfg)
+        _grid_pair_factor.cache_clear()
+        assert design_criterion(problem, DEFAULT_DESIGN, cfg) == cold == warm
+
+    def test_grid_prior_without_cholesky_factor_rejected(self, monkeypatch):
+        # The eigenvalue-clip fallback gives a full factor, which the
+        # triangular solve and multiply would misread.
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        _grid_pair_factor.cache_clear()
+        with pytest.raises(FactorizationFailure, match="Cholesky"):
+            design_criterion(small_problem(p=np.inf), DEFAULT_DESIGN,
+                             MonteCarloConfig(seed=0, n_outer=4))
 
 
 class TestEstimatorCrossValidation:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import criteria, discrete, pde, quadrature
+from . import criteria, discrete, gaussian, pde, quadrature
 from .criteria import MonteCarloConfig
 from .errors import InvalidSpec, OptinfoError
 
@@ -69,6 +69,8 @@ def cmd_quadrature(args) -> int:
         if args.n is None:
             raise UsageError("--optimize requires --n")
         design = quadrature.optimize_design(args.n, optimizer="closed-form")
+    elif args.n is not None:
+        raise UsageError("--n requires --optimize")
     else:
         design = quadrature.QuadratureDesign(args.nodes)
     mc = None
@@ -101,9 +103,9 @@ def cmd_pde_design(args) -> int:
         p=p,
     )
     cfg = MonteCarloConfig(seed=args.seed, n_outer=args.samples)
+    state, contours, trace = pde.greedy_design(problem, args.m, cfg, threads=args.threads)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    state, contours, trace = pde.greedy_design(problem, args.m, cfg, threads=args.threads)
     cands = problem.candidates
     label = _p_label(p)
     for k, grid in enumerate(contours, start=1):
@@ -205,12 +207,10 @@ def cmd_regression(args) -> int:
     designs = {cid: _array(A, f"$.candidates.{cid}", (None, d))
                for cid, A in doc["candidates"].items()}
 
-    from .gaussian import GaussianDensity, conjugate_posterior
-
-    prior = GaussianDensity(np.zeros(d), prior_cov)
+    prior = gaussian.GaussianDensity(np.zeros(d), prior_cov)
     values: dict = {w: {} for w in which}
     for cid, A in designs.items():
-        post = conjugate_posterior(prior, A, np.eye(A.shape[0]), np.zeros(A.shape[0]))
+        post = gaussian.conjugate_posterior(prior, A, np.eye(A.shape[0]), np.zeros(A.shape[0]))
         for w in which:
             values[w][cid] = criteria.alphabet(post.cov, lam, w, direction=direction)
     out = {
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed = _default_seed()
 
     q = sub.add_parser("quadrature", help="node-placement case study")
-    q.add_argument("--n", type=int, default=None, help="number of intervals")
+    q.add_argument("--n", type=int, default=None, help="number of intervals (with --optimize)")
     nodes = q.add_mutually_exclusive_group(required=True)
     nodes.add_argument("--nodes", type=float, nargs="+", default=None,
                        help="explicit interior nodes in [0, 1]")

@@ -246,8 +246,7 @@ def posterior_expected_loss(posterior, loss, action, mc_samples: int = 4096, see
 
 def _coordinate_search(objective, box, tol: float) -> np.ndarray:
     """Coordinate-wise bounded scalar minimisation (golden/parabolic) with sweeps."""
-    # Imported here: scipy.optimize costs about 0.3 s to import, and only
-    # this function needs it.
+    # Imported on first use: scipy is slow to import and most runs never need it.
     from scipy.optimize import minimize_scalar
 
     box = [(float(lo), float(hi)) for lo, hi in box]

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, FactorizationFailure, SingularSystem
 
@@ -150,6 +149,9 @@ def _spd_factor(mat: np.ndarray):
     (``_add_jitter``); every solve then goes through
     ``scipy.linalg.cho_solve`` on the returned factor.
     """
+    # Imported on first use: scipy is slow to import and most runs never need it.
+    import scipy.linalg
+
     sym = 0.5 * (mat + mat.T)
     if np.linalg.cond(sym) > MAX_CONDITION:
         raise SingularSystem("system condition number exceeds 1e12; degenerate design")
@@ -169,6 +171,9 @@ def linear_gaussian_update(prior: GaussianDensity, design_matrix, noise_cov):
     max(max|S|, 1)) or when ``_spd_factor`` rejects it as it is, so a
     well-conditioned experiment is conditioned exactly.
     """
+    # Imported on first use: scipy is slow to import and most runs never need it.
+    import scipy.linalg
+
     A = np.atleast_2d(np.asarray(design_matrix, dtype=float))
     S = _as_cov(noise_cov)
     n, d = A.shape

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, SingularGram, UnsupportedFunctional
 from .gaussian import DEFAULT_JITTER_SCALE, _add_jitter, _jitter, _spd_factor
@@ -161,6 +160,9 @@ class SquaredExponential:
 
         diff = pts_a[:, None, :] - pts_b[None, :, :]
         r2 = np.einsum("ijk,ijk->ij", diff, diff)
+        # The (n_a, n_b, d) differences are the largest temporary; free them
+        # before the n_a x n_b ones below are allocated.
+        del diff
         base = self.amplitude * np.exp(-gamma * r2)
 
         s = codes_a[:, None] + codes_b[None, :]
@@ -261,6 +263,9 @@ class ConditionedPredictor:
     """
 
     def __init__(self, kernel, observations):
+        # Imported on first use: scipy is slow to import and most runs never need it.
+        import scipy.linalg
+
         self.kernel = kernel
         self.observations = tuple(observations)
         pts, codes, values = _split_obs(kernel, observations)
@@ -302,6 +307,9 @@ class ConditionedPredictor:
         noise) @ solved`` with noise of variance ``nugget``. Without
         observations both have zero width.
         """
+        # Imported on first use: scipy is slow to import and most runs never need it.
+        import scipy.linalg
+
         pts = self._query(points)
         codes = np.asarray(codes, dtype=np.int64)
         if self._factor is None:

@@ -37,7 +37,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .criteria import MonteCarloConfig, _check_integer, _check_integers, mean_and_stderr
 from .errors import FactorizationFailure
@@ -449,6 +448,9 @@ def _design_pairs(problem: EllipticDesignProblem, predictor, z, z_obs, noise) ->
     rule then rewrites it _DRAW_BLOCK rows at a time. So beyond z the map
     allocates only (n, n_obs) and (_DRAW_BLOCK, n_grid) arrays.
     """
+    # Imported on first use: scipy is slow to import and most runs never need it.
+    import scipy.linalg
+
     factor = _grid_pair_factor(problem.eval_grid, problem.lengthscale, problem.amplitude)
     observed = None
     if predictor.observations:

@@ -53,6 +53,12 @@ class TestQuadratureCommand:
         mc = doc["bpn_monte_carlo"]
         assert abs(mc["estimate"] - doc["bpn"]) <= 3.0 * mc["stderr"]
 
+    def test_n_without_optimize_exits_2(self, capsys):
+        code, out, err = run(["quadrature", "--nodes", "0.3", "--n", "5"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--n requires --optimize" in err
+
     def test_nan_node_exits_2(self, capsys):
         code, out, err = run(["quadrature", "--nodes", "nan", "0.5"], capsys)
         assert code == EXIT_USAGE
@@ -321,6 +327,20 @@ class TestSeedFallback:
         assert "--seed" in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--m", "0"], "m = 0"),
+        (["--m", "99"], "m = 99"),
+        (["--threads", "0"], "threads"),
+    ])
+    def test_rejected_size_writes_nothing(self, tmp_path, capsys, flags, name):
+        outdir = tmp_path / "out"
+        code, _, err = run(["pde-design", "--m", "1", "--eval-grid", "8", "--candidate-grid", "5",
+                            "--n-boundary", "12", "--samples", "32", *flags,
+                            "--outdir", str(outdir)], capsys)
+        assert code == EXIT_USAGE
+        assert name in err
+        assert not outdir.exists()
+
 
 class TestArgparseBehaviour:
     def test_unknown_subcommand_exits_2(self, capsys):
@@ -340,3 +360,39 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def _scipy_after(*argvs):
+    """Exit codes of ``main`` on each argv, run in turn in one fresh
+    process, and the scipy modules loaded after the last of them."""
+    probe = (
+        "import contextlib, io, json, sys, optinfo, optinfo.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [optinfo.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    src = str(Path(optinfo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def test_numpy_only_subcommands_leave_scipy_unloaded():
+    # Each call is a fresh process, and importing scipy.linalg would cost
+    # more than these subcommands run.
+    codes, loaded = _scipy_after(
+        ["--help"],
+        ["discrete", "--counterexample", "0.2", "0.3", "0.5"],
+        ["quadrature", "--n", "4", "--optimize", "--mc", "--n-outer", "200"],
+    )
+    assert codes == [EXIT_OK] * 3
+    assert loaded == []
+
+
+def test_pde_design_loads_scipy_linalg(tmp_path):
+    # Positive control for the probe above: GP conditioning needs scipy.linalg.
+    codes, loaded = _scipy_after(["pde-design", "--eval-grid", "8", "--candidate-grid", "5",
+                                  "--m", "1", "--outdir", str(tmp_path)])
+    assert codes == [EXIT_OK]
+    assert "scipy.linalg" in loaded

@@ -4,8 +4,8 @@ Three kernels are provided: the Wiener kernel min(t, t') on [0, 1], the
 Brownian bridge on an interval with pinned endpoint values, and the
 squared-exponential kernel amp * exp(-||t - t'||^2 / lengthscale^2) in one
 or two dimensions (the only kernel smooth enough to support Laplacian
-observations). Cross-covariance assembly for the SE kernel is vectorised
-numpy.
+observations). The SE kernel assembles covariances in blocks of one
+functional code per side, from r^2 and one multiplier for the code pair.
 
 ``ConditionedPredictor`` is the one conditioning path: it alone knows its
 observations, checks their geometry (``_split_obs``), factors the Gram
@@ -13,8 +13,9 @@ once and assembles every block against its observations. Callers read
 posterior covariances and pathwise draws from the two blocks of
 ``cross_solve``.
 
-Each kernel also has ``diag(pts)``, the prior variance of point values,
-equal bit for bit to the diagonal of ``cross_cov(pts, 0, pts, 0)``.
+Each kernel has ``diag(pts)``, the prior variances of point values (SE:
+``diag(pts, code)``, of either functional), equal bit for bit to the
+diagonal of ``cross_cov``.
 ``ConditionedPredictor.var`` reads only that diagonal and the query-by-
 observation block, so a posterior variance costs O(n_query * n_obs) kernel
 entries and never assembles the n_query x n_query covariance that ``cov``
@@ -149,43 +150,42 @@ class SquaredExponential:
     def cross_cov(self, pts_a, codes_a, pts_b, codes_b):
         """Cross-covariance matrix between two sets of linear functionals.
 
-        pts_* have shape (n, d); codes_* hold POINT or NEG_LAPLACIAN per row.
+        pts_* have shape (n, d); codes_* hold POINT or NEG_LAPLACIAN per row,
+        in any order. Each pair of one-code row and column groups is one
+        ``_from_r2`` block, returned as it is when it fills the matrix.
         """
-        pts_a = np.atleast_2d(np.asarray(pts_a, dtype=float))
-        pts_b = np.atleast_2d(np.asarray(pts_b, dtype=float))
-        codes_a = np.asarray(codes_a, dtype=np.int64)
-        codes_b = np.asarray(codes_b, dtype=np.int64)
-        gamma = self.gamma
-        d = pts_a.shape[1]
+        pts_a, pts_b = (np.atleast_2d(np.asarray(p, dtype=float)) for p in (pts_a, pts_b))
+        codes_a, codes_b = (np.asarray(c, dtype=np.int64) for c in (codes_a, codes_b))
+        groups_a, groups_b = np.unique(codes_a), np.unique(codes_b)
+        one_block = len(groups_a) == len(groups_b) == 1
+        out = None if one_block else np.empty((len(codes_a), len(codes_b)))
+        for code_a in groups_a:
+            rows = np.flatnonzero(codes_a == code_a)
+            for code_b in groups_b:
+                cols = np.flatnonzero(codes_b == code_b)
+                # r^2 coordinate by coordinate: no (n_a, n_b, d) differences.
+                r2 = sum(np.subtract.outer(a, b) ** 2 for a, b in zip(pts_a[rows].T, pts_b[cols].T))
+                block = self._from_r2(r2, code_a + code_b, pts_a.shape[1])
+                if one_block:
+                    return block
+                out[np.ix_(rows, cols)] = block
+        return out
 
-        diff = pts_a[:, None, :] - pts_b[None, :, :]
-        r2 = np.einsum("ijk,ijk->ij", diff, diff)
-        # The (n_a, n_b, d) differences are the largest temporary; free them
-        # before the n_a x n_b ones below are allocated.
-        del diff
-        base = self.amplitude * np.exp(-gamma * r2)
+    def _from_r2(self, r2, s, d):
+        """Covariances at squared distances r2 in d dimensions with -Delta on s of the two sides."""
+        g = self.gamma
+        k = np.exp(-g * r2)
+        k *= self.amplitude
+        if s == 1:  # (2 d g - 4 g^2 r^2) k
+            k *= 2.0 * d * g - 4.0 * g**2 * r2
+        elif s == 2:  # (16 g^4 r^4 - 16 g^3 (d+2) r^2 + 4 g^2 d (d+2)) k
+            k *= 16.0 * g**4 * r2**2 - 16.0 * g**3 * (d + 2) * r2 + 4.0 * g**2 * d * (d + 2)
+        return k
 
-        s = codes_a[:, None] + codes_b[None, :]
-        factor = np.ones_like(base)
-        if np.any(s == 1):
-            # -Delta applied on one side: (2 d gamma - 4 gamma^2 r^2) * k
-            m = s == 1
-            factor[m] = 2.0 * d * gamma - 4.0 * gamma**2 * r2[m]
-        if np.any(s == 2):
-            # -Delta applied on both sides:
-            # (16 g^4 r^4 - 16 g^3 (d+2) r^2 + 4 g^2 d (d+2)) * k
-            m = s == 2
-            rm = r2[m]
-            factor[m] = (
-                16.0 * gamma**4 * rm**2
-                - 16.0 * gamma**3 * (d + 2) * rm
-                + 4.0 * gamma**2 * d * (d + 2)
-            )
-        return factor * base
-
-    def diag(self, pts):
-        """Prior variances of point values: amplitude everywhere."""
-        return np.full(np.atleast_2d(np.asarray(pts, dtype=float)).shape[0], self.amplitude)
+    def diag(self, pts, code=POINT):
+        """Prior variances of one functional at each point: ``cross_cov``'s diagonal."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self._from_r2(np.zeros(pts.shape[0]), 2 * code, pts.shape[1])
 
     def mean(self, pts):
         return np.zeros(np.atleast_2d(np.asarray(pts, dtype=float)).shape[0])

@@ -250,19 +250,20 @@ class _SearchPrior:
     """What a search keeps across its steps, at either p.
 
     ``points`` and ``codes`` are the query functionals [grid values;
-    -Laplacian at each of ``candidates``] and ``prior`` is their prior
-    covariance, assembled once. Both criteria score every step from this
-    block and the step's ``cross_solve``. At p = inf, ``pairs`` holds
-    n_pairs prior pair differences X - X' over [query functionals; boundary
-    values], and ``noise`` holds one standard normal per candidate and
-    boundary observation for each of them, column-aligned with
-    ``pairs[:, n_grid:]``. Both are None at p = 2.
+    -Laplacian at each of ``candidates``]. Of their prior covariance a step
+    reads only the diagonal, kept in ``diag``, and the C-contiguous
+    candidate x grid block, kept in ``cand_grid``; both are assembled once
+    per search. At p = inf, ``pairs`` holds n_pairs prior pair differences
+    X - X' over [query functionals; boundary values], and ``noise`` holds
+    one standard normal per candidate and boundary observation for each of
+    them, column-aligned with ``pairs[:, n_grid:]``. Both are None at p = 2.
     """
 
     candidates: np.ndarray
     points: np.ndarray
     codes: np.ndarray
-    prior: np.ndarray
+    diag: np.ndarray
+    cand_grid: np.ndarray
     pairs: np.ndarray | None = None
     noise: np.ndarray | None = None
 
@@ -273,14 +274,16 @@ class _SearchPrior:
 
 def _search_prior(problem: EllipticDesignProblem, candidates,
                   cfg: MonteCarloConfig) -> _SearchPrior:
-    """Assemble the prior over [grid; -Laplacian at the candidates] once.
+    """Assemble once what every step of a search reads of the prior over
+    [grid; -Laplacian at the candidates]: its diagonal, from the kernel's
+    ``diag``, and its candidate x grid block, one ``cross_cov`` call.
 
-    The prior is assembled block by block, one ``cross_cov`` call per pair
-    of the grid and candidate blocks, so no call holds the temporaries of
-    the whole matrix. At p = inf the boundary block joins them, giving P
-    over [query functionals; boundary values], and 2 P, the prior of a pair
-    difference X - X', is factored once as F F^T up to a relative jitter of
-    1e-12: a Cholesky factor of the unit-diagonal form
+    At p = 2 nothing else is assembled. At p = inf the blocks of P over
+    [grid; candidates; boundary values] fill one buffer: one ``cross_cov``
+    call per block below or on the diagonal, except the kept candidate x
+    grid block, and their transposes above it. 2 P, the prior of a pair
+    difference X - X', is factored in that buffer as F F^T up to a
+    relative jitter of 1e-12: a Cholesky factor of the unit-diagonal form
     (``_unit_diagonal_factor``). An additive jitter scaled by the mean
     diagonal, as in ``_psd_factor``, would give every observed value extra
     variance of the size of the GP nugget, which K^-1 then amplifies. The
@@ -288,23 +291,29 @@ def _search_prior(problem: EllipticDesignProblem, candidates,
     pair differences ``z F^T``, then the observation noise, one standard
     normal per candidate and boundary observation in each row.
     """
+    kernel = problem.kernel
     points, codes = _joint_functionals(problem, candidates)
     blocks = [(problem.grid_points, POINT), (candidates, NEG_LAPLACIAN)]
-    if problem.p != 2.0:
-        blocks.append((problem.boundary, POINT))
+
+    def block(i, j):
+        (pts_a, code_a), (pts_b, code_b) = blocks[i], blocks[j]
+        return kernel.cross_cov(pts_a, np.full(len(pts_a), code_a),
+                                pts_b, np.full(len(pts_b), code_b))
+
+    diag = np.concatenate([kernel.diag(pts, code) for pts, code in blocks])
+    search = _SearchPrior(candidates, points, codes, diag, block(1, 0))
+    if problem.p == 2.0:
+        return search
+    blocks.append((problem.boundary, POINT))
     ends = np.cumsum([len(pts) for pts, _ in blocks])
     cov = np.empty((ends[-1], ends[-1]))
-    for i, (pts_a, code_a) in enumerate(blocks):
-        rows = slice(ends[i] - len(pts_a), ends[i])
-        for j in range(i, len(blocks)):
-            pts_b, code_b = blocks[j]
-            cols = slice(ends[j] - len(pts_b), ends[j])
-            cov[rows, cols] = problem.kernel.cross_cov(
-                pts_a, np.full(len(pts_a), code_a), pts_b, np.full(len(pts_b), code_b))
-            cov[cols, rows] = cov[rows, cols].T
-    if problem.p == 2.0:
-        return _SearchPrior(candidates, points, codes, cov)
-    search = _SearchPrior(candidates, points, codes, cov[:ends[1], :ends[1]].copy())
+    for i in range(len(blocks)):
+        rows = slice(ends[i] - len(blocks[i][0]), ends[i])
+        for j in range(i + 1):
+            cols = slice(ends[j] - len(blocks[j][0]), ends[j])
+            cov[rows, cols] = search.cand_grid if (i, j) == (1, 0) else block(i, j)
+            if j < i:
+                cov[cols, rows] = cov[rows, cols].T
     cov *= 2.0
     factor = _unit_diagonal_factor(cov)
     rng = derive_rng(cfg.seed)
@@ -349,11 +358,12 @@ def _candidate_values(problem, search: _SearchPrior, predictor, chosen, free, th
     ``search.candidates``) added to the predictor's observations, which are
     the boundary and the ``chosen`` candidates.
 
-    Both criteria read the step from the two blocks of
-    ``predictor.cross_solve``: the query variances, the grid x candidate
-    posterior covariance and the candidate variances, which get a scoring
-    jitter of 1e-12 (mean query variance + 1). No query x query posterior
-    covariance is formed. Only the scoring differs:
+    Both criteria read the step from the search's prior diagonal and
+    candidate x grid block and the two blocks of ``predictor.cross_solve``:
+    the query variances, the grid x candidate posterior covariance and the
+    candidate variances, which get a scoring jitter of 1e-12 (mean query
+    variance + 1). No query x query covariance, prior or posterior, is
+    formed. Only the scoring differs:
 
     p = 2: analytic squared-norm pair reduction, 2 * weighted trace of the
     rank-1-updated grid covariance; the stderr is 0.
@@ -365,9 +375,10 @@ def _candidate_values(problem, search: _SearchPrior, predictor, chosen, free, th
     """
     n_grid = search.n_grid
     cross, solved = predictor.cross_solve(search.points, search.codes)
-    var = np.diagonal(search.prior) - np.einsum("ij,ji->i", cross, solved)
-    cols = n_grid + np.asarray(free, dtype=np.int64)
-    columns = search.prior[cols, :n_grid] - solved[:, cols].T @ cross[:n_grid].T
+    var = search.diag - np.einsum("ij,ji->i", cross, solved)
+    free = np.asarray(free, dtype=np.int64)
+    cols = n_grid + free
+    columns = search.cand_grid[free] - solved[:, cols].T @ cross[:n_grid].T
     variances = var[cols] + 1e-12 * (np.mean(var) + 1.0)
     if problem.p == 2.0:
         weights = problem.grid_weights
@@ -514,17 +525,18 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
     """Sequentially add m interior points, each minimising the candidate
     criterion surface.
 
-    The prior covariance over [grid; -Laplacian at every candidate] is
-    assembled once (``_search_prior``). Each step conditions on the
-    boundary plus the chosen points with one ``ConditionedPredictor``, which
-    assembles the block against its own observations, and scores every
-    free candidate, the sorted candidate indices not yet picked, through
-    one body, ``_candidate_values``, from that predictor's ``cross_solve``;
-    the two criteria differ only in the final scoring. At p = inf the
-    prior, with thin boundary blocks, is factored once per search, one pool
-    of pair draws is taken from cfg.seed, and each step maps that pool to
-    posterior pair draws (``_pathwise_pairs``). The draws are therefore
-    deterministic given cfg.seed alone, the same at every step.
+    Of the prior covariance over [grid; -Laplacian at every candidate],
+    ``_search_prior`` assembles the diagonal and the candidate x grid block
+    once; at p = 2 nothing more. Each step conditions on the boundary plus
+    the chosen points with one ``ConditionedPredictor``, which assembles the
+    block against its own observations, and scores every free candidate,
+    the sorted candidate indices not yet picked, through one body,
+    ``_candidate_values``, from that predictor's ``cross_solve``; the two
+    criteria differ only in the final scoring. At p = inf the prior over
+    [grid; candidates; boundary] is assembled and factored once per search,
+    one pool of pair draws is taken from cfg.seed, and each step maps that
+    pool to posterior pair draws (``_pathwise_pairs``). The draws are
+    therefore deterministic given cfg.seed alone, the same at every step.
 
     Each step takes the first minimum of the computed candidate values
     (``np.argmin``); there is no tie tolerance. Candidates that tie in exact

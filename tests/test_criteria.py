@@ -23,7 +23,7 @@ from optinfo.discrete import (
     build_counterexample,
     posterior,
 )
-from optinfo.errors import AllValuesNonFinite, MissingLossTable, NonPSDInput
+from optinfo.errors import AllValuesNonFinite, MissingLossTable, NonPSDInput, SamplerFailure
 from optinfo.gaussian import GaussianDensity, _psd_factor, conjugate_posterior, derive_rng
 
 # Property tests replay the same examples on every run and have no deadline,
@@ -233,6 +233,12 @@ class TestBPNEstimators:
         est, se = bpn_mc(problem, "e2", MonteCarloConfig(seed=0, n_outer=200, n_inner=2))
         assert est == 0.0
         assert se == 0.0
+
+    def test_non_finite_loss_raises(self):
+        problem = build_counterexample(CounterexampleSpec(0.2, 0.3, 0.5))
+        problem.state_loss = np.full((3, 3), np.nan)
+        with pytest.raises(SamplerFailure):
+            bpn_mc(problem, "e2", MonteCarloConfig(seed=0, n_outer=20, n_inner=2))
 
     def test_counterexample_within_three_stderr(self):
         problem = build_counterexample(CounterexampleSpec(0.2, 0.3, 0.5))

@@ -22,7 +22,7 @@ from optinfo.decisions import (
     verify_mean_is_bayes_act,
 )
 from optinfo.discrete import CounterexampleSpec, build_counterexample
-from optinfo.errors import UnboundedObjective
+from optinfo.errors import IntegratorFailure, OptimizerDiverged, UnboundedObjective
 from optinfo.gaussian import GaussianDensity, _psd_factor, derive_rng
 
 
@@ -121,6 +121,15 @@ class TestBayesActs:
 
         with pytest.raises(UnboundedObjective):
             bayes_acts(post, BadLoss(), candidates=[0.0, 1.0])
+
+    def test_ill_conditioned_box_search_diverges(self):
+        # 1000 (d0 - d1)^2 + (d0 + d1)^2: coordinate steps crawl along the
+        # valley d0 = d1, gaining far more than tol per sweep after the 200
+        # sweeps the search allows.
+        post = DiscreteDistribution(atoms=(np.array([1.0, 1.0]),), probs=np.array([1.0]))
+        loss = WeightedQuadratic([[1001.0, -999.0], [-999.0, 1001.0]])
+        with pytest.raises(OptimizerDiverged):
+            bayes_acts(post, loss, box=[(-4, 4), (-4, 4)])
 
     def test_gaussian_expected_quadratic_loss_closed_form(self):
         post = GaussianDensity([1.0, 2.0], [[2.0, 0.3], [0.3, 1.0]])
@@ -260,6 +269,13 @@ class TestBayesRules:
         assert bayes_risk_discrete(problem, "e1", bayes_rule_discrete(problem, "e1")) == 0.0
         assert bayes_risk(problem, "e1", bayes_rule_discrete(problem, "e1"),
                           integrator="monte-carlo", seed=3, n=n) == 0.0
+
+    def test_monte_carlo_integrator_rejects_non_finite_losses(self):
+        problem = build_counterexample(CounterexampleSpec(0.2, 0.3, 0.5))
+        rule = bayes_rule_discrete(problem, "e2")
+        problem.loss = np.full_like(problem.loss, np.nan)
+        with pytest.raises(IntegratorFailure):
+            bayes_risk(problem, "e2", rule, integrator="monte-carlo", seed=0, n=50)
 
     def test_unknown_integrator(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from optinfo import gaussian, kernels
 from optinfo.errors import DimensionMismatch, SingularGram, SingularSystem, UnsupportedFunctional
@@ -201,9 +204,91 @@ class TestSquaredExponentialCalculus:
                     SquaredExponential(**{name: value})
 
 
+def mixed_code_cross_cov(kernel, pts_a, codes_a, pts_b, codes_b):
+    """Independent oracle of ``SquaredExponential.cross_cov``: the earlier
+    one-pass assembly, with an n_a x n_b code sum, a ones factor and one
+    boolean mask per code sum."""
+    pts_a = np.atleast_2d(np.asarray(pts_a, dtype=float))
+    pts_b = np.atleast_2d(np.asarray(pts_b, dtype=float))
+    codes_a = np.asarray(codes_a, dtype=np.int64)
+    codes_b = np.asarray(codes_b, dtype=np.int64)
+    gamma = kernel.gamma
+    d = pts_a.shape[1]
+    diff = pts_a[:, None, :] - pts_b[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", diff, diff)
+    base = kernel.amplitude * np.exp(-gamma * r2)
+    s = codes_a[:, None] + codes_b[None, :]
+    factor = np.ones_like(base)
+    if np.any(s == 1):
+        m = s == 1
+        factor[m] = 2.0 * d * gamma - 4.0 * gamma**2 * r2[m]
+    if np.any(s == 2):
+        m = s == 2
+        rm = r2[m]
+        factor[m] = (
+            16.0 * gamma**4 * rm**2
+            - 16.0 * gamma**3 * (d + 2) * rm
+            + 4.0 * gamma**2 * d * (d + 2)
+        )
+    return factor * base
+
+
+@st.composite
+def functionals(draw, d, max_size=12):
+    """Points in [-1, 2]^d with an unsorted mix of codes; possibly none."""
+    n = draw(st.integers(0, max_size))
+    pts = draw(arrays(float, (n, d), elements=st.floats(-1.0, 2.0)))
+    codes = draw(arrays(np.int64, n, elements=st.sampled_from([POINT, NEG_LAPLACIAN])))
+    return pts, codes
+
+
+@st.composite
+def se_operands(draw):
+    d = draw(st.sampled_from([1, 2]))
+    kernel = SquaredExponential(lengthscale=draw(st.floats(0.1, 3.0)),
+                                amplitude=draw(st.floats(0.1, 3.0)), dim=d)
+    return kernel, draw(functionals(d)), draw(functionals(d))
+
+
+class TestCrossCovBlocks:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(se_operands())
+    def test_equals_mixed_code_oracle(self, operands):
+        kernel, (pts_a, codes_a), (pts_b, codes_b) = operands
+        got = kernel.cross_cov(pts_a, codes_a, pts_b, codes_b)
+        assert got.shape == (len(codes_a), len(codes_b))
+        np.testing.assert_array_equal(
+            got, mixed_code_cross_cov(kernel, pts_a, codes_a, pts_b, codes_b))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_diag_equals_cross_cov_diagonal_per_code(self, d):
+        kernel = SquaredExponential(lengthscale=0.7, amplitude=1.3, dim=d)
+        pts = np.random.default_rng(5).uniform(0, 1, (9, d))
+        for code in (POINT, NEG_LAPLACIAN):
+            codes = np.full(len(pts), code)
+            np.testing.assert_array_equal(kernel.diag(pts, code),
+                                          np.diag(kernel.cross_cov(pts, codes, pts, codes)))
+
+    def test_one_code_per_side_returns_the_block(self, monkeypatch):
+        # A one-code call returns the block it assembled, with no copy into
+        # a second n_a x n_b array.
+        kernel = SquaredExponential(dim=2)
+        made = []
+        from_r2 = SquaredExponential._from_r2
+
+        def recording(self, *args):
+            made.append(from_r2(self, *args))
+            return made[-1]
+
+        monkeypatch.setattr(SquaredExponential, "_from_r2", recording)
+        pts = np.random.default_rng(6).uniform(0, 1, (7, 2))
+        out = kernel.cross_cov(pts, np.full(7, NEG_LAPLACIAN), pts[:4], np.full(4, POINT))
+        assert made[-1] is out
+
+
 class TestCrossCovBatch:
     def test_mixed_codes_match_closed_forms_entrywise(self):
-        # Oracle for the vectorised code masks: every entry of a mixed-code
+        # Oracle for the per-code blocks: every entry of a mixed-code
         # batch equals the scalar closed form for its pair of functionals.
         ls, amp = 0.8, 1.3
         kernel = SquaredExponential(lengthscale=ls, amplitude=amp, dim=2)

@@ -4,6 +4,7 @@ Resolutions are deliberately coarse here; full-resolution behaviour is
 covered by the acceptance suite.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -376,17 +377,40 @@ class TestGreedy:
             np.testing.assert_array_equal(contour.ravel(), surface)
 
     def test_prior_assembled_once(self, monkeypatch):
-        # Each block of the [grid; candidates] prior is assembled once per
-        # search, whatever m is; the steps assemble only blocks against
-        # their observations, whose width grows with the step.
+        # The exact blocks of a search: the prior blocks once, then per step
+        # the Gram and the query x observation block of its predictor. At
+        # p = 2 the one prior block is candidates x grid; at p = inf the
+        # six blocks of [grid; candidates; boundary] at or below the
+        # diagonal fill the buffer that is factored.
         shapes = record_cross_cov_shapes(monkeypatch)
+        m = 3
         for p in (2.0, np.inf):
             problem = small_problem(p=p)
             n_grid, n_cand = problem.grid_points.shape[0], problem.candidates.shape[0]
+            n_bnd = problem.n_boundary
             shapes.clear()
-            greedy_design(problem, 3, MonteCarloConfig(seed=1, n_outer=16))
-            for block in [(n_grid, n_grid), (n_grid, n_cand), (n_cand, n_cand)]:
-                assert shapes.count(block) == 1, (p, block)
+            greedy_design(problem, m, MonteCarloConfig(seed=1, n_outer=16))
+            prior = [(n_cand, n_grid)]
+            if p == np.inf:
+                prior += [(n_grid, n_grid), (n_cand, n_cand),
+                          (n_bnd, n_grid), (n_bnd, n_cand), (n_bnd, n_bnd)]
+            steps = [shape for k in range(m)
+                     for shape in [(n_bnd + k, n_bnd + k), (n_grid + n_cand, n_bnd + k)]]
+            assert sorted(shapes) == sorted(prior + steps), p
+
+    def test_p2_search_memory_peak(self):
+        # A p = 2 search keeps the prior diagonal and the 5 MB candidate x
+        # grid block, not the 21.75 MB prior over [grid; candidates]. numpy
+        # reports its buffers to tracemalloc: the peak of this m = 9 search
+        # read 19.6 MiB, against 60.8 MiB when the whole prior was kept.
+        problem = EllipticDesignProblem()
+        tracemalloc.start()
+        try:
+            greedy_design(problem, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     @pytest.mark.parametrize("p", [2.0, np.inf])
     def test_no_cov_functionals_call_during_search(self, p, monkeypatch):
@@ -579,13 +603,15 @@ class TestPathwiseSampler:
         monkeypatch.setattr(pde, "_unit_diagonal_factor", capturing)
         search = _search_prior(problem, cands, MonteCarloConfig(n_outer=1))
         (factor,) = factors
-        # The blockwise prior is the one-call assembly, bit for bit.
-        np.testing.assert_array_equal(
-            search.prior,
-            problem.kernel.cross_cov(search.points, search.codes, search.points, search.codes))
+        # What the search keeps of the prior is the one-call assembly over
+        # the joint, bit for bit.
+        joint = problem.kernel.cross_cov(search.points, search.codes,
+                                         search.points, search.codes)
+        np.testing.assert_array_equal(search.diag, np.diagonal(joint))
+        np.testing.assert_array_equal(search.cand_grid, joint[search.n_grid:, :search.n_grid])
+        assert search.cand_grid.flags.c_contiguous
         predictor = _predictor(problem, cands[chosen])
-        want = 2.0 * np.diagonal(
-            predictor.cov_functionals(search.points, search.codes, search.prior))
+        want = 2.0 * np.diagonal(predictor.cov_functionals(search.points, search.codes, joint))
         got = pathwise_variances(search, predictor, chosen, factor)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-2
 
@@ -628,12 +654,14 @@ class TestPathwiseSampler:
         assert len(state.points) == 3 and np.all(np.isfinite(trace))
         search = _search_prior(problem, problem.candidates, cfg)
         n_grid = search.n_grid
-        assert search.pairs.shape[1] == search.prior.shape[0]
+        assert search.pairs.shape[1] == len(search.codes)
         cols = n_grid + np.arange(len(problem.candidates))
-        variances = np.diagonal(search.prior)
+        joint = problem.kernel.cross_cov(search.points, search.codes,
+                                         search.points, search.codes)
+        variances = np.diagonal(joint)
         jitter = 1e-12 * (np.mean(variances) + 1.0)
         want, _ = _pinf_values(search.pairs[:, :n_grid], search.pairs[:, cols],
-                               search.prior[cols, :n_grid], variances[cols] + jitter)
+                               joint[cols, :n_grid], variances[cols] + jitter)
         np.testing.assert_array_equal(contours[0].ravel(), want)
 
 

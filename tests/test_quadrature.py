@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from optinfo.criteria import MonteCarloConfig
-from optinfo.errors import LengthMismatch
+from optinfo.errors import LengthMismatch, OptimizerDiverged
 from optinfo.quadrature import (
     QuadratureDesign,
     bdt_closed_form,
@@ -128,6 +128,12 @@ class TestOptimizeDesign:
         for seed in range(10):
             design = optimize_design(3, optimizer="coordinate-descent", seed=seed)
             assert design.interior == pytest.approx([1 / 3, 2 / 3], abs=1e-3)
+
+    def test_sweep_budget_exhausted_raises(self):
+        # One sweep moves each node to its neighbours' midpoint once, far
+        # more than tol from a random start.
+        with pytest.raises(OptimizerDiverged):
+            optimize_design(4, optimizer="coordinate-descent", seed=0, max_sweeps=1)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -38,16 +38,14 @@ from .discrete import (
 )
 from .gaussian import GaussianDensity, conjugate_posterior, derive_rng, sample_gaussian
 from .kernels import (
-    BACKEND,
     BrownianBridge,
     NegativeLaplacianEvaluation,
     PointEvaluation,
     SquaredExponential,
     Wiener,
     gp_condition,
-    se_functional_covariances,
 )
-from .pde import DesignState, EllipticDesignProblem, greedy_design, posterior_on_grid
+from .pde import DesignState, EllipticDesignProblem, greedy_design
 from .quadrature import (
     QuadratureDesign,
     QuadraturePosterior,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularGram, UnsupportedFunctional
+from .errors import SingularGram, UnsupportedFunctional
 from .gaussian import DEFAULT_JITTER_SCALE, _add_jitter, _jitter, _spd_factor
 
 # Name of the SE assembly implementation; recorded in benchmark environments.
@@ -191,27 +191,6 @@ class SquaredExponential:
         return np.zeros(np.atleast_2d(np.asarray(pts, dtype=float)).shape[0])
 
 
-def se_functional_covariances(lengthscale: float, t, t_prime):
-    """Evaluate (k, Delta_t k, Delta_t Delta_t' k) for the SE kernel at (t, t').
-
-    Closed forms for k = exp(-gamma r^2), gamma = 1/lengthscale^2, r = ||t - t'||,
-    in d = len(t) dimensions:
-        Delta_t k           = (4 g^2 r^2 - 2 d g) k
-        Delta_t Delta_t' k  = (16 g^4 r^4 - 16 g^3 (d+2) r^2 + 4 g^2 d (d+2)) k
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    t_prime = np.atleast_1d(np.asarray(t_prime, dtype=float))
-    d = t.shape[0]
-    g = 1.0 / lengthscale**2
-    r2 = float(np.sum((t - t_prime) ** 2))
-    k = np.exp(-g * r2)
-    lap = (4.0 * g**2 * r2 - 2.0 * d * g) * k
-    double_lap = (
-        16.0 * g**4 * r2**2 - 16.0 * g**3 * (d + 2) * r2 + 4.0 * g**2 * d * (d + 2)
-    ) * k
-    return k, lap, double_lap
-
-
 def _split_obs(kernel, observations):
     """Locations, codes and values of the observations, and the one check of
     their geometry: a non-finite location raises ValueError, and two
@@ -328,21 +307,14 @@ class ConditionedPredictor:
         pts = self._query(points)
         return self.cov_functionals(pts, np.zeros(pts.shape[0], dtype=np.int64))
 
-    def cov_functionals(self, points, codes, prior=None) -> np.ndarray:
+    def cov_functionals(self, points, codes) -> np.ndarray:
         """Posterior covariance ``prior - cross K^-1 cross^T``, symmetrised,
         between linear functionals (points with per-point functional codes).
-
-        ``prior`` is the prior covariance among these functionals. A caller
-        that keeps it across several conditionings passes it; otherwise it
-        is assembled here. A prior that is not n x n raises
-        DimensionMismatch. The cross block is always assembled here.
+        The prior and cross blocks are both assembled here.
         """
         pts = self._query(points)
         codes = np.asarray(codes, dtype=np.int64)
-        if prior is None:
-            prior = self.kernel.cross_cov(pts, codes, pts, codes)
-        elif np.shape(prior) != (len(codes), len(codes)):
-            raise DimensionMismatch(f"prior is {np.shape(prior)} for {len(codes)} functionals")
+        prior = self.kernel.cross_cov(pts, codes, pts, codes)
         if self._factor is None:
             return 0.5 * (prior + prior.T)
         # The two blocks are freed before the n x n temporaries below.

@@ -26,8 +26,11 @@ to posterior pair differences with one small solve against the step's
 Gram, so no step factors a posterior covariance, and the draws depend on
 cfg.seed alone, not on the step. ``design_criterion`` samples a fixed
 design pathwise too, from a factor of the grid pair-difference prior that
-is computed once per process; the dense sampler of the grid posterior that
-it replaced is kept in the tests as the independent oracle.
+is computed once per process.
+
+The dense references that check these paths, the full-reconditioning
+greedy trace search, the dense joint posterior over [grid; candidates] and
+the dense sampler of the grid posterior, live in tests/reference_impls.py.
 """
 
 from __future__ import annotations
@@ -165,42 +168,12 @@ def _predictor(problem: EllipticDesignProblem, points):
 
 
 @functools.lru_cache(maxsize=1)
-def _grid_prior(eval_grid: int, lengthscale: float, amplitude: float) -> np.ndarray:
-    """Read-only prior covariance over the evaluation grid; it depends on
-    nothing else, so fixed designs on one grid share one assembly."""
-    problem = EllipticDesignProblem(eval_grid=eval_grid, lengthscale=lengthscale,
-                                    amplitude=amplitude)
-    grid = problem.grid_points
-    codes = np.full(grid.shape[0], POINT, dtype=np.int64)
-    prior = problem.kernel.cross_cov(grid, codes, grid, codes)
-    prior.setflags(write=False)
-    return prior
-
-
-def posterior_on_grid(problem: EllipticDesignProblem, points) -> np.ndarray:
-    """Posterior covariance of the solution restricted to the evaluation grid.
-
-    The grid x grid prior block comes from a cache of one entry per process,
-    keyed by (eval_grid, lengthscale, amplitude) and read-only (8 MB at the
-    default 32 x 32 grid) and is passed to ``cov_functionals``, which
-    assembles only the grid x observation block. The result equals
-    ``_predictor(problem, points).cov(problem.grid_points)`` bit for bit and
-    is a fresh writable array.
-    """
-    grid = problem.grid_points
-    prior = _grid_prior(problem.eval_grid, problem.lengthscale, problem.amplitude)
-    return _predictor(problem, points).cov_functionals(
-        grid, np.full(grid.shape[0], POINT, dtype=np.int64), prior
-    )
-
-
-@functools.lru_cache(maxsize=1)
 def _grid_pair_factor(eval_grid: int, lengthscale: float, amplitude: float) -> np.ndarray:
     """Read-only lower-triangular F with F F^T = 2 P_gg + 1e-12 diag(2 P_gg),
     where P_gg is the prior covariance over the evaluation grid: the factor
     of the grid pair-difference prior, by ``_unit_diagonal_factor`` as in
-    the search. One entry per process, keyed like ``_grid_prior``; the prior
-    is assembled here, so no ``_grid_prior`` entry is kept beside it.
+    the search. One entry per process, keyed by (eval_grid, lengthscale,
+    amplitude); the grid prior is assembled here and not kept.
 
     ``_design_pairs`` needs F triangular, so the eigenvalue-clip fallback of
     ``_unit_diagonal_factor`` raises FactorizationFailure here. The
@@ -229,11 +202,6 @@ def _joint_functionals(problem: EllipticDesignProblem, extra_points):
          np.full(extra.shape[0], NEG_LAPLACIAN, dtype=np.int64)]
     )
     return np.vstack([grid, extra]), codes
-
-
-def _joint_cov(problem: EllipticDesignProblem, chosen, extra_points):
-    """Posterior covariance over [grid values; -Laplacian at extra points]."""
-    return _predictor(problem, chosen).cov_functionals(*_joint_functionals(problem, extra_points))
 
 
 def _check_design_size(problem: EllipticDesignProblem, m: int):
@@ -499,9 +467,10 @@ def design_criterion(problem: EllipticDesignProblem, points,
     draw.
 
     The dense sampler that this replaced, which factors each grid posterior
-    from ``posterior_on_grid``, shares no sampling code with it or with the
-    greedy search; it is kept in the tests (``dense_design_criterion`` in
-    tests/test_pde.py) as the independent oracle of this estimator.
+    ``_predictor(problem, points).cov(problem.grid_points)``, shares no
+    sampling code with it or with the greedy search; it is kept in the
+    tests (``dense_design_criterion`` in tests/reference_impls.py) as the
+    independent oracle of this estimator.
     """
     cfg = cfg or MonteCarloConfig()
     weights = problem.grid_weights
@@ -569,29 +538,3 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
         picked.append(int(free[best]))
         trace.append(float(values[best]))
     return DesignState(points=list(cands[picked])), contours, trace
-
-
-def greedy_trace_design(problem: EllipticDesignProblem, m: int) -> list:
-    """A-optimal (weighted-trace) greedy sequence, computed independently of
-    the criterion surface via rank-1 posterior updates.
-
-    This is the full-reconditioning oracle for ``greedy_design``: every step
-    reassembles and reconditions the joint covariance through ``_joint_cov``.
-    """
-    _check_design_size(problem, m)
-    cands = problem.candidates
-    n_grid = problem.grid_points.shape[0]
-    weights = problem.grid_weights
-    picked: list = []
-    for _ in range(m):
-        joint = _joint_cov(problem, cands[picked], cands)
-        diag = np.diag(joint)[:n_grid]
-        jitter = 1e-12 * (np.trace(joint) / joint.shape[0] + 1.0)
-        free = np.setdiff1d(np.arange(len(cands)), picked)
-        traces = np.array([
-            float(weights @ (diag - joint[:n_grid, n_grid + c] ** 2
-                             / (joint[n_grid + c, n_grid + c] + jitter)))
-            for c in free
-        ])
-        picked.append(int(free[int(np.argmin(traces))]))
-    return list(cands[picked])

@@ -11,6 +11,7 @@ import json
 import numpy as np
 
 from conftest import record_acceptance
+from reference_impls import greedy_trace_design, joint_cov, se_functional_covariances
 
 from optinfo.cli import main as cli_main
 from optinfo.criteria import (
@@ -33,15 +34,7 @@ from optinfo.discrete import (
     criteria_report,
 )
 from optinfo.gaussian import GaussianDensity, derive_rng
-from optinfo.kernels import se_functional_covariances
-from optinfo.pde import (
-    EllipticDesignProblem,
-    _joint_cov,
-    design_criterion,
-    greedy_design,
-    greedy_trace_design,
-    posterior_on_grid,
-)
+from optinfo.pde import EllipticDesignProblem, _predictor, design_criterion, greedy_design
 from optinfo.quadrature import (
     QuadratureDesign,
     bdt_closed_form,
@@ -215,7 +208,7 @@ def test_criterion_08_pde_design_properties():
     p2 = EllipticDesignProblem(p=2.0)
     state2, _, _ = greedy_design(p2, 9, cfg)
 
-    traces = [np.trace(posterior_on_grid(p2, state2.points[:k])) for k in range(10)]
+    traces = [np.trace(_predictor(p2, state2.points[:k]).cov(p2.grid_points)) for k in range(10)]
     monotone = all(traces[k + 1] < traces[k] - 1e-9 for k in range(9))
 
     reference = greedy_trace_design(p2, 9)
@@ -288,7 +281,7 @@ def test_criterion_09_estimator_cross_validation():
     points = np.array([[0.35, 0.35], [0.65, 0.65]])
     est, se = design_criterion(problem, points, MonteCarloConfig(seed=0, n_outer=4000))
     n_grid = problem.grid_points.shape[0]
-    joint = _joint_cov(problem, [], points)
+    joint = joint_cov(problem, [], points)
     gram = joint[n_grid:, n_grid:] + 1e-10 * np.eye(2)
     cross = joint[:n_grid, n_grid:]
     gain = cross @ np.linalg.inv(gram)

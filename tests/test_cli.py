@@ -351,6 +351,22 @@ class TestArgparseBehaviour:
         assert main(["--help"]) == EXIT_OK
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["regression", "--config", "{dir}"],
+        ["discrete", "--problem", "{dir}"],
+        ["quadrature", "--optimize", "--n", "2", "--output", "{dir}"],
+        TestPdeDesignCommand.BASE + ["--outdir", "{file}"],
+    ], ids=["regression-config-dir", "discrete-problem-dir", "quadrature-output-dir",
+            "pde-design-outdir-file"])
+    def test_os_error_exits_2(self, tmp_path, capsys, argv):
+        # A directory where a file is read or written, or a file where the
+        # output directory goes, is bad input: exit 2 with one error line.
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code, _, err = run([a.format(dir=tmp_path, file=afile) for a in argv], capsys)
+        assert code == EXIT_USAGE
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs about 0.3 s to import, and no subcommand needs it.

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from optinfo import gaussian, kernels
-from optinfo.errors import DimensionMismatch, SingularGram, SingularSystem, UnsupportedFunctional
+from optinfo.errors import SingularGram, SingularSystem, UnsupportedFunctional
 from optinfo.kernels import (
     NEG_LAPLACIAN,
     POINT,
@@ -17,8 +17,8 @@ from optinfo.kernels import (
     SquaredExponential,
     Wiener,
     gp_condition,
-    se_functional_covariances,
 )
+from reference_impls import se_functional_covariances
 
 
 def fd_laplacian(f, t, h=1e-4):
@@ -372,18 +372,6 @@ class TestNugget:
         assert gp_condition(kernel, []).nugget == 0.0
 
 
-class TestCovFunctionalsPrior:
-    @pytest.mark.parametrize("observed", [True, False])
-    def test_passed_prior_equals_assembled_prior(self, observed):
-        kernel, obs = mixed_predictor()
-        pred = gp_condition(kernel, obs if observed else [])
-        query = np.array([[0.2, 0.2], [0.5, 0.5], [0.8, 0.3], [0.4, 0.7]])
-        codes = np.array([POINT, NEG_LAPLACIAN, POINT, NEG_LAPLACIAN])
-        prior = kernel.cross_cov(query, codes, query, codes)
-        np.testing.assert_array_equal(pred.cov_functionals(query, codes, prior),
-                                      pred.cov_functionals(query, codes))
-
-
 class TestConditioningProperties:
     def test_monotone_variance_reduction_nested_sets(self):
         rng = np.random.default_rng(4)
@@ -441,6 +429,7 @@ class TestPosteriorVariance:
          + [NegativeLaplacianEvaluation([0.3, 0.6], 1.0),
             NegativeLaplacianEvaluation([0.7, 0.4], -1.0)],
          np.random.default_rng(3).uniform(0, 1, (20, 2))),
+        (*mixed_predictor(), np.array([[0.2, 0.2], [0.5, 0.5], [0.8, 0.3], [0.4, 0.7]])),
     ])
     @pytest.mark.parametrize("observed", [True, False])
     def test_var_equals_cov_diagonal(self, kernel, obs, query, observed):
@@ -449,10 +438,3 @@ class TestPosteriorVariance:
         np.testing.assert_allclose(pred.var(query), want, rtol=1e-12, atol=1e-13)
         if not observed:
             np.testing.assert_array_equal(pred.var(query), want)
-
-    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (3, 3)])
-    def test_wrong_prior_shape_rejected(self, shape):
-        kernel, obs = mixed_predictor()
-        query = np.array([[0.2, 0.2], [0.5, 0.5], [0.8, 0.3], [0.4, 0.7]])
-        with pytest.raises(DimensionMismatch):
-            gp_condition(kernel, obs).cov_functionals(query, [POINT] * 4, np.zeros(shape))

@@ -13,8 +13,9 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_impls
 from optinfo import pde
-from optinfo.criteria import MonteCarloConfig, bdt_criterion, mean_and_stderr
+from optinfo.criteria import MonteCarloConfig, bdt_criterion
 from optinfo.decisions import GaussianLinearProblem, WeightedQuadratic
 from optinfo.errors import FactorizationFailure, SingularGram
 from optinfo.gaussian import GaussianDensity, _psd_factor, derive_rng
@@ -24,8 +25,6 @@ from optinfo.pde import (
     _candidate_values,
     _design_pairs,
     _grid_pair_factor,
-    _grid_prior,
-    _joint_cov,
     _pathwise_pairs,
     _pinf_values,
     _predictor,
@@ -33,9 +32,8 @@ from optinfo.pde import (
     boundary_points,
     design_criterion,
     greedy_design,
-    greedy_trace_design,
-    posterior_on_grid,
 )
+from reference_impls import dense_design_criterion, greedy_trace_design, joint_cov
 
 
 # Property tests replay the same examples on every run and have no deadline,
@@ -87,7 +85,7 @@ class TestGeometry:
 class TestPosteriorOnGrid:
     def test_no_observations_returns_prior_gram(self):
         problem = small_problem(n_boundary=0)
-        cov = posterior_on_grid(problem, [])
+        cov = _predictor(problem, []).cov(problem.grid_points)
         grid = problem.grid_points
         codes = np.zeros(grid.shape[0], dtype=np.int64)
         prior = problem.kernel.cross_cov(grid, codes, grid, codes)
@@ -96,14 +94,15 @@ class TestPosteriorOnGrid:
     def test_duplicate_point_rejected_with_pair(self):
         problem = small_problem()
         with pytest.raises(SingularGram) as err:
-            posterior_on_grid(problem, [[0.5, 0.5], [0.5, 0.5]])
+            _predictor(problem, [[0.5, 0.5], [0.5, 0.5]])
         assert "0.5" in str(err.value)
 
     @pytest.mark.parametrize("points", [[0.5, 0.5], [[0.5, 0.5]], np.array([[0.5, 0.5]])])
     def test_one_point_accepted_flat_or_as_row(self, points):
         problem = small_problem()
-        np.testing.assert_array_equal(posterior_on_grid(problem, points),
-                                      posterior_on_grid(problem, np.array([[0.5, 0.5]])))
+        grid = problem.grid_points
+        np.testing.assert_array_equal(_predictor(problem, points).cov(grid),
+                                      _predictor(problem, np.array([[0.5, 0.5]])).cov(grid))
 
     @pytest.mark.parametrize("points", [[0.5], [[0.5, 0.5, 0.5]], np.zeros((1, 2, 2)), 0.5])
     def test_bad_point_shape_names_k_by_2(self, points):
@@ -120,13 +119,13 @@ class TestPosteriorOnGrid:
 
     def test_one_interior_point_reduces_trace(self):
         problem = small_problem()
-        base = np.trace(posterior_on_grid(problem, []))
-        conditioned = np.trace(posterior_on_grid(problem, [[0.5, 0.5]]))
+        base = np.trace(_predictor(problem, []).cov(problem.grid_points))
+        conditioned = np.trace(_predictor(problem, [[0.5, 0.5]]).cov(problem.grid_points))
         assert conditioned < base - 1e-9
 
     def test_symmetric_psd(self):
         problem = small_problem()
-        cov = posterior_on_grid(problem, [[0.3, 0.7]])
+        cov = _predictor(problem, [[0.3, 0.7]]).cov(problem.grid_points)
         assert cov == pytest.approx(cov.T, abs=1e-12)
         assert np.linalg.eigvalsh(cov)[0] >= -1e-8
 
@@ -146,19 +145,6 @@ def record_cross_cov_shapes(monkeypatch):
 
 
 DEFAULT_DESIGN = [[0.3, 0.3], [0.5, 0.5], [0.7, 0.3], [0.3, 0.7], [0.7, 0.7]]
-
-
-def dense_design_criterion(problem, points, cfg):
-    """Independent oracle of the p = inf ``design_criterion``: pair
-    differences drawn from ``_psd_factor`` of twice the dense grid posterior
-    ``posterior_on_grid``, factored for every design. It shares no sampling
-    code with the pathwise estimator."""
-    cov = posterior_on_grid(problem, points)
-    rng = derive_rng(cfg.seed, 10**6)
-    factor = _psd_factor(2.0 * cov)
-    z = rng.standard_normal((cfg.n_outer, cov.shape[0])) @ factor.T
-    value, stderr = mean_and_stderr(np.max(np.abs(z), axis=1))
-    return float(value), float(stderr)
 
 
 def criterion8_design(i):
@@ -214,37 +200,30 @@ class TestFixedDesignScoring:
         problem = small_problem(eval_grid=eval_grid, n_boundary=n_boundary,
                                 lengthscale=lengthscale, amplitude=amplitude)
         points = problem.candidates[idx]
-        cov = posterior_on_grid(problem, points)
+        cov = _predictor(problem, points).cov(problem.grid_points)
         want = 2.0 * float(problem.grid_weights @ np.diag(cov))
         got, stderr = design_criterion(problem, points)
         assert got == pytest.approx(want, rel=1e-9) and stderr == 0.0
 
     def test_pinf_cached_prior_cannot_alias(self):
-        # Interleaved grids and lengthscales: with one entry in each cache,
-        # the grid prior and the grid pair factor, every call below replaces
-        # the entry the previous call left, and the first problem, repeated
-        # last, finds its own values again.
+        # Interleaved grids and lengthscales: with one entry in the grid pair
+        # factor cache, every call below replaces the entry the previous call
+        # left, and the first problem, repeated last, finds its own values
+        # again.
         problems = [small_problem(p=np.inf), small_problem(p=np.inf, lengthscale=0.5),
                     small_problem(p=np.inf, eval_grid=7), small_problem(p=np.inf)]
         points = [[0.35, 0.4], [0.6, 0.65]]
         cfg = MonteCarloConfig(seed=2, n_outer=32)
-        _grid_prior.cache_clear()
         _grid_pair_factor.cache_clear()
         values = []
         for problem in problems:
             key = (problem.eval_grid, problem.lengthscale, problem.amplitude)
-            oracle = _predictor(problem, np.array(points)).cov(problem.grid_points)
-            cold = posterior_on_grid(problem, points)
             cold_value = design_criterion(problem, points, cfg)
-            warm = posterior_on_grid(problem, points)
-            np.testing.assert_array_equal(cold, oracle)
-            np.testing.assert_array_equal(warm, oracle)
             assert design_criterion(problem, points, cfg) == cold_value
             np.testing.assert_array_equal(_grid_pair_factor(*key),
                                           _grid_pair_factor.__wrapped__(*key))
             values.append(cold_value)
         assert values[-1] == values[0] and len(set(values)) == 3
-        assert _grid_prior.cache_info().misses == len(problems)
         assert _grid_pair_factor.cache_info().misses == len(problems)
 
     def test_cached_grid_pair_factor_is_read_only(self):
@@ -253,15 +232,6 @@ class TestFixedDesignScoring:
         factor = _grid_pair_factor(problem.eval_grid, problem.lengthscale, problem.amplitude)
         with pytest.raises(ValueError):
             factor[0, 0] = 0.0
-
-    def test_cached_grid_prior_is_read_only(self):
-        problem = small_problem()
-        cov = posterior_on_grid(problem, [[0.5, 0.5]])
-        prior = _grid_prior(problem.eval_grid, problem.lengthscale, problem.amplitude)
-        with pytest.raises(ValueError):
-            prior[0, 0] = 0.0
-        cov[0, 0] = -1.0  # the result is a fresh array, not the cached block
-        assert posterior_on_grid(problem, [[0.5, 0.5]])[0, 0] > 0.0
 
 
 def step_value(problem, chosen, candidate, cfg=None):
@@ -282,7 +252,7 @@ class TestCriterionSurface:
         problem = small_problem()
         chosen, candidate = np.array([0.3, 0.3]), np.array([0.7, 0.7])
         via_surface = step_value(problem, [chosen], candidate)
-        cov = posterior_on_grid(problem, [chosen, candidate])
+        cov = _predictor(problem, [chosen, candidate]).cov(problem.grid_points)
         direct = 2.0 * float(problem.grid_weights @ np.diag(cov))
         # The two routes stabilise different Gram matrices, so agreement is
         # limited by the jitter scale rather than machine precision.
@@ -329,7 +299,8 @@ class TestGreedy:
         traces = []
         state, _, _ = greedy_design(problem, 3)
         for k in range(4):
-            traces.append(np.trace(posterior_on_grid(problem, state.points[:k])))
+            cov = _predictor(problem, state.points[:k]).cov(problem.grid_points)
+            traces.append(np.trace(cov))
         assert all(traces[i + 1] < traces[i] - 1e-9 for i in range(3))
 
     def test_p2_greedy_equals_trace_greedy(self):
@@ -424,7 +395,7 @@ class TestGreedy:
     @pytest.mark.parametrize("n_boundary", [12, 0])
     def test_p2_contours_match_joint_posterior(self, n_boundary):
         # Oracle: at every step, the rank-1 update of the dense joint
-        # posterior over [grid; candidates] from _joint_cov, with the scoring
+        # posterior over [grid; candidates] from joint_cov, with the scoring
         # jitter of that joint (measured worst cell 1.7e-13 relative, 4.4e-16
         # without boundary).
         problem = small_problem(n_boundary=n_boundary)
@@ -432,7 +403,7 @@ class TestGreedy:
         cands, weights = problem.candidates, problem.grid_weights
         n_grid = problem.grid_points.shape[0]
         for step, contour in enumerate(contours):
-            joint = _joint_cov(problem, state.points[:step], cands)
+            joint = joint_cov(problem, state.points[:step], cands)
             diag = np.diag(joint)[:n_grid]
             jitter = 1e-12 * (np.trace(joint) / joint.shape[0] + 1.0)
             free = np.flatnonzero(np.isfinite(contour.ravel()))
@@ -448,7 +419,7 @@ class TestGreedy:
             raise AssertionError("a candidate was scored before m was checked")
 
         monkeypatch.setattr(pde, "_candidate_values", never)
-        monkeypatch.setattr(pde, "_joint_cov", never)
+        monkeypatch.setattr(reference_impls, "joint_cov", never)
         with pytest.raises(ValueError, match="candidate_grid"):
             search(small_problem(candidate_grid=2), 5)
 
@@ -478,7 +449,7 @@ class TestGreedy:
             raise AssertionError("a candidate was scored before m was checked")
 
         monkeypatch.setattr(pde, "_candidate_values", never)
-        monkeypatch.setattr(pde, "_joint_cov", never)
+        monkeypatch.setattr(reference_impls, "joint_cov", never)
         with pytest.raises(ValueError, match="m must be an integer"):
             search(small_problem(p=p), m)
 
@@ -553,7 +524,7 @@ class TestBlockedPinfKernel:
         problem = small_problem(p=np.inf, eval_grid=7, candidate_grid=6)
         cands = problem.candidates
         n_grid = problem.grid_points.shape[0]
-        joint = _joint_cov(problem, [cands[13]], cands)
+        joint = joint_cov(problem, [cands[13]], cands)
         cand_idx = np.array([c for c in range(len(cands)) if c % 3 != 2 and c != 13])
         assert len(cand_idx) == 23
         cfg = MonteCarloConfig(seed=6, n_outer=n_outer)
@@ -611,7 +582,7 @@ class TestPathwiseSampler:
         np.testing.assert_array_equal(search.cand_grid, joint[search.n_grid:, :search.n_grid])
         assert search.cand_grid.flags.c_contiguous
         predictor = _predictor(problem, cands[chosen])
-        want = 2.0 * np.diagonal(predictor.cov_functionals(search.points, search.codes, joint))
+        want = 2.0 * np.diagonal(predictor.cov_functionals(search.points, search.codes))
         got = pathwise_variances(search, predictor, chosen, factor)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-2
 
@@ -633,7 +604,7 @@ class TestPathwiseSampler:
         cfg = MonteCarloConfig(seed=8, n_outer=4096)
         values, stderrs = _candidate_values(problem, _search_prior(problem, cands, cfg),
                                             _predictor(problem, cands[chosen]), chosen, free)
-        joint = _joint_cov(problem, cands[chosen], cands)
+        joint = joint_cov(problem, cands[chosen], cands)
         dense, dense_se = per_candidate_pinf(*dense_pinf_inputs(joint, n_grid, free, cfg))
         assert np.all(np.abs(values - dense) <= 4.0 * np.hypot(stderrs, dense_se))
 
@@ -702,7 +673,7 @@ class TestPathwiseDesignCriterion:
         # Deterministic oracle at default sizes: the exact variances of the
         # pathwise map against twice the dense grid posterior.
         problem = EllipticDesignProblem(p=np.inf)
-        want = 2.0 * np.diagonal(posterior_on_grid(problem, points))
+        want = 2.0 * np.diagonal(_predictor(problem, points).cov(problem.grid_points))
         got = design_map_variances(problem, points)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-2
 
@@ -714,7 +685,7 @@ class TestPathwiseDesignCriterion:
         # variances 21 % (2.1 %) off; with it they agree to 6e-11 (3e-9).
         problem = small_problem(p=np.inf, lengthscale=lengthscale)
         points = criterion8_design(0)
-        want = 2.0 * np.diagonal(posterior_on_grid(problem, points))
+        want = 2.0 * np.diagonal(_predictor(problem, points).cov(problem.grid_points))
         got = design_map_variances(problem, points)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-6
 
@@ -750,7 +721,7 @@ class TestEstimatorCrossValidation:
         est, se = design_criterion(problem, points, MonteCarloConfig(seed=0, n_outer=4000))
 
         n_grid = problem.grid_points.shape[0]
-        joint = _joint_cov(problem, [], np.array(points))
+        joint = joint_cov(problem, [], np.array(points))
         # Gram over the two candidate functionals and cross-covariance to grid,
         # both already posterior to the boundary observations.
         gram = joint[n_grid:, n_grid:] + 1e-10 * np.eye(2)
@@ -805,7 +776,7 @@ class TestJointCovariance:
     def test_codes_layout(self):
         problem = small_problem()
         extra = np.array([[0.4, 0.4]])
-        joint = _joint_cov(problem, [], extra)
+        joint = joint_cov(problem, [], extra)
         n_grid = problem.grid_points.shape[0]
         assert joint.shape == (n_grid + 1, n_grid + 1)
         # The candidate block is the posterior variance of the negative

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import optinfo
-from optinfo import gaussian
+from optinfo import gaussian, pde
 from optinfo.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -175,6 +175,23 @@ class TestPdeDesignCommand:
         code, _, err = run(self.BASE + ["--outdir", str(tmp_path)], capsys)
         assert code == EXIT_NUMERICAL
         assert "SingularSystem" in err
+
+    def test_nan_in_pair_pool_exits_3(self, tmp_path, capsys, monkeypatch):
+        # The Chebyshev max of the scoring kernel skips NaN, so a NaN draw
+        # must stop the search rather than be scored.
+        search_prior = pde._search_prior
+
+        def poisoned(*args):
+            search = search_prior(*args)
+            search.pairs[5, 7] = np.nan
+            return search
+
+        monkeypatch.setattr(pde, "_search_prior", poisoned)
+        out = tmp_path / "out"
+        code, _, err = run(self.BASE + ["--p", "inf", "--outdir", str(out)], capsys)
+        assert code == EXIT_NUMERICAL
+        assert "SamplerFailure" in err
+        assert not out.exists()
 
     def test_single_sample_pinf_runs(self, tmp_path, capsys):
         code, _, _ = run(self.BASE + ["--p", "inf", "--samples", "1",
@@ -412,3 +429,31 @@ def test_pde_design_loads_scipy_linalg(tmp_path):
                                   "--m", "1", "--outdir", str(tmp_path)])
     assert codes == [EXIT_OK]
     assert "scipy.linalg" in loaded
+
+
+PDE_SMALL = ["pde-design", "--eval-grid", "8", "--candidate-grid", "5", "--m", "2",
+             "--samples", "16"]
+
+
+def test_other_subcommands_leave_scipy_spatial_unloaded(tmp_path):
+    # scipy.spatial pulls in scipy.sparse and scipy.special; only the
+    # p = inf scoring kernel needs it.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"prior_cov": [[1.0, 0.0], [0.0, 1.0]],
+                                  "candidates": {"e": [[1.0, 0.0]]}}))
+    codes, loaded = _scipy_after(
+        PDE_SMALL + ["--p", "2", "--outdir", str(tmp_path / "p2")],
+        ["regression", "--config", str(config)],
+        ["discrete", "--counterexample", "0.2", "0.3", "0.5"],
+        ["quadrature", "--n", "4", "--optimize", "--mc", "--n-outer", "200"],
+    )
+    assert codes == [EXIT_OK] * 4
+    assert "scipy.linalg" in loaded
+    assert "scipy.spatial" not in loaded
+
+
+def test_pinf_search_loads_scipy_spatial(tmp_path):
+    # Positive control for the probe above.
+    codes, loaded = _scipy_after(PDE_SMALL + ["--p", "inf", "--outdir", str(tmp_path / "pinf")])
+    assert codes == [EXIT_OK]
+    assert "scipy.spatial" in loaded

@@ -5,6 +5,7 @@ covered by the acceptance suite.
 """
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ import reference_impls
 from optinfo import pde
 from optinfo.criteria import MonteCarloConfig, bdt_criterion
 from optinfo.decisions import GaussianLinearProblem, WeightedQuadratic
-from optinfo.errors import FactorizationFailure, SingularGram
+from optinfo.errors import FactorizationFailure, SamplerFailure, SingularGram
 from optinfo.gaussian import GaussianDensity, _psd_factor, derive_rng
 from optinfo.kernels import NEG_LAPLACIAN, POINT, ConditionedPredictor, SquaredExponential
 from optinfo.pde import (
@@ -465,8 +466,10 @@ class TestGreedy:
         want = greedy_design(problem, 2, cfg, threads=2)[2]
         assert greedy_design(problem, np.int64(2), cfg, threads=np.int32(2))[2] == want
 
-    def test_thread_pool_capped_at_free_candidates(self, monkeypatch):
-        problem = small_problem(p=np.inf, candidate_grid=2)
+    def test_thread_pool_capped_at_candidate_blocks(self, monkeypatch):
+        # 81 then 80 free candidates: more threads than candidate blocks
+        # must not open a worker without a block to score.
+        problem = small_problem(p=np.inf, candidate_grid=9)
         cfg = MonteCarloConfig(seed=5, n_outer=32)
         serial = greedy_design(problem, 2, cfg, threads=1)
         workers = []
@@ -479,7 +482,7 @@ class TestGreedy:
 
         monkeypatch.setattr(pde, "ThreadPoolExecutor", Recording)
         state, contours, trace = greedy_design(problem, 2, cfg, threads=8)
-        assert workers and max(workers) <= 4
+        assert workers and max(workers) <= -(-81 // pde._CAND_BLOCK)
         assert trace == serial[2]
         np.testing.assert_array_equal(state.points, serial[0].points)
         for a, b in zip(contours, serial[1]):
@@ -533,6 +536,66 @@ class TestBlockedPinfKernel:
         got = _pinf_values(*inputs, threads)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
+
+    @PROPERTY
+    @given(shape=st.tuples(st.integers(1, 40), st.integers(1, 150), st.integers(1, 150)),
+           decades=st.lists(st.integers(-323, 300), min_size=8, max_size=8),
+           specials=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1), threads=st.sampled_from([1, 2, 3]))
+    @example(shape=(40, 150, 150), decades=[-1, 1] * 4, specials=[-0.0, 5e-324],
+             seed=0, threads=3)
+    @example(shape=(1, 1, pde._CAND_BLOCK + 1), decades=[-310, -300] * 4, specials=[0.0],
+             seed=1, threads=2)
+    def test_bit_identical_on_any_finite_input(self, shape, decades, specials, seed, threads):
+        # Magnitudes 10^lo..10^hi per input, with random signs, and ~30 %
+        # of the entries replaced by drawn specials such as +-0 and
+        # subnormals. A scale dg / s that is not finite must raise.
+        n_pairs, n_grid, n_cand = shape
+        rng = np.random.default_rng(seed)
+
+        def draw(lo_hi, *size):
+            lo, hi = sorted(lo_hi)
+            x = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(lo, hi, size)
+            mask = rng.random(size) < 0.3
+            x[mask] = rng.choice(specials, int(mask.sum()))
+            return x
+
+        dx = draw(decades[0:2], n_pairs, n_grid)
+        dg = draw(decades[2:4], n_pairs, n_cand)
+        columns = draw(decades[4:6], n_cand, n_grid)
+        lo, hi = sorted(decades[6:8])
+        variances = 10.0 ** rng.uniform(lo, hi, n_cand)
+        # Products may overflow to +-inf, in the worker threads too.
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            if not np.all(np.isfinite(dg / variances)):
+                with pytest.raises(SamplerFailure):
+                    _pinf_values(dx, dg, columns, variances, threads)
+                return
+            want = per_candidate_pinf(dx, dg, columns, variances)
+            got = _pinf_values(dx, dg, columns, variances, threads)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("name, index, bad", [
+        ("dx", (3, 10), np.nan),
+        ("dg", (0, 5), np.inf),
+        ("columns", (7, 20), np.nan),
+        ("variances", (2,), -np.inf),
+        ("variances", (4,), 0.0),
+    ])
+    def test_non_finite_input_raises(self, name, index, bad):
+        # The Chebyshev max skips NaN, where np.max and then the search's
+        # argmin would pick the NaN candidate.
+        problem = small_problem(p=np.inf, eval_grid=7, candidate_grid=6)
+        cands = problem.candidates
+        inputs = dict(zip(["dx", "dg", "columns", "variances"], dense_pinf_inputs(
+            joint_cov(problem, [], cands), problem.grid_points.shape[0],
+            np.arange(len(cands)), MonteCarloConfig(seed=2, n_outer=8))))
+        inputs[name] = inputs[name].copy()
+        inputs[name][index] = bad
+        with np.errstate(divide="ignore"), pytest.raises(SamplerFailure):
+            _pinf_values(**inputs)
 
 
 def pathwise_variances(search, predictor, chosen, factor):

@@ -92,6 +92,18 @@ def _p_label(p: float) -> str:
     return "inf" if p == np.inf else f"{p:g}"
 
 
+def _contour_csvs(candidates, grids):
+    """Yield the CSV text of each step's criterion grid, one step at a time:
+    a line "x,y,bpn" per candidate, every float in its shortest round-trip
+    repr ("nan" where the candidate was already picked). The "x,y," prefixes
+    are formatted once for all steps, from Python floats rather than numpy
+    scalars."""
+    prefixes = [f"{x!r},{y!r}," for x, y in candidates.tolist()]
+    for grid in grids:
+        lines = [prefix + repr(v) for prefix, v in zip(prefixes, grid.ravel().tolist())]
+        yield "\n".join(["x,y,bpn", *lines]) + "\n"
+
+
 def cmd_pde_design(args) -> int:
     p = np.inf if args.p == "inf" else float(args.p)
     if p not in (2.0, np.inf):
@@ -102,18 +114,14 @@ def cmd_pde_design(args) -> int:
         n_boundary=args.n_boundary,
         p=p,
     )
+    criteria._check_integer("samples", args.samples, 1)
     cfg = MonteCarloConfig(seed=args.seed, n_outer=args.samples)
     state, contours, trace = pde.greedy_design(problem, args.m, cfg, threads=args.threads)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    cands = problem.candidates
     label = _p_label(p)
-    for k, grid in enumerate(contours, start=1):
-        lines = ["x,y,bpn"]
-        flat = grid.ravel()
-        for (x, y), v in zip(cands, flat):
-            lines.append(f"{float(x)!r},{float(y)!r},{float(v)!r}")
-        (outdir / f"step_{k}_p{label}.csv").write_text("\n".join(lines) + "\n")
+    for k, text in enumerate(_contour_csvs(problem.candidates, contours), start=1):
+        (outdir / f"step_{k}_p{label}.csv").write_text(text)
     summary = {
         "points": [list(map(float, pt)) for pt in state.points],
         "bpn_trace": trace,

@@ -56,7 +56,9 @@ from .kernels import (
 )
 
 # Candidates per block of the p = inf scoring kernel (512 KB at 1024 grid
-# points): the fastest of 16 to 128 on 2 cores, at 1 and 2 threads.
+# points). The kernel of a default seed-0 search on 2 cores, at blocks of
+# 32 / 64 / 128, took a median 0.92 / 0.98 / 1.20 s with 1 thread (32 and
+# 64 within each other's quartiles) and 1.00 / 0.70 / 0.83 s with 2.
 _CAND_BLOCK = 64
 # Draws per block of a fixed design's Matheron update: 4 MB of temporaries
 # at the default 1024 grid points.
@@ -370,7 +372,15 @@ def _pinf_values(dx, dg, columns, variances, threads=1):
     Per block of _CAND_BLOCK candidates and per pair sample, one multiply
     writes fl(a_c v_c) into a block buffer, and one Chebyshev ``cdist``,
     which skips NaN, fuses the subtract, |.| and max over the grid. Each
-    worker takes a contiguous run of blocks. Every element sees the one
+    worker takes a contiguous run of blocks. For its loop it sets numpy's
+    ufunc buffer, 8192 elements by default, to the grid row length rounded
+    down to a multiple of 16 (numpy's granularity; at least 16), and then
+    restores it. A buffer longer than a row makes numpy stretch the inner
+    loop across rows and copy the broadcast scale column into the buffer:
+    at 1024 grid points the multiply costs about 1.4 ns per element with
+    the default and 0.5 ns with a row-length buffer, near the 0.4 ns of a
+    scalar multiply, for the same products. The setting is per thread, so the
+    caller's value never changes. Every element sees the one
     product and subtraction of a per-candidate ``dx - np.outer(a, v)``, the
     max is exact in any order, and the maxima are C-contiguous (n_cand,
     n_pairs), so the mean and stderr sum in that loop's order: they are
@@ -387,13 +397,18 @@ def _pinf_values(dx, dg, columns, variances, threads=1):
 
     def eval_blocks(starts):
         buf = np.empty((_CAND_BLOCK, dx.shape[1]))
-        for c0 in starts:
-            block = slice(c0, c0 + _CAND_BLOCK)
-            v = columns[block]
-            y = buf[:len(v)]
-            for s in range(len(dx)):
-                np.multiply(v, scales[s, block, None], out=y)
-                cdist(dx[s:s + 1], y, "chebyshev", out=maxes[s:s + 1, block])
+        # Restored by hand: leaving np.errstate restores it only on numpy >= 2.
+        old = np.setbufsize(max(16, dx.shape[1] // 16 * 16))
+        try:
+            for c0 in starts:
+                block = slice(c0, c0 + _CAND_BLOCK)
+                v = columns[block]
+                y = buf[:len(v)]
+                for s in range(len(dx)):
+                    np.multiply(v, scales[s, block, None], out=y)
+                    cdist(dx[s:s + 1], y, "chebyshev", out=maxes[s:s + 1, block])
+        finally:
+            np.setbufsize(old)
 
     starts = np.arange(0, maxes.shape[1], _CAND_BLOCK)
     workers = min(threads, len(starts))

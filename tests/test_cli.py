@@ -11,7 +11,7 @@ import pytest
 
 import optinfo
 from optinfo import gaussian, pde
-from optinfo.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from optinfo.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, _contour_csvs, main
 
 
 def run(argv, capsys):
@@ -214,6 +214,21 @@ class TestPdeDesignCommand:
         assert len(doc["points"]) == 1
         assert doc["config"]["p"] == "2"
 
+    def test_contour_csv_matches_per_cell_format(self):
+        # The per-cell writer it replaced is the oracle. NaN marks a picked
+        # cell; -0.0, a subnormal and reprs with an exponent are included.
+        cands = pde.EllipticDesignProblem().candidates
+        grids = [np.random.default_rng(k).standard_normal((25, 25)) ** 9 for k in range(2)]
+        grids[0].flat[:6] = [np.nan, -0.0, 5e-324, 7e-07, 1e300, np.nan]
+        grids[1].flat[::7] = np.nan
+        want = []
+        for grid in grids:
+            lines = ["x,y,bpn"]
+            for (x, y), v in zip(cands, grid.ravel()):
+                lines.append(f"{float(x)!r},{float(y)!r},{float(v)!r}")
+            want.append("\n".join(lines) + "\n")
+        assert list(_contour_csvs(cands, grids)) == want
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run(self.BASE + ["--p", "inf", "--outdir", str(out1)], capsys)
@@ -348,6 +363,7 @@ class TestSeedFallback:
         (["--m", "0"], "m = 0"),
         (["--m", "99"], "m = 99"),
         (["--threads", "0"], "threads"),
+        (["--samples", "0"], "samples"),
     ])
     def test_rejected_size_writes_nothing(self, tmp_path, capsys, flags, name):
         outdir = tmp_path / "out"

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.spatial.distance
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -546,6 +547,11 @@ class TestBlockedPinfKernel:
              seed=0, threads=3)
     @example(shape=(1, 1, pde._CAND_BLOCK + 1), decades=[-310, -300] * 4, specials=[0.0],
              seed=1, threads=2)
+    # Grid rows shorter than the smallest ufunc buffer (16), and rows of
+    # 1030, not a multiple of 16, with a partial candidate block.
+    @example(shape=(3, 5, 7), decades=[-2, 2] * 4, specials=[-0.0, 5e-324], seed=2, threads=3)
+    @example(shape=(2, 1030, pde._CAND_BLOCK + 5), decades=[-3, 3] * 4, specials=[-0.0, 5e-324],
+             seed=3, threads=2)
     def test_bit_identical_on_any_finite_input(self, shape, decades, specials, seed, threads):
         # Magnitudes 10^lo..10^hi per input, with random signs, and ~30 %
         # of the entries replaced by drawn specials such as +-0 and
@@ -587,15 +593,59 @@ class TestBlockedPinfKernel:
     def test_non_finite_input_raises(self, name, index, bad):
         # The Chebyshev max skips NaN, where np.max and then the search's
         # argmin would pick the NaN candidate.
-        problem = small_problem(p=np.inf, eval_grid=7, candidate_grid=6)
-        cands = problem.candidates
-        inputs = dict(zip(["dx", "dg", "columns", "variances"], dense_pinf_inputs(
-            joint_cov(problem, [], cands), problem.grid_points.shape[0],
-            np.arange(len(cands)), MonteCarloConfig(seed=2, n_outer=8))))
+        inputs = dict(zip(["dx", "dg", "columns", "variances"], self.prior_inputs()))
         inputs[name] = inputs[name].copy()
         inputs[name][index] = bad
         with np.errstate(divide="ignore"), pytest.raises(SamplerFailure):
             _pinf_values(**inputs)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("bufsize", [8192, 4096])
+    def test_caller_ufunc_buffer_size_restored(self, monkeypatch, threads, bufsize):
+        # Each worker runs its loop with the ufunc buffer at the grid row
+        # length rounded down to a multiple of 16 (48 of 49 here). The
+        # setting is per thread, and the caller's own comes back on return,
+        # on a rejected input and on an error raised inside the loop. Blocks
+        # of 8 give 5 blocks of the 36 candidates, so 3 threads start 3
+        # workers.
+        monkeypatch.setattr(pde, "_CAND_BLOCK", 8)
+
+        class Stop(Exception):
+            pass
+
+        inputs = self.prior_inputs()
+        cdist = scipy.spatial.distance.cdist
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(np.getbufsize())
+            if len(seen) == 20:
+                raise Stop
+            return cdist(*args, **kwargs)
+
+        old = np.setbufsize(bufsize)
+        try:
+            _pinf_values(*inputs, threads)
+            assert np.getbufsize() == bufsize
+            with pytest.raises(SamplerFailure):
+                _pinf_values(*inputs[:3], -np.inf * inputs[3], threads)
+            assert np.getbufsize() == bufsize
+            monkeypatch.setattr(scipy.spatial.distance, "cdist", spy)
+            with pytest.raises(Stop):
+                _pinf_values(*inputs, threads)
+            assert np.getbufsize() == bufsize
+        finally:
+            np.setbufsize(old)
+        assert set(seen) == {48}
+
+    @staticmethod
+    def prior_inputs():
+        """Scoring inputs of all 36 candidates of a 7 x 7 grid, from the
+        dense prior joint and 8 pair draws."""
+        problem = small_problem(p=np.inf, eval_grid=7, candidate_grid=6)
+        cands = problem.candidates
+        return dense_pinf_inputs(joint_cov(problem, [], cands), problem.grid_points.shape[0],
+                                 np.arange(len(cands)), MonteCarloConfig(seed=2, n_outer=8))
 
 
 def pathwise_variances(search, predictor, chosen, factor):

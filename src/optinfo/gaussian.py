@@ -105,24 +105,44 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
 
 def _unit_diagonal_factor(cov: np.ndarray) -> np.ndarray:
     """Return F with F F^T = cov + SAMPLING_JITTER * diag(cov), overwriting
-    ``cov``.
+    the C-contiguous ``cov``.
 
     Factors the unit-diagonal form D^-1/2 cov D^-1/2 + SAMPLING_JITTER * I
-    by Cholesky, with ``_psd_factor``'s eigenvalue-clip fallback, and scales
-    the rows back by D^1/2. The jitter is relative to each variance, not to
-    the mean diagonal as in ``_add_jitter``, so a small variance next to
-    large ones keeps its size. The diagonal must be positive.
+    by Cholesky and scales the rows back by D^1/2. The jitter is relative to
+    each variance, not to the mean diagonal as in ``_add_jitter``, so a
+    small variance next to large ones keeps its size. The diagonal must be
+    positive.
+
+    The Cholesky runs in place: LAPACK's ``dpotrf`` (through scipy) takes
+    the upper factor U^T U of the Fortran-ordered transpose, which read in
+    C order is the lower factor of ``cov``, from and into its lower
+    triangle, and the strict upper triangle is then zeroed row by row. So
+    on success F is ``cov`` itself and no other n x n array is allocated.
+    If the form is not positive definite, the matrix is rebuilt from the
+    strict upper triangle, which LAPACK left as it was, and the known
+    diagonal, and F is a new, full factor from ``_psd_factor``'s
+    eigenvalue-clip fallback. So ``_unit_diagonal_factor(cov) is cov``
+    tells whether F is the lower-triangular Cholesky factor.
     """
+    # Imported on first use: scipy is slow to import and most runs never need it.
+    from scipy.linalg import lapack
+
+    if not cov.flags.c_contiguous:
+        raise ValueError("the unit-diagonal factor is formed in a C-contiguous buffer")
     scale = np.sqrt(np.diagonal(cov))
     if not np.all(scale > 0.0):
         raise FactorizationFailure("unit-diagonal factor needs a positive diagonal")
     cov /= scale[:, None]
     cov /= scale[None, :]
     np.fill_diagonal(cov, 1.0 + SAMPLING_JITTER)
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(cov)
+    _, info = lapack.dpotrf(cov.T, lower=0, clean=0, overwrite_a=1)
+    if info == 0:
+        factor = cov
+        for i in range(len(cov) - 1):
+            factor[i, i + 1:] = 0.0
+    else:
+        np.fill_diagonal(cov, 1.0 + SAMPLING_JITTER)
+        w, v = np.linalg.eigh(cov, UPLO="U")
         factor = v * np.sqrt(np.clip(w, 0.0, None))
     factor *= scale[:, None]
     return factor

@@ -163,8 +163,14 @@ class SquaredExponential:
             rows = np.flatnonzero(codes_a == code_a)
             for code_b in groups_b:
                 cols = np.flatnonzero(codes_b == code_b)
-                # r^2 coordinate by coordinate: no (n_a, n_b, d) differences.
-                r2 = sum(np.subtract.outer(a, b) ** 2 for a, b in zip(pts_a[rows].T, pts_b[cols].T))
+                # r^2 coordinate by coordinate, squared and summed in place:
+                # no (n_a, n_b, d) differences, at most two n_a x n_b buffers.
+                r2 = None
+                for a, b in zip(pts_a[rows].T, pts_b[cols].T):
+                    sq = np.subtract.outer(a, b)
+                    np.square(sq, out=sq)
+                    r2 = sq if r2 is None else np.add(r2, sq, out=r2)
+                del sq  # frees the last square before _from_r2 allocates
                 block = self._from_r2(r2, code_a + code_b, pts_a.shape[1])
                 if one_block:
                     return block
@@ -172,14 +178,31 @@ class SquaredExponential:
         return out
 
     def _from_r2(self, r2, s, d):
-        """Covariances at squared distances r2 in d dimensions with -Delta on s of the two sides."""
+        """Covariances at squared distances r2 in d dimensions with -Delta
+        on s of the two sides; r2 is overwritten.
+
+        The value k = amplitude * exp(-g r^2) goes into one new buffer of
+        r2's shape, and the code pair's polynomial in r^2 into r2's own
+        buffer, except that -Delta x -Delta needs a third for r^4. The ufunc
+        operations are those of the expressions in the comments, in the
+        same order, so the values are the same bit for bit. k is not written
+        into r2: a kept block in the buffer allocated first lets glibc trim
+        the heap above it, and each later greedy step then page-faults its
+        temporaries afresh (about 1000 faults a step at default sizes).
+        """
         g = self.gamma
-        k = np.exp(-g * r2)
+        k = np.multiply(-g, r2)
+        np.exp(k, out=k)
         k *= self.amplitude
         if s == 1:  # (2 d g - 4 g^2 r^2) k
-            k *= 2.0 * d * g - 4.0 * g**2 * r2
+            poly = np.multiply(4.0 * g**2, r2, out=r2)
+            k *= np.subtract(2.0 * d * g, poly, out=poly)
         elif s == 2:  # (16 g^4 r^4 - 16 g^3 (d+2) r^2 + 4 g^2 d (d+2)) k
-            k *= 16.0 * g**4 * r2**2 - 16.0 * g**3 * (d + 2) * r2 + 4.0 * g**2 * d * (d + 2)
+            poly = np.square(r2)
+            poly *= 16.0 * g**4
+            poly -= np.multiply(16.0 * g**3 * (d + 2), r2, out=r2)
+            poly += 4.0 * g**2 * d * (d + 2)
+            k *= poly
         return k
 
     def diag(self, pts, code=POINT):

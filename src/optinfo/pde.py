@@ -28,7 +28,8 @@ cfg.seed alone, not on the step. ``_pinf_values`` takes the grid maxima
 of a block of candidates in one fused, exact pass, scipy's Chebyshev
 ``cdist``, so only the p = inf search loads scipy.spatial.
 ``design_criterion`` samples a fixed design pathwise too, from a factor of
-the grid pair-difference prior that is computed once per process.
+the grid pair-difference prior that is computed once per process, and
+holds its draws one block at a time.
 
 The dense references that check these paths, the full-reconditioning
 greedy trace search, the dense joint posterior over [grid; candidates] and
@@ -60,8 +61,8 @@ from .kernels import (
 # 32 / 64 / 128, took a median 0.92 / 0.98 / 1.20 s with 1 thread (32 and
 # 64 within each other's quartiles) and 1.00 / 0.70 / 0.83 s with 2.
 _CAND_BLOCK = 64
-# Draws per block of a fixed design's Matheron update: 4 MB of temporaries
-# at the default 1024 grid points.
+# Draws per block of a fixed design's sampler: two 4 MB blocks at the
+# default 1024 grid points.
 _DRAW_BLOCK = 512
 
 
@@ -176,12 +177,14 @@ def _grid_pair_factor(eval_grid: int, lengthscale: float, amplitude: float) -> n
     where P_gg is the prior covariance over the evaluation grid: the factor
     of the grid pair-difference prior, by ``_unit_diagonal_factor`` as in
     the search. One entry per process, keyed by (eval_grid, lengthscale,
-    amplitude); the grid prior is assembled here and not kept.
+    amplitude); the grid prior is assembled and factored in one buffer,
+    which becomes F.
 
     ``_design_pairs`` needs F triangular, so the eigenvalue-clip fallback of
-    ``_unit_diagonal_factor`` raises FactorizationFailure here. The
-    Cholesky succeeded on every grid tried: G x G for G up to 48 at
-    lengthscales 0.3 to 3, and G up to 32 at lengthscales up to 100.
+    ``_unit_diagonal_factor``, which it reports by returning a new array
+    instead of its input, raises FactorizationFailure here. The Cholesky
+    succeeded on every grid tried: G x G for G up to 48 at lengthscales 0.3
+    to 3, and G up to 32 at lengthscales up to 100.
     """
     problem = EllipticDesignProblem(eval_grid=eval_grid, lengthscale=lengthscale,
                                     amplitude=amplitude)
@@ -189,11 +192,10 @@ def _grid_pair_factor(eval_grid: int, lengthscale: float, amplitude: float) -> n
     codes = np.full(grid.shape[0], POINT, dtype=np.int64)
     cov = problem.kernel.cross_cov(grid, codes, grid, codes)
     cov *= 2.0
-    factor = _unit_diagonal_factor(cov)
-    if np.any(np.triu(factor, 1)):
+    if _unit_diagonal_factor(cov) is not cov:
         raise FactorizationFailure("the grid pair-difference prior has no Cholesky factor")
-    factor.setflags(write=False)
-    return factor
+    cov.setflags(write=False)
+    return cov
 
 
 def _joint_functionals(problem: EllipticDesignProblem, extra_points):
@@ -254,8 +256,12 @@ def _search_prior(problem: EllipticDesignProblem, candidates,
     call per block below or on the diagonal, except the kept candidate x
     grid block, and their transposes above it. 2 P, the prior of a pair
     difference X - X', is factored in that buffer as F F^T up to a
-    relative jitter of 1e-12: a Cholesky factor of the unit-diagonal form
-    (``_unit_diagonal_factor``). An additive jitter scaled by the mean
+    relative jitter of 1e-12: a Cholesky factor of the unit-diagonal form,
+    taken by LAPACK in place (``_unit_diagonal_factor``). So beside that
+    one square array the search holds only the kept candidate x grid
+    block, the few temporary blocks of one ``cross_cov`` call and the pool:
+    at default sizes and 128 pair samples numpy's peak is under 2.1 times
+    the square array's bytes. An additive jitter scaled by the mean
     diagonal, as in ``_psd_factor``, would give every observed value extra
     variance of the size of the GP nugget, which K^-1 then amplifies. The
     pool is drawn from ``derive_rng(cfg.seed)``: first cfg.n_outer rows of
@@ -349,11 +355,17 @@ def _candidate_values(problem, search: _SearchPrior, predictor, chosen, free, th
     var = search.diag - np.einsum("ij,ji->i", cross, solved)
     free = np.asarray(free, dtype=np.int64)
     cols = n_grid + free
-    columns = search.cand_grid[free] - solved[:, cols].T @ cross[:n_grid].T
+    # The prior block minus the reduction, written into the reduction's
+    # buffer a block of rows at a time: one (n_free, n_grid) array.
+    columns = solved[:, cols].T @ cross[:n_grid].T
+    for start in range(0, len(free), _CAND_BLOCK):
+        rows = slice(start, start + _CAND_BLOCK)
+        np.subtract(search.cand_grid[free[rows]], columns[rows], out=columns[rows])
     variances = var[cols] + 1e-12 * (np.mean(var) + 1.0)
     if problem.p == 2.0:
         weights = problem.grid_weights
-        values = 2.0 * (weights @ var[:n_grid] - (columns**2 @ weights) / variances)
+        squares = np.square(columns, out=columns)
+        values = 2.0 * (weights @ var[:n_grid] - (squares @ weights) / variances)
         return values, np.zeros(len(free))
     pairs = _pathwise_pairs(search, predictor, chosen, solved)
     return _pinf_values(pairs[:, :n_grid], pairs[:, cols], columns, variances, threads)
@@ -420,10 +432,13 @@ def _pinf_values(dx, dg, columns, variances, threads=1):
     return mean_and_stderr(np.ascontiguousarray(maxes.T))
 
 
-def _design_pairs(problem: EllipticDesignProblem, predictor, z, z_obs, noise) -> np.ndarray:
-    """Posterior pair differences X - X' on the grid of a fixed design, one
-    row per row of standard normals: z (n, n_grid), z_obs and noise (n,
-    n_obs), for the n_obs observations of ``predictor``.
+def _design_pairs(problem: EllipticDesignProblem, predictor):
+    """The map from standard normals to posterior pair differences X - X'
+    on the grid of a fixed design: ``pairs(z, z_obs, noise)`` gives one row
+    per row of z (n, n_grid), z_obs and noise (n, n_obs), for the n_obs
+    observations of ``predictor``. What the map reads of the design is
+    computed here, once: the predictor's ``cross_solve`` against the grid,
+    L_og and the Schur root.
 
     The prior pair differences over [grid; observations] are drawn through
     the lower-triangular factor of 2 P over that joint, whose grid block is
@@ -431,36 +446,40 @@ def _design_pairs(problem: EllipticDesignProblem, predictor, z, z_obs, noise) ->
     with L_og = F^-1 2 P_go, one triangular solve, and the n_obs x n_obs
     Schur complement 2 P_oo - L_og^T L_og is factored by ``eigh`` with its
     eigenvalues clipped at 0. The draws become posterior ones by
-    ``_matheron`` through the predictor's ``cross_solve`` and nugget, so no
-    matrix larger than n_obs x n_obs is factored here. Without observations
-    the prior pair draws are returned.
+    ``_matheron`` through the predictor's nugget, so no matrix larger than
+    n_obs x n_obs is factored here. Without observations the map gives the
+    prior pair draws.
 
     The grid draws z F^T are formed in place, by a triangular multiply into
-    the buffer of a C-contiguous z, which is overwritten and returned; Matheron's
-    rule then rewrites it _DRAW_BLOCK rows at a time. So beyond z the map
-    allocates only (n, n_obs) and (_DRAW_BLOCK, n_grid) arrays.
+    the buffer of a C-contiguous z, which is overwritten; Matheron's rule
+    then writes the result into one new (n, n_grid) array. So beyond z a
+    call allocates one (n, n_grid) and a few (n, n_obs) arrays.
     """
     # Imported on first use: scipy is slow to import and most runs never need it.
     import scipy.linalg
 
     factor = _grid_pair_factor(problem.eval_grid, problem.lengthscale, problem.amplitude)
-    observed = None
-    if predictor.observations:
-        grid = problem.grid_points
-        cross, solved = predictor.cross_solve(grid, np.full(grid.shape[0], POINT, dtype=np.int64))
-        l_og = scipy.linalg.solve_triangular(factor, 2.0 * cross, lower=True)
-        obs_pts = np.vstack([o.location for o in predictor.observations])
-        obs_codes = np.array([o.code for o in predictor.observations], dtype=np.int64)
-        schur = 2.0 * problem.kernel.cross_cov(obs_pts, obs_codes, obs_pts, obs_codes)
-        w, v = np.linalg.eigh(schur - l_og.T @ l_og)
-        observed = z @ l_og + z_obs @ (v * np.sqrt(np.clip(w, 0.0, None))).T
-    draws = scipy.linalg.blas.dtrmm(1.0, factor.T, z.T, lower=0, trans_a=1, overwrite_b=1).T
-    if observed is not None:
-        for start in range(0, len(draws), _DRAW_BLOCK):
-            rows = slice(start, start + _DRAW_BLOCK)
-            draws[rows] = _matheron(draws[rows], observed[rows], noise[rows],
-                                    predictor.nugget, solved)
-    return draws
+
+    def prior_pairs(z):
+        return scipy.linalg.blas.dtrmm(1.0, factor.T, z.T, lower=0, trans_a=1,
+                                       overwrite_b=1).T
+
+    if not predictor.observations:
+        return lambda z, z_obs, noise: prior_pairs(z)
+    grid = problem.grid_points
+    cross, solved = predictor.cross_solve(grid, np.full(grid.shape[0], POINT, dtype=np.int64))
+    l_og = scipy.linalg.solve_triangular(factor, 2.0 * cross, lower=True)
+    obs_pts = np.vstack([o.location for o in predictor.observations])
+    obs_codes = np.array([o.code for o in predictor.observations], dtype=np.int64)
+    schur = 2.0 * problem.kernel.cross_cov(obs_pts, obs_codes, obs_pts, obs_codes)
+    w, v = np.linalg.eigh(schur - l_og.T @ l_og)
+    root = v * np.sqrt(np.clip(w, 0.0, None))
+
+    def pairs(z, z_obs, noise):
+        observed = z @ l_og + z_obs @ root.T
+        return _matheron(prior_pairs(z), observed, noise, predictor.nugget, solved)
+
+    return pairs
 
 
 def design_criterion(problem: EllipticDesignProblem, points,
@@ -473,11 +492,14 @@ def design_criterion(problem: EllipticDesignProblem, points,
     over cfg.n_outer seeded pair differences of the largest absolute grid
     value, sampled pathwise (``_design_pairs``) from the grid
     pair-difference factor that is computed once per process. Once that
-    factor is cached, no grid x grid block is assembled or factored. The
-    normals come from ``derive_rng(cfg.seed, 10**6)`` in this order: the
-    (n_outer, n_grid) grid normals, then one normal per observation in each
-    draw, then the observation noise, one normal per observation in each
-    draw.
+    factor is cached, no grid x grid block is assembled or factored.
+
+    The draws are taken, mapped and reduced to their maxima _DRAW_BLOCK
+    rows at a time, so the memory is that of one block for any n_outer.
+    Two streams give the normals, in the same order for any block size:
+    ``derive_rng(cfg.seed, 10**6)`` the (n_outer, n_grid) grid normals, row
+    by row, and ``derive_rng(cfg.seed, 10**6, 1)``, for each draw in turn,
+    one normal per observation and then one noise normal per observation.
 
     The dense sampler that this replaced, which factors each grid posterior
     ``_predictor(problem, points).cov(problem.grid_points)``, shares no
@@ -491,14 +513,19 @@ def design_criterion(problem: EllipticDesignProblem, points,
     if problem.p == 2.0:
         var = predictor.var(problem.grid_points)
         return 2.0 * float(weights @ var), 0.0
+    pairs = _design_pairs(problem, predictor)
     n_obs = len(predictor.observations)
-    rng = derive_rng(cfg.seed, 10**6)
-    z = rng.standard_normal((cfg.n_outer, len(weights)))
-    z_obs = rng.standard_normal((cfg.n_outer, n_obs))
-    noise = rng.standard_normal((cfg.n_outer, n_obs))
-    pairs = _design_pairs(problem, predictor, z, z_obs, noise)
-    np.abs(pairs, out=pairs)
-    value, stderr = mean_and_stderr(pairs.max(axis=1))
+    grid_rng, obs_rng = derive_rng(cfg.seed, 10**6), derive_rng(cfg.seed, 10**6, 1)
+
+    def block_maxes(start):
+        # A function, so that a block's arrays are freed before the next.
+        n = min(_DRAW_BLOCK, cfg.n_outer - start)
+        z_obs, noise = np.hsplit(obs_rng.standard_normal((n, 2 * n_obs)), 2)
+        block = pairs(grid_rng.standard_normal((n, len(weights))), z_obs, noise)
+        return np.abs(block, out=block).max(axis=1)
+
+    value, stderr = mean_and_stderr(np.concatenate(
+        [block_maxes(start) for start in range(0, cfg.n_outer, _DRAW_BLOCK)]))
     return float(value), float(stderr)
 
 

@@ -45,13 +45,14 @@ def cho_factor_calls(monkeypatch):
 
 @pytest.fixture
 def cholesky_calls(monkeypatch):
-    """List that grows by one entry per ``np.linalg.cholesky`` call."""
+    """List that grows by one entry per Cholesky factorisation, through
+    ``np.linalg.cholesky`` or through the in-place ``scipy.linalg.lapack.dpotrf``
+    of ``gaussian._unit_diagonal_factor``."""
     calls = []
-    cholesky = np.linalg.cholesky
+    for module, name in [(np.linalg, "cholesky"), (scipy.linalg.lapack, "dpotrf")]:
+        def counting(*args, _f=getattr(module, name), **kwargs):
+            calls.append(1)
+            return _f(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return cholesky(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
+        monkeypatch.setattr(module, name, counting)
     return calls

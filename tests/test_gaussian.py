@@ -1,5 +1,7 @@
 """Gaussian measures, conjugate conditioning and sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -262,6 +264,51 @@ class TestUnitDiagonalFactor:
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(FactorizationFailure):
             _unit_diagonal_factor(np.diag([1.0, 0.0]))
+
+    def test_cholesky_factor_is_formed_in_place(self):
+        a = derive_rng(13).standard_normal((7, 7))
+        cov = a @ a.T + np.eye(7)
+        want = cov + SAMPLING_JITTER * np.diag(np.diag(cov))
+        factor = _unit_diagonal_factor(cov)
+        assert factor is cov and np.shares_memory(factor, cov)
+        assert np.all(np.triu(factor, 1) == 0.0)
+        np.testing.assert_allclose(factor @ factor.T, want, rtol=1e-13)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _unit_diagonal_factor(np.asfortranarray(a @ a.T + np.eye(7)))
+
+    def test_factor_allocates_no_square_array(self):
+        # A 1681 x 1681 form, the size of the default p = inf search prior:
+        # numpy reports its buffers to tracemalloc, and a copy of the form,
+        # or an n x n mask for its upper triangle, would exceed the bound.
+        n = 1681
+        cov = np.full((n, n), 0.5)
+        np.fill_diagonal(cov, 1.0)
+        tracemalloc.start()
+        try:
+            factor = _unit_diagonal_factor(cov)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factor is cov
+        assert peak < 0.05 * cov.nbytes
+
+    @pytest.mark.parametrize("corr", [
+        [[1.0, 1.001, 0.2], [1.001, 1.0, 0.3], [0.2, 0.3, 1.0]],
+        [[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]],
+    ], ids=["second-pivot", "third-pivot"])
+    def test_failure_at_a_later_column_falls_back_to_eigenvalue_clip(self, corr):
+        # LAPACK overwrites the leading rows of the factor and the diagonal
+        # before it finds a pivot that is not positive; the fallback must see
+        # the form as it was. Read from the overwritten lower triangle, the
+        # third-pivot form is 280 % off.
+        scale = np.array([2.0, 0.5, 3.0])
+        corr = np.array(corr)
+        factor = _unit_diagonal_factor(corr * np.outer(scale, scale))
+        w, v = np.linalg.eigh(corr + SAMPLING_JITTER * np.eye(3))
+        assert w[0] < 0.0
+        clipped = (v * np.clip(w, 0.0, None)) @ v.T
+        np.testing.assert_allclose(factor @ factor.T, clipped * np.outer(scale, scale),
+                                   rtol=1e-12)
 
 
 class TestSampling:

@@ -1,5 +1,7 @@
 """Kernels, linear functionals and GP conditioning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,6 +286,25 @@ class TestCrossCovBlocks:
         pts = np.random.default_rng(6).uniform(0, 1, (7, 2))
         out = kernel.cross_cov(pts, np.full(7, NEG_LAPLACIAN), pts[:4], np.full(4, POINT))
         assert made[-1] is out
+
+    @pytest.mark.parametrize("code_a", [POINT, NEG_LAPLACIAN])
+    @pytest.mark.parametrize("code_b", [POINT, NEG_LAPLACIAN])
+    def test_one_code_pair_holds_at_most_three_blocks(self, code_a, code_b):
+        # numpy reports its buffers to tracemalloc. The block is assembled
+        # in r^2's buffer, with at most two more of its size at any time,
+        # besides index and coordinate arrays of a few floats per point.
+        kernel = SquaredExponential(lengthscale=0.7, dim=2)
+        rng = np.random.default_rng(7)
+        pts_a, pts_b = rng.uniform(0, 1, (400, 2)), rng.uniform(0, 1, (300, 2))
+        codes_a, codes_b = np.full(400, code_a), np.full(300, code_b)
+        kernel.cross_cov(pts_a[:2], codes_a[:2], pts_b[:2], codes_b[:2])
+        tracemalloc.start()
+        try:
+            out = kernel.cross_cov(pts_a, codes_a, pts_b, codes_b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * out.nbytes + 8 * 8 * (400 + 300)
 
 
 class TestCrossCovBatch:

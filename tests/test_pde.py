@@ -170,7 +170,9 @@ class TestFixedDesignScoring:
         n_grid = problem.grid_points.shape[0]
         n_obs = problem.n_boundary + len(DEFAULT_DESIGN)
         cfg = MonteCarloConfig(seed=1, n_outer=8)
+        _grid_pair_factor.cache_clear()
         design_criterion(problem, DEFAULT_DESIGN[:3], cfg)
+        assert len(cholesky_calls) == 1
         cholesky_calls.clear()
         shapes = record_cross_cov_shapes(monkeypatch)
         factored = []
@@ -286,6 +288,25 @@ class TestCriterionSurface:
         assert a == b
 
 
+def assert_p2_contours_match_joint_posterior(problem):
+    """Every contour of a 4-step p = 2 search against the rank-1 update of
+    the dense joint posterior over [grid; candidates] from joint_cov, with
+    the scoring jitter of that joint."""
+    state, contours, _ = greedy_design(problem, 4)
+    cands, weights = problem.candidates, problem.grid_weights
+    n_grid = problem.grid_points.shape[0]
+    for step, contour in enumerate(contours):
+        joint = joint_cov(problem, state.points[:step], cands)
+        diag = np.diag(joint)[:n_grid]
+        jitter = 1e-12 * (np.trace(joint) / joint.shape[0] + 1.0)
+        free = np.flatnonzero(np.isfinite(contour.ravel()))
+        assert len(free) == len(cands) - step
+        want = np.array([2.0 * weights @ (diag - joint[:n_grid, n_grid + c] ** 2
+                                          / (joint[n_grid + c, n_grid + c] + jitter))
+                         for c in free])
+        np.testing.assert_allclose(contour.ravel()[free], want, rtol=1e-10, atol=0)
+
+
 class TestGreedy:
     def test_first_point_near_centre(self):
         problem = small_problem()
@@ -396,27 +417,17 @@ class TestGreedy:
 
     @pytest.mark.parametrize("n_boundary", [12, 0])
     def test_p2_contours_match_joint_posterior(self, n_boundary):
-        # Oracle: at every step, the rank-1 update of the dense joint
-        # posterior over [grid; candidates] from joint_cov, with the scoring
-        # jitter of that joint (measured worst cell 1.7e-13 relative, 4.4e-16
-        # without boundary).
-        problem = small_problem(n_boundary=n_boundary)
-        state, contours, _ = greedy_design(problem, 4)
-        cands, weights = problem.candidates, problem.grid_weights
-        n_grid = problem.grid_points.shape[0]
-        for step, contour in enumerate(contours):
-            joint = joint_cov(problem, state.points[:step], cands)
-            diag = np.diag(joint)[:n_grid]
-            jitter = 1e-12 * (np.trace(joint) / joint.shape[0] + 1.0)
-            free = np.flatnonzero(np.isfinite(contour.ravel()))
-            assert len(free) == len(cands) - step
-            want = np.array([2.0 * weights @ (diag - joint[:n_grid, n_grid + c] ** 2
-                                              / (joint[n_grid + c, n_grid + c] + jitter))
-                             for c in free])
-            np.testing.assert_allclose(contour.ravel()[free], want, rtol=1e-10, atol=0)
+        # Measured worst cell 1.7e-13 relative, 4.4e-16 without boundary.
+        assert_p2_contours_match_joint_posterior(small_problem(n_boundary=n_boundary))
+
+    def test_p2_contours_match_joint_posterior_over_several_blocks(self):
+        # 81 candidates: a step forms the grid x candidate covariance in
+        # blocks of _CAND_BLOCK = 64 rows, so here in two.
+        assert_p2_contours_match_joint_posterior(small_problem(candidate_grid=9))
 
     @pytest.mark.parametrize("search", [greedy_design, greedy_trace_design])
     def test_more_points_than_candidates_rejected_up_front(self, search, monkeypatch):
+
         def never(*args, **kwargs):
             raise AssertionError("a candidate was scored before m was checked")
 
@@ -729,6 +740,24 @@ class TestPathwiseSampler:
         greedy_design(small_problem(p=np.inf), 3, MonteCarloConfig(seed=1, n_outer=16))
         assert len(cholesky_calls) == 1
 
+    def test_search_prior_memory_peak(self):
+        # At p = inf and default sizes, with the CLI's 128 pair samples, the
+        # search assembles and factors the prior over [grid; candidates;
+        # boundary] in one buffer, "the joint". numpy reports its buffers to
+        # tracemalloc: the peak read 2.38 joints when the Cholesky copied
+        # the joint and the kernel held four blocks, and 1.98 without.
+        problem = EllipticDesignProblem(p=np.inf)
+        cands = problem.candidates
+        n = problem.grid_points.shape[0] + len(cands) + problem.n_boundary
+        _search_prior(small_problem(p=np.inf), cands, MonteCarloConfig(n_outer=4))
+        tracemalloc.start()
+        try:
+            _search_prior(problem, cands, MonteCarloConfig(n_outer=128))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * n * n * 8
+
     def test_search_without_boundary(self):
         # With no boundary points the first step has no observations: the
         # posterior pairs are the pool's prior pairs.
@@ -760,7 +789,7 @@ def design_map_variances(problem, points):
     for k, n in enumerate((n_grid, n_obs, n_obs)):
         blocks = [np.zeros((n, n_grid)), np.zeros((n, n_obs)), np.zeros((n, n_obs))]
         blocks[k] = np.eye(n)
-        total += (_design_pairs(problem, predictor, *blocks) ** 2).sum(axis=0)
+        total += (_design_pairs(problem, predictor)(*blocks) ** 2).sum(axis=0)
     return total
 
 
@@ -811,13 +840,67 @@ class TestPathwiseDesignCriterion:
         _grid_pair_factor.cache_clear()
         assert design_criterion(problem, DEFAULT_DESIGN, cfg) == cold == warm
 
+    def test_normals_are_drawn_in_blocks_from_two_streams(self, monkeypatch):
+        # The blocks of normals that reach the map are the rows of one draw
+        # from each stream: derive_rng(seed, 10**6) the grid normals, and
+        # derive_rng(seed, 10**6, 1), per draw, the observation normals and
+        # then the noise.
+        problem = small_problem(p=np.inf)
+        n_grid, n_obs = problem.grid_points.shape[0], problem.n_boundary + 2
+        seen = []
+        design_pairs = pde._design_pairs
+
+        def recording(*args):
+            pairs = design_pairs(*args)
+
+            def recorded(z, z_obs, noise):
+                seen.append((z.copy(), z_obs.copy(), noise.copy()))
+                return pairs(z, z_obs, noise)
+
+            return recorded
+
+        monkeypatch.setattr(pde, "_design_pairs", recording)
+        monkeypatch.setattr(pde, "_DRAW_BLOCK", 7)
+        design_criterion(problem, [[0.3, 0.4], [0.6, 0.5]], MonteCarloConfig(seed=3, n_outer=20))
+        assert [len(z) for z, _, _ in seen] == [7, 7, 6]
+        z, z_obs, noise = (np.vstack(block) for block in zip(*seen))
+        np.testing.assert_array_equal(z, derive_rng(3, 10**6).standard_normal((20, n_grid)))
+        obs = derive_rng(3, 10**6, 1).standard_normal((20, 2 * n_obs))
+        np.testing.assert_array_equal(np.hstack([z_obs, noise]), obs)
+
+    @pytest.mark.parametrize("block", [7, 4096])
+    def test_value_does_not_depend_on_the_block_size(self, monkeypatch, block):
+        problem = small_problem(p=np.inf)
+        cfg = MonteCarloConfig(seed=6, n_outer=64)
+        want = design_criterion(problem, DEFAULT_DESIGN, cfg)
+        monkeypatch.setattr(pde, "_DRAW_BLOCK", block)
+        got = design_criterion(problem, DEFAULT_DESIGN, cfg)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_memory_does_not_grow_with_the_draws(self):
+        # numpy reports its buffers to tracemalloc. Once the grid factor is
+        # cached, the draws are held one block at a time: 4096 draws held at
+        # once peaked at 41.0 MiB, against 9.7 MiB at 512.
+        problem = EllipticDesignProblem(p=np.inf)
+        peaks = []
+        design_criterion(problem, DEFAULT_DESIGN, MonteCarloConfig(seed=0, n_outer=8))
+        for n_outer in (512, 4096):
+            tracemalloc.start()
+            try:
+                design_criterion(problem, DEFAULT_DESIGN, MonteCarloConfig(seed=0, n_outer=n_outer))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
     def test_grid_prior_without_cholesky_factor_rejected(self, monkeypatch):
         # The eigenvalue-clip fallback gives a full factor, which the
-        # triangular solve and multiply would misread.
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("forced")
+        # triangular solve and multiply would misread. LAPACK reports a
+        # form that is not positive definite by info > 0.
+        def failing(a, *args, **kwargs):
+            return a, 1
 
-        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing)
         _grid_pair_factor.cache_clear()
         with pytest.raises(FactorizationFailure, match="Cholesky"):
             design_criterion(small_problem(p=np.inf), DEFAULT_DESIGN,

@@ -19,12 +19,9 @@ from .criteria import (
 )
 from .decisions import (
     GaussianLinearProblem,
-    PartitionZeroOne,
     PNormOnGrid,
-    SquaredPushforwardNorm,
     WeightedQuadratic,
     ZeroOne,
-    bayes_acts,
     bayes_risk,
     bayes_rule_discrete,
     verify_mean_is_bayes_act,
@@ -36,9 +33,8 @@ from .discrete import (
     build_counterexample,
     criteria_report,
 )
-from .gaussian import GaussianDensity, conjugate_posterior, derive_rng, sample_gaussian
+from .gaussian import GaussianDensity, conjugate_posterior, derive_rng
 from .kernels import (
-    BrownianBridge,
     NegativeLaplacianEvaluation,
     PointEvaluation,
     SquaredExponential,

@@ -1,11 +1,13 @@
-"""Loss functions, Bayes acts, Bayes rules and Bayes risk.
+"""Loss functions, Bayes rules and Bayes risk.
 
 The decision-theoretic layer: a loss pairs a latent state with an action,
 a Bayes act minimises posterior expected loss, a Bayes rule selects a Bayes
 act at every observation, and the Bayes risk is the prior expected loss of
-a rule. For finite problems everything is exact enumeration; for Gaussian
-problems closed forms are used where they exist and seeded Monte Carlo with
-common random numbers otherwise.
+a rule. For finite problems acts, rules and risk are exact contractions of
+one posterior table. For linear-Gaussian problems the Bayes risk of a given
+rule is a seeded Monte Carlo average, and ``verify_mean_is_bayes_act``
+checks in one dimension that the Bayes act a* of the squared pushforward
+loss ||phi(x) - phi(a)||^2 satisfies phi(a*) = E[phi(X)].
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, IntegratorFailure, OptimizerDiverged, UnboundedObjective
-from .gaussian import GaussianDensity, _psd_factor, derive_rng, linear_gaussian_update, sample_gaussian
+from .errors import DimensionMismatch, IntegratorFailure, UnboundedObjective
+from .gaussian import GaussianDensity, _psd_factor, derive_rng, linear_gaussian_update
 
 EXACT_TIE_TOL = 1e-12
 
@@ -24,19 +26,6 @@ EXACT_TIE_TOL = 1e-12
 # ---------------------------------------------------------------------------
 # Loss specifications
 # ---------------------------------------------------------------------------
-
-
-class SquaredPushforwardNorm:
-    """l(x, a) = ||phi(x) - phi(a)||^2 for a user-supplied map phi."""
-
-    def __init__(self, phi: Callable):
-        self.phi = phi
-
-    def __call__(self, x, a) -> float:
-        diff = np.atleast_1d(np.asarray(self.phi(x), dtype=float)) - np.atleast_1d(
-            np.asarray(self.phi(a), dtype=float)
-        )
-        return float(diff @ diff)
 
 
 class WeightedQuadratic:
@@ -107,33 +96,9 @@ class ZeroOne:
         return 0.0 if np.sqrt(sq) <= self.eps else 1.0
 
 
-class PartitionZeroOne:
-    """l(x, a) = 0 if indicator(x) == indicator(a), else 1."""
-
-    def __init__(self, indicator: Callable):
-        self.indicator = indicator
-
-    def __call__(self, x, a) -> float:
-        return 0.0 if self.indicator(x) == self.indicator(a) else 1.0
-
-
 # ---------------------------------------------------------------------------
 # Problem containers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """Finite distribution over arbitrary atoms."""
-
-    atoms: tuple
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if len(self.atoms) != probs.shape[0]:
-            raise ValueError("atoms/probs length mismatch")
-        object.__setattr__(self, "probs", probs)
 
 
 class GaussianLinearProblem:
@@ -213,88 +178,6 @@ class GaussianLinearProblem:
         x_primes = means[:, None, :] + z[:, n_noise:].reshape(n, n_inner, d) @ factor.T
         losses = self.loss.pairwise(np.repeat(xs, n_inner, axis=0), x_primes.reshape(-1, d))
         return xs, ys, losses.reshape(n, n_inner)
-
-
-# ---------------------------------------------------------------------------
-# Bayes acts
-# ---------------------------------------------------------------------------
-
-
-def posterior_expected_loss(posterior, loss, action, mc_samples: int = 4096, seed: int = 0) -> float:
-    """E[l(X, action)] under the posterior.
-
-    Exact for discrete posteriors and for quadratic loss under a Gaussian;
-    otherwise seeded Monte Carlo (the same sample set is reused across
-    actions for a given seed, giving common random numbers).
-    """
-    if isinstance(posterior, DiscreteDistribution):
-        return float(
-            sum(p * loss(atom, action) for atom, p in zip(posterior.atoms, posterior.probs))
-        )
-    if isinstance(posterior, GaussianDensity):
-        if isinstance(loss, WeightedQuadratic):
-            diff = posterior.mean - np.atleast_1d(np.asarray(action, dtype=float))
-            return float(
-                diff @ loss.weight_matrix @ diff
-                + np.trace(loss.weight_matrix @ posterior.cov)
-            )
-        samples = sample_gaussian(posterior, seed, mc_samples)
-        vals = np.array([loss(s, action) for s in samples])
-        return float(np.mean(vals))
-    raise TypeError(f"unsupported posterior type {type(posterior)!r}")
-
-
-def _coordinate_search(objective, box, tol: float) -> np.ndarray:
-    """Coordinate-wise bounded scalar minimisation (golden/parabolic) with sweeps."""
-    # Imported on first use: scipy is slow to import and most runs never need it.
-    from scipy.optimize import minimize_scalar
-
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    a = np.array([0.5 * (lo + hi) for lo, hi in box])
-    best = objective(a)
-    if not np.isfinite(best):
-        raise UnboundedObjective("objective non-finite at box centre")
-    for _ in range(200):
-        previous = best
-        for i, (lo, hi) in enumerate(box):
-            def line(v, i=i):
-                trial = a.copy()
-                trial[i] = v
-                return objective(trial)
-
-            res = minimize_scalar(line, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": tol * 1e-2})
-            if res.fun <= best:
-                a[i] = res.x
-                best = res.fun
-        if previous - best < tol * 1e-2:
-            return a
-    raise OptimizerDiverged("coordinate search failed to converge in 200 sweeps")
-
-
-def bayes_acts(posterior, loss, candidates=None, box=None, tol: float = 1e-8,
-               mc_samples: int = 4096, seed: int = 0):
-    """Set of actions minimising posterior expected loss.
-
-    Discrete candidate sets return the exact argmin set (tie tolerance
-    1e-12); a continuous search over ``box`` returns the single best action
-    found to within the optimiser tolerance.
-    """
-    if candidates is not None:
-        values = np.array(
-            [posterior_expected_loss(posterior, loss, a, mc_samples, seed) for a in candidates]
-        )
-        if not np.any(np.isfinite(values)):
-            raise UnboundedObjective("no candidate action has finite expected loss")
-        vmin = np.min(values)
-        return [candidates[i] for i in range(len(candidates)) if values[i] <= vmin + EXACT_TIE_TOL]
-    if box is None:
-        raise ValueError("either candidates or a bounding box must be supplied")
-
-    def objective(a):
-        return posterior_expected_loss(posterior, loss, a, mc_samples, seed)
-
-    return [_coordinate_search(objective, box, tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +306,21 @@ def _gauss_hermite_nodes(posterior: GaussianDensity, order: int = 80):
 
 
 def verify_mean_is_bayes_act(posterior: GaussianDensity, phi: Callable,
-                             tol: float, box=None,
-                             fd_step: float = 1e-6) -> BayesActReport:
+                             tol: float) -> BayesActReport:
     """Numerically locate the Bayes act for l(x,a) = ||phi(x) - phi(a)||^2
     on a 1-D Gaussian posterior and report the stationarity residual
     ||E[phi(X)] - phi(a*)||.
 
-    A rank-deficient derivative of phi at the found minimiser is reported
-    as a precondition violation rather than a silent pass/fail.
+    The act is the best of 401 points over mean +- 8 sd, replaced by the
+    result of one bounded scalar search over the two grid cells around it
+    when that is strictly lower; the grid keeps a non-convex objective from
+    stopping in the wrong basin. A rank-deficient derivative of phi at the
+    found minimiser is reported as a precondition violation rather than a
+    silent pass/fail.
     """
+    # Imported on first use: scipy is slow to import and most runs never need it.
+    from scipy.optimize import minimize_scalar
+
     if posterior.dim != 1:
         raise ValueError("verification implemented for 1-D posteriors")
     nodes, weights = _gauss_hermite_nodes(posterior)
@@ -439,15 +328,20 @@ def verify_mean_is_bayes_act(posterior: GaussianDensity, phi: Callable,
     expected_phi = weights @ phi_vals
 
     def objective(a):
-        pa = np.atleast_1d(np.asarray(phi(float(a[0])), dtype=float))
+        pa = np.atleast_1d(np.asarray(phi(float(a)), dtype=float))
         return float(weights @ np.sum((phi_vals - pa[None, :]) ** 2, axis=1))
 
-    if box is None:
-        sd = np.sqrt(posterior.cov[0, 0])
-        box = [(posterior.mean[0] - 8 * sd, posterior.mean[0] + 8 * sd)]
-    minimizer = _coordinate_search(objective, box, tol=min(tol, 1e-8))
-    a_star = float(minimizer[0])
+    sd = np.sqrt(posterior.cov[0, 0])
+    grid = posterior.mean[0] + sd * np.linspace(-8.0, 8.0, 401)
+    values = np.array([objective(a) for a in grid])
+    if not np.all(np.isfinite(values)):
+        raise UnboundedObjective("objective non-finite on the search grid")
+    k = int(np.argmin(values))
+    res = minimize_scalar(objective, bounds=(grid[max(k - 1, 0)], grid[min(k + 1, 400)]),
+                          method="bounded", options={"xatol": min(tol, 1e-8) * 1e-2})
+    a_star = float(res.x) if res.fun < values[k] else float(grid[k])
 
+    fd_step = 1e-6
     deriv = (np.atleast_1d(np.asarray(phi(a_star + fd_step), dtype=float))
              - np.atleast_1d(np.asarray(phi(a_star - fd_step), dtype=float))) / (2 * fd_step)
     precondition_ok = bool(np.linalg.norm(deriv) > 1e-8)
@@ -471,7 +365,7 @@ def verify_mean_is_bayes_act(posterior: GaussianDensity, phi: Callable,
                    "first-order condition is checked")
         passed = stationarity_residual < tol
     return BayesActReport(
-        minimizer=minimizer,
+        minimizer=np.array([a_star]),
         residual=residual,
         stationarity_residual=stationarity_residual,
         expected_phi=np.atleast_1d(expected_phi),

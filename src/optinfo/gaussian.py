@@ -148,19 +148,6 @@ def _unit_diagonal_factor(cov: np.ndarray) -> np.ndarray:
     return factor
 
 
-def sample_gaussian(g: GaussianDensity, seed: int, count: int) -> np.ndarray:
-    """Draw ``count`` samples from g, deterministically given ``seed``.
-
-    Returns an array of shape (count, d).
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = derive_rng(seed)
-    factor = _psd_factor(g.cov)
-    z = rng.standard_normal((count, g.dim))
-    return g.mean[None, :] + z @ factor.T
-
-
 def _spd_factor(mat: np.ndarray):
     """``cho_factor`` of the symmetric part of ``mat``, adding no jitter.
 

@@ -1,7 +1,6 @@
 """Covariance kernels, linear observation functionals and GP conditioning.
 
-Three kernels are provided: the Wiener kernel min(t, t') on [0, 1], the
-Brownian bridge on an interval with pinned endpoint values, and the
+Two kernels are provided: the Wiener kernel min(t, t') on [0, 1] and the
 squared-exponential kernel amp * exp(-||t - t'||^2 / lengthscale^2) in one
 or two dimensions (the only kernel smooth enough to support Laplacian
 observations). The SE kernel assembles covariances in blocks of one
@@ -84,45 +83,6 @@ class Wiener:
 
     def mean(self, pts):
         return np.zeros(np.asarray(pts, dtype=float).reshape(-1).shape[0])
-
-
-class BrownianBridge:
-    """Wiener process on [left, right] pinned to given endpoint values.
-
-    Covariance (right - t')(t - left) / (right - left) for t <= t'; the mean
-    interpolates the pinned values linearly.
-    """
-
-    dim = 1
-    smooth = False
-
-    def __init__(self, left: float, right: float, left_value: float = 0.0, right_value: float = 0.0):
-        if not right > left:
-            raise ValueError("require right > left")
-        self.left = float(left)
-        self.right = float(right)
-        self.left_value = float(left_value)
-        self.right_value = float(right_value)
-
-    def cross_cov(self, pts_a, codes_a, pts_b, codes_b):
-        if np.any(np.asarray(codes_a)) or np.any(np.asarray(codes_b)):
-            raise UnsupportedFunctional("Brownian bridge is not twice differentiable")
-        ta = np.asarray(pts_a, dtype=float).reshape(-1)
-        tb = np.asarray(pts_b, dtype=float).reshape(-1)
-        width = self.right - self.left
-        lo = np.minimum.outer(ta, tb)
-        hi = np.maximum.outer(ta, tb)
-        return (self.right - hi) * (lo - self.left) / width
-
-    def diag(self, pts):
-        """Prior variances (right - t)(t - left) / (right - left)."""
-        t = np.asarray(pts, dtype=float).reshape(-1)
-        return (self.right - t) * (t - self.left) / (self.right - self.left)
-
-    def mean(self, pts):
-        t = np.asarray(pts, dtype=float).reshape(-1)
-        w = (t - self.left) / (self.right - self.left)
-        return (1.0 - w) * self.left_value + w * self.right_value
 
 
 class SquaredExponential:

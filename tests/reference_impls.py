@@ -11,6 +11,9 @@ against. None of them is called by the library or the CLI.
 - ``dense_design_criterion``: the p = inf fixed-design criterion sampled
   from a factor of each dense grid posterior, the oracle of the pathwise
   ``design_criterion``.
+- ``BrownianBridge``: the Wiener process pinned at both ends of an
+  interval, the second 1-D kernel of the conditioning tests and the
+  closed form of a Wiener posterior between two nodes.
 
 The module is not named ``oracles`` because ``optbench/oracles.py`` is
 imported under that name in the same pytest session.
@@ -19,6 +22,7 @@ imported under that name in the same pytest session.
 import numpy as np
 
 from optinfo.criteria import mean_and_stderr
+from optinfo.errors import UnsupportedFunctional
 from optinfo.gaussian import _psd_factor, derive_rng
 from optinfo.pde import (
     EllipticDesignProblem,
@@ -91,3 +95,42 @@ def dense_design_criterion(problem: EllipticDesignProblem, points, cfg):
     z = rng.standard_normal((cfg.n_outer, cov.shape[0])) @ factor.T
     value, stderr = mean_and_stderr(np.max(np.abs(z), axis=1))
     return float(value), float(stderr)
+
+
+class BrownianBridge:
+    """Wiener process on [left, right] pinned to given endpoint values.
+
+    Covariance (right - t')(t - left) / (right - left) for t <= t'; the mean
+    interpolates the pinned values linearly.
+    """
+
+    dim = 1
+    smooth = False
+
+    def __init__(self, left: float, right: float, left_value: float = 0.0, right_value: float = 0.0):
+        if not right > left:
+            raise ValueError("require right > left")
+        self.left = float(left)
+        self.right = float(right)
+        self.left_value = float(left_value)
+        self.right_value = float(right_value)
+
+    def cross_cov(self, pts_a, codes_a, pts_b, codes_b):
+        if np.any(np.asarray(codes_a)) or np.any(np.asarray(codes_b)):
+            raise UnsupportedFunctional("Brownian bridge is not twice differentiable")
+        ta = np.asarray(pts_a, dtype=float).reshape(-1)
+        tb = np.asarray(pts_b, dtype=float).reshape(-1)
+        width = self.right - self.left
+        lo = np.minimum.outer(ta, tb)
+        hi = np.maximum.outer(ta, tb)
+        return (self.right - hi) * (lo - self.left) / width
+
+    def diag(self, pts):
+        """Prior variances (right - t)(t - left) / (right - left)."""
+        t = np.asarray(pts, dtype=float).reshape(-1)
+        return (self.right - t) * (t - self.left) / (self.right - self.left)
+
+    def mean(self, pts):
+        t = np.asarray(pts, dtype=float).reshape(-1)
+        w = (t - self.left) / (self.right - self.left)
+        return (1.0 - w) * self.left_value + w * self.right_value

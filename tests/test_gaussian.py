@@ -16,7 +16,6 @@ from optinfo.gaussian import (
     _unit_diagonal_factor,
     conjugate_posterior,
     derive_rng,
-    sample_gaussian,
 )
 from optinfo.kernels import (
     NegativeLaplacianEvaluation,
@@ -309,32 +308,6 @@ class TestUnitDiagonalFactor:
         clipped = (v * np.clip(w, 0.0, None)) @ v.T
         np.testing.assert_allclose(factor @ factor.T, clipped * np.outer(scale, scale),
                                    rtol=1e-12)
-
-
-class TestSampling:
-    def test_deterministic_given_seed(self):
-        g = GaussianDensity([1.0, -1.0], np.eye(2))
-        a = sample_gaussian(g, seed=42, count=16)
-        b = sample_gaussian(g, seed=42, count=16)
-        np.testing.assert_array_equal(a, b)
-        c = sample_gaussian(g, seed=43, count=16)
-        assert not np.array_equal(a, c)
-
-    def test_degenerate_covariance(self):
-        g = GaussianDensity([2.0], [[0.0]])
-        samples = sample_gaussian(g, seed=0, count=10)
-        assert samples == pytest.approx(2.0, abs=1e-4)
-
-    def test_moments_standard_normal(self):
-        g = GaussianDensity(np.zeros(2), np.eye(2))
-        samples = sample_gaussian(g, seed=5, count=100_000)
-        assert samples.mean(axis=0) == pytest.approx(0.0, abs=3.0 / np.sqrt(100_000))
-        assert np.cov(samples.T) == pytest.approx(np.eye(2), abs=0.05)
-
-    def test_count_validation(self):
-        g = GaussianDensity([0.0], [[1.0]])
-        with pytest.raises(ValueError):
-            sample_gaussian(g, seed=0, count=0)
 
 
 class TestSeedSplitting:

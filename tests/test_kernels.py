@@ -13,14 +13,13 @@ from optinfo.errors import SingularGram, SingularSystem, UnsupportedFunctional
 from optinfo.kernels import (
     NEG_LAPLACIAN,
     POINT,
-    BrownianBridge,
     NegativeLaplacianEvaluation,
     PointEvaluation,
     SquaredExponential,
     Wiener,
     gp_condition,
 )
-from reference_impls import se_functional_covariances
+from reference_impls import BrownianBridge, se_functional_covariances
 
 
 def fd_laplacian(f, t, h=1e-4):

@@ -1,9 +1,16 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and the code it names exists."""
 
+import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import optinfo
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+INLINE_CODE = re.findall(r"`([^`\n]+)`", README.read_text())
 
 
 def test_python_blocks_run():
@@ -11,3 +18,46 @@ def test_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_named_library_objects_exist():
+    # `decisions.posterior_table`, `optinfo.pde` and the like: a dotted
+    # name whose first part (after an optional `optinfo.`) is a module of
+    # the package must resolve attribute by attribute.
+    modules = {info.name for info in pkgutil.iter_modules(optinfo.__path__)}
+    checked = []
+    for ref in INLINE_CODE:
+        if not re.fullmatch(r"\w+(\.\w+)+", ref):
+            continue
+        parts = ref.split(".")
+        if parts[0] == "optinfo":
+            parts = parts[1:]
+        if parts[0] not in modules:
+            continue
+        obj = importlib.import_module(f"optinfo.{parts[0]}")
+        for name in parts[1:]:
+            assert hasattr(obj, name), f"README names `{ref}`, which does not exist"
+            obj = getattr(obj, name)
+        checked.append(ref)
+    assert "decisions.posterior_table" in checked
+
+
+def _defines(body, path):
+    """True if the ast body defines the class/function chain ``path``."""
+    if not path:
+        return True
+    for node in body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == path[0]:
+            return _defines(node.body, path[1:])
+    return False
+
+
+def test_cited_test_ids_exist():
+    ids = [ref for ref in INLINE_CODE if re.fullmatch(r"tests/[\w/]+\.py(::\w+(\[.*\])?)+", ref)]
+    assert ids
+    for node_id in ids:
+        file, *path = re.sub(r"\[.*\]$", "", node_id).split("::")
+        source = ROOT / file
+        assert source.is_file(), f"README cites `{node_id}`: no file {file}"
+        tree = ast.parse(source.read_text())
+        assert _defines(tree.body, path), f"README cites `{node_id}`, which is not a test"

@@ -193,11 +193,7 @@ def _array(value, path: str, shape: tuple) -> np.ndarray:
 
 
 def cmd_regression(args) -> int:
-    with open(args.config) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpec(f"$: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    doc = discrete._read_json(args.config)
     if not isinstance(doc, dict):
         raise InvalidSpec("$: document must be an object")
     for key in ("prior_cov", "candidates"):

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, IntegratorFailure, UnboundedObjective
+from .errors import IntegratorFailure, UnboundedObjective
 from .gaussian import GaussianDensity, _psd_factor, derive_rng, linear_gaussian_update
 
 EXACT_TIE_TOL = 1e-12
@@ -117,13 +117,6 @@ class GaussianLinearProblem:
 
     def experiment_ids(self):
         return list(self.experiments)
-
-    def posterior(self, e, y) -> GaussianDensity:
-        gain, base, _ = self._posterior_pieces(e)
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.shape != (gain.shape[1],):
-            raise DimensionMismatch(f"observation shape {y.shape} != ({gain.shape[1]},)")
-        return GaussianDensity(base.mean + gain @ y, base.cov)
 
     def posterior_cov(self, e) -> np.ndarray:
         return self._posterior_pieces(e)[1].cov.copy()

@@ -14,11 +14,7 @@ import numpy as np
 
 from . import criteria
 from .decisions import bayes_risk_discrete, bayes_rule_discrete, posterior_table
-from .errors import (
-    InvalidSpec,
-    MissingLossTable,
-    ZeroProbabilityObservation,
-)
+from .errors import InvalidSpec, MissingLossTable
 
 PROB_TOL = 1e-12
 
@@ -111,16 +107,6 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Index drawn by each uniform u[i, k] from the row CDF cdf[i]: the
     number of entries <= u, which is ``searchsorted(side="right")``."""
     return np.sum(cdf[:, None, :] <= u[:, :, None], axis=2)
-
-
-def posterior(problem: DiscreteProblem, e, y: int) -> np.ndarray:
-    """Exact Bayes posterior over states given observation index y."""
-    _, marginal, post = posterior_table(problem, e)
-    if marginal[y] <= 0.0:
-        raise ZeroProbabilityObservation(
-            f"observation {y} has zero marginal probability under {e!r}"
-        )
-    return post[y]
 
 
 def bpn_exact(problem: DiscreteProblem, e) -> float:
@@ -268,10 +254,15 @@ def problem_from_dict(doc: dict) -> DiscreteProblem:
         raise InvalidSpec(f"$: {exc}") from exc
 
 
-def load_problem(path: str) -> DiscreteProblem:
+def _read_json(path: str):
+    """The JSON document in the file at ``path``: the one reader of the
+    CLI's input files. A syntax error raises InvalidSpec naming its line."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidSpec(f"$: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return problem_from_dict(doc)
+
+
+def load_problem(path: str) -> DiscreteProblem:
+    return problem_from_dict(_read_json(path))

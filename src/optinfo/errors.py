@@ -53,10 +53,6 @@ class MissingLossTable(OptinfoError):
     pass
 
 
-class ZeroProbabilityObservation(OptinfoError):
-    pass
-
-
 class InvalidSpec(OptinfoError):
     pass
 

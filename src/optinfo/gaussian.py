@@ -89,12 +89,14 @@ def _add_jitter(mat: np.ndarray) -> np.ndarray:
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Return F with F F^T = cov, via Cholesky of the jittered matrix with
-    an eigenvalue-clip fallback."""
+    """Return F with F F^T = cov: the Cholesky factor of ``cov`` as it is,
+    or, if that fails, V sqrt(max(w, 0)) from its eigendecomposition. No
+    jitter is added, so a draw through F has the variances of ``cov``
+    however small they are."""
     if cov.size == 0:
         return cov
     try:
-        return np.linalg.cholesky(_add_jitter(cov.copy()))
+        return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh(cov)
         if w[-1] < 0:
@@ -117,12 +119,9 @@ def _unit_diagonal_factor(cov: np.ndarray) -> np.ndarray:
     the upper factor U^T U of the Fortran-ordered transpose, which read in
     C order is the lower factor of ``cov``, from and into its lower
     triangle, and the strict upper triangle is then zeroed row by row. So
-    on success F is ``cov`` itself and no other n x n array is allocated.
-    If the form is not positive definite, the matrix is rebuilt from the
-    strict upper triangle, which LAPACK left as it was, and the known
-    diagonal, and F is a new, full factor from ``_psd_factor``'s
-    eigenvalue-clip fallback. So ``_unit_diagonal_factor(cov) is cov``
-    tells whether F is the lower-triangular Cholesky factor.
+    F is ``cov`` itself and no other n x n array is allocated. A form that
+    is not positive definite raises FactorizationFailure; ``cov`` is then
+    left overwritten.
     """
     # Imported on first use: scipy is slow to import and most runs never need it.
     from scipy.linalg import lapack
@@ -136,16 +135,13 @@ def _unit_diagonal_factor(cov: np.ndarray) -> np.ndarray:
     cov /= scale[None, :]
     np.fill_diagonal(cov, 1.0 + SAMPLING_JITTER)
     _, info = lapack.dpotrf(cov.T, lower=0, clean=0, overwrite_a=1)
-    if info == 0:
-        factor = cov
-        for i in range(len(cov) - 1):
-            factor[i, i + 1:] = 0.0
-    else:
-        np.fill_diagonal(cov, 1.0 + SAMPLING_JITTER)
-        w, v = np.linalg.eigh(cov, UPLO="U")
-        factor = v * np.sqrt(np.clip(w, 0.0, None))
-    factor *= scale[:, None]
-    return factor
+    if info != 0:
+        raise FactorizationFailure(f"the unit-diagonal form has no Cholesky factor "
+                                   f"(dpotrf info {info})")
+    for i in range(len(cov) - 1):
+        cov[i, i + 1:] = 0.0
+    cov *= scale[:, None]
+    return cov
 
 
 def _spd_factor(mat: np.ndarray):

@@ -19,17 +19,17 @@ each candidate is a rank-1 update scored in closed form.
 
 At p = inf the greedy search samples pathwise (Matheron's rule; Wilson et
 al., "Efficiently sampling functions from Gaussian process posteriors",
-ICML 2020). It factors the pair-difference prior over [grid; -Laplacian at
-every candidate; boundary] once per search and draws one pool of prior pair
-differences and observation noise from cfg.seed. Each step maps that pool
-to posterior pair differences with one small solve against the step's
-Gram, so no step factors a posterior covariance, and the draws depend on
-cfg.seed alone, not on the step. ``_pinf_values`` takes the grid maxima
-of a block of candidates in one fused, exact pass, scipy's Chebyshev
-``cdist``, so only the p = inf search loads scipy.spatial.
-``design_criterion`` samples a fixed design pathwise too, from a factor of
-the grid pair-difference prior that is computed once per process, and
-holds its draws one block at a time.
+ICML 2020). It draws one pool of prior pair differences over [grid;
+-Laplacian at every candidate; boundary] and of observation noise from
+cfg.seed. Each step maps that pool to posterior pair differences with one
+small solve against the step's Gram, so no step factors a posterior
+covariance, and the draws depend on cfg.seed alone, not on the step.
+``_pinf_values`` takes the grid maxima of a block of candidates in one
+fused, exact pass, scipy's Chebyshev ``cdist``, so only the p = inf search
+loads scipy.spatial. ``design_criterion`` samples a fixed design
+pathwise too. Both draw prior pairs through one map, ``_prior_pairs``,
+from a grid factor computed once per process, ``_DRAW_BLOCK`` rows at a
+time by one stream rule (``_normal_blocks``).
 
 The dense references that check these paths, the full-reconditioning
 greedy trace search, the dense joint posterior over [grid; candidates] and
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import MonteCarloConfig, _check_integer, _check_integers, mean_and_stderr
-from .errors import FactorizationFailure, SamplerFailure
+from .errors import SamplerFailure
 from .gaussian import _unit_diagonal_factor, derive_rng
 from .kernels import (
     NEG_LAPLACIAN,
@@ -61,8 +61,8 @@ from .kernels import (
 # 32 / 64 / 128, took a median 0.92 / 0.98 / 1.20 s with 1 thread (32 and
 # 64 within each other's quartiles) and 1.00 / 0.70 / 0.83 s with 2.
 _CAND_BLOCK = 64
-# Draws per block of a fixed design's sampler: two 4 MB blocks at the
-# default 1024 grid points.
+# Draws per block of the pathwise prior sampler, for a fixed design and for
+# the search's pool: two 4 MB blocks at the default 1024 grid points.
 _DRAW_BLOCK = 512
 
 
@@ -175,16 +175,15 @@ def _predictor(problem: EllipticDesignProblem, points):
 def _grid_pair_factor(eval_grid: int, lengthscale: float, amplitude: float) -> np.ndarray:
     """Read-only lower-triangular F with F F^T = 2 P_gg + 1e-12 diag(2 P_gg),
     where P_gg is the prior covariance over the evaluation grid: the factor
-    of the grid pair-difference prior, by ``_unit_diagonal_factor`` as in
-    the search. One entry per process, keyed by (eval_grid, lengthscale,
-    amplitude); the grid prior is assembled and factored in one buffer,
-    which becomes F.
+    of the grid pair-difference prior, by ``_unit_diagonal_factor``. One
+    entry per process, keyed by (eval_grid, lengthscale, amplitude); the
+    grid prior is assembled and factored in one buffer, which becomes F.
+    This is the only prior that a search or a fixed design factors.
 
-    ``_design_pairs`` needs F triangular, so the eigenvalue-clip fallback of
-    ``_unit_diagonal_factor``, which it reports by returning a new array
-    instead of its input, raises FactorizationFailure here. The Cholesky
-    succeeded on every grid tried: G x G for G up to 48 at lengthscales 0.3
-    to 3, and G up to 32 at lengthscales up to 100.
+    A grid prior whose unit-diagonal form has no Cholesky factor raises
+    FactorizationFailure. The Cholesky succeeded on every grid tried: G x G
+    for G up to 48 at lengthscales 0.3 to 3, and G up to 32 at lengthscales
+    up to 100.
     """
     problem = EllipticDesignProblem(eval_grid=eval_grid, lengthscale=lengthscale,
                                     amplitude=amplitude)
@@ -192,10 +191,9 @@ def _grid_pair_factor(eval_grid: int, lengthscale: float, amplitude: float) -> n
     codes = np.full(grid.shape[0], POINT, dtype=np.int64)
     cov = problem.kernel.cross_cov(grid, codes, grid, codes)
     cov *= 2.0
-    if _unit_diagonal_factor(cov) is not cov:
-        raise FactorizationFailure("the grid pair-difference prior has no Cholesky factor")
-    cov.setflags(write=False)
-    return cov
+    factor = _unit_diagonal_factor(cov)
+    factor.setflags(write=False)
+    return factor
 
 
 def _joint_functionals(problem: EllipticDesignProblem, extra_points):
@@ -251,51 +249,38 @@ def _search_prior(problem: EllipticDesignProblem, candidates,
     [grid; -Laplacian at the candidates]: its diagonal, from the kernel's
     ``diag``, and its candidate x grid block, one ``cross_cov`` call.
 
-    At p = 2 nothing else is assembled. At p = inf the blocks of P over
-    [grid; candidates; boundary values] fill one buffer: one ``cross_cov``
-    call per block below or on the diagonal, except the kept candidate x
-    grid block, and their transposes above it. 2 P, the prior of a pair
-    difference X - X', is factored in that buffer as F F^T up to a
-    relative jitter of 1e-12: a Cholesky factor of the unit-diagonal form,
-    taken by LAPACK in place (``_unit_diagonal_factor``). So beside that
-    one square array the search holds only the kept candidate x grid
-    block, the few temporary blocks of one ``cross_cov`` call and the pool:
-    at default sizes and 128 pair samples numpy's peak is under 2.1 times
-    the square array's bytes. An additive jitter scaled by the mean
-    diagonal, as in ``_psd_factor``, would give every observed value extra
-    variance of the size of the GP nugget, which K^-1 then amplifies. The
-    pool is drawn from ``derive_rng(cfg.seed)``: first cfg.n_outer rows of
-    pair differences ``z F^T``, then the observation noise, one standard
-    normal per candidate and boundary observation in each row.
+    At p = 2 nothing else is assembled. At p = inf the pool is drawn
+    through the fixed-design map ``_prior_pairs`` over the functionals
+    [-Laplacian at the candidates; boundary values]: the search factors
+    only the cached grid prior, assembles besides only the boundary x grid
+    block and the functionals' own block, and forms nothing of size
+    (grid + candidates + boundary)^2. The pool, with the columns [grid;
+    candidates; boundary], and the noise are preallocated and filled
+    ``_DRAW_BLOCK`` rows at a time from ``_normal_blocks`` with the streams
+    ``derive_rng(cfg.seed)`` and ``derive_rng(cfg.seed, 1)``.
     """
     kernel = problem.kernel
+    grid = problem.grid_points
     points, codes = _joint_functionals(problem, candidates)
-    blocks = [(problem.grid_points, POINT), (candidates, NEG_LAPLACIAN)]
-
-    def block(i, j):
-        (pts_a, code_a), (pts_b, code_b) = blocks[i], blocks[j]
-        return kernel.cross_cov(pts_a, np.full(len(pts_a), code_a),
-                                pts_b, np.full(len(pts_b), code_b))
-
-    diag = np.concatenate([kernel.diag(pts, code) for pts, code in blocks])
-    search = _SearchPrior(candidates, points, codes, diag, block(1, 0))
+    grid_codes = np.full(len(grid), POINT, dtype=np.int64)
+    cand_codes = np.full(len(candidates), NEG_LAPLACIAN, dtype=np.int64)
+    diag = np.concatenate([kernel.diag(grid, POINT), kernel.diag(candidates, NEG_LAPLACIAN)])
+    search = _SearchPrior(candidates, points, codes, diag,
+                          kernel.cross_cov(candidates, cand_codes, grid, grid_codes))
     if problem.p == 2.0:
         return search
-    blocks.append((problem.boundary, POINT))
-    ends = np.cumsum([len(pts) for pts, _ in blocks])
-    cov = np.empty((ends[-1], ends[-1]))
-    for i in range(len(blocks)):
-        rows = slice(ends[i] - len(blocks[i][0]), ends[i])
-        for j in range(i + 1):
-            cols = slice(ends[j] - len(blocks[j][0]), ends[j])
-            cov[rows, cols] = search.cand_grid if (i, j) == (1, 0) else block(i, j)
-            if j < i:
-                cov[cols, rows] = cov[rows, cols].T
-    cov *= 2.0
-    factor = _unit_diagonal_factor(cov)
-    rng = derive_rng(cfg.seed)
-    search.pairs = rng.standard_normal((cfg.n_outer, factor.shape[0])) @ factor.T
-    search.noise = rng.standard_normal((cfg.n_outer, factor.shape[0] - search.n_grid))
+    bnd = problem.boundary
+    bnd_codes = np.full(len(bnd), POINT, dtype=np.int64)
+    cross = np.vstack([search.cand_grid, kernel.cross_cov(bnd, bnd_codes, grid, grid_codes)])
+    draw = _prior_pairs(problem, cross.T, np.vstack([candidates, bnd]),
+                        np.concatenate([cand_codes, bnd_codes]))
+    del cross
+    n_grid, n_obs = len(grid), len(candidates) + len(bnd)
+    search.pairs = np.empty((cfg.n_outer, n_grid + n_obs))
+    search.noise = np.empty((cfg.n_outer, n_obs))
+    for rows, z, z_obs, noise in _normal_blocks(cfg, n_grid, n_obs):
+        search.pairs[rows, :n_grid], search.pairs[rows, n_grid:] = draw(z, z_obs)
+        search.noise[rows] = noise
     return search
 
 
@@ -432,52 +417,88 @@ def _pinf_values(dx, dg, columns, variances, threads=1):
     return mean_and_stderr(np.ascontiguousarray(maxes.T))
 
 
-def _design_pairs(problem: EllipticDesignProblem, predictor):
-    """The map from standard normals to posterior pair differences X - X'
-    on the grid of a fixed design: ``pairs(z, z_obs, noise)`` gives one row
-    per row of z (n, n_grid), z_obs and noise (n, n_obs), for the n_obs
-    observations of ``predictor``. What the map reads of the design is
-    computed here, once: the predictor's ``cross_solve`` against the grid,
-    L_og and the Schur root.
+def _prior_pairs(problem: EllipticDesignProblem, cross, points, codes):
+    """The map from standard normals to prior pair differences X - X' over
+    [grid; functionals], for the n_obs functionals given by ``points`` and
+    ``codes`` and their (n_grid, n_obs) prior covariance ``cross`` with the
+    grid values: ``draw(z, z_obs)`` gives the grid pairs (n, n_grid) and
+    the functionals' pairs (n, n_obs), one row per row of z (n, n_grid) and
+    z_obs (n, n_obs). What the map reads is computed here, once.
 
-    The prior pair differences over [grid; observations] are drawn through
-    the lower-triangular factor of 2 P over that joint, whose grid block is
-    the cached F (``_grid_pair_factor``). Its observation rows are L_og^T
-    with L_og = F^-1 2 P_go, one triangular solve, and the n_obs x n_obs
-    Schur complement 2 P_oo - L_og^T L_og is factored by ``eigh`` with its
-    eigenvalues clipped at 0. The draws become posterior ones by
-    ``_matheron`` through the predictor's nugget, so no matrix larger than
-    n_obs x n_obs is factored here. Without observations the map gives the
-    prior pair draws.
+    The draws are taken through the lower-triangular factor of 2 P over the
+    joint, whose grid block is the cached F (``_grid_pair_factor``). Its
+    functional rows are L_og^T with L_og = F^-1 2 P_go, one triangular
+    solve, and the n_obs x n_obs Schur complement 2 P_oo - L_og^T L_og is
+    factored by ``eigh`` with its eigenvalues clipped at 0; P_oo is one
+    ``cross_cov`` call. So no matrix larger than n_obs x n_obs is factored
+    here, and none, once F is cached, that spans the grid.
+
+    The solve, L_og^T L_og (``dsyrk``, into the lower triangle that ``eigh``
+    reads) and ``eigh`` (``dsyevd``, as in ``np.linalg.eigh``) run in
+    scipy's OpenBLAS, not numpy's: a numpy call right after a scipy call
+    shares the cores with scipy's spinning threads (on 2 cores the default
+    search's 657 x 657 ``np.linalg.eigh`` took 120 ms instead of 65 ms).
 
     The grid draws z F^T are formed in place, by a triangular multiply into
-    the buffer of a C-contiguous z, which is overwritten; Matheron's rule
-    then writes the result into one new (n, n_grid) array. So beyond z a
-    call allocates one (n, n_grid) and a few (n, n_obs) arrays.
+    the buffer of a C-contiguous z, which is overwritten and returned; the
+    functionals' draws z L_og + z_obs R^T are taken first, into one new
+    (n, n_obs) array.
     """
     # Imported on first use: scipy is slow to import and most runs never need it.
     import scipy.linalg
 
     factor = _grid_pair_factor(problem.eval_grid, problem.lengthscale, problem.amplitude)
-
-    def prior_pairs(z):
-        return scipy.linalg.blas.dtrmm(1.0, factor.T, z.T, lower=0, trans_a=1,
-                                       overwrite_b=1).T
-
-    if not predictor.observations:
-        return lambda z, z_obs, noise: prior_pairs(z)
-    grid = problem.grid_points
-    cross, solved = predictor.cross_solve(grid, np.full(grid.shape[0], POINT, dtype=np.int64))
-    l_og = scipy.linalg.solve_triangular(factor, 2.0 * cross, lower=True)
-    obs_pts = np.vstack([o.location for o in predictor.observations])
-    obs_codes = np.array([o.code for o in predictor.observations], dtype=np.int64)
-    schur = 2.0 * problem.kernel.cross_cov(obs_pts, obs_codes, obs_pts, obs_codes)
-    w, v = np.linalg.eigh(schur - l_og.T @ l_og)
+    l_og = scipy.linalg.solve_triangular(factor, 2.0 * cross, lower=True, overwrite_b=True)
+    schur = 2.0 * problem.kernel.cross_cov(points, codes, points, codes)
+    if len(codes):  # dsyrk rejects an empty product
+        schur -= scipy.linalg.blas.dsyrk(1.0, l_og, trans=1, lower=1)
+    w, v = scipy.linalg.eigh(schur, driver="evd")
     root = v * np.sqrt(np.clip(w, 0.0, None))
 
-    def pairs(z, z_obs, noise):
+    def draw(z, z_obs):
         observed = z @ l_og + z_obs @ root.T
-        return _matheron(prior_pairs(z), observed, noise, predictor.nugget, solved)
+        grid = scipy.linalg.blas.dtrmm(1.0, factor.T, z.T, lower=0, trans_a=1,
+                                       overwrite_b=1).T
+        return grid, observed
+
+    return draw
+
+
+def _normal_blocks(cfg: MonteCarloConfig, n_grid: int, n_obs: int, *stream: int):
+    """Yield (rows, z, z_obs, noise) for cfg.n_outer draws, ``_DRAW_BLOCK``
+    at a time: (n, n_grid) grid normals from ``derive_rng(cfg.seed,
+    *stream)``, row by row, and from ``derive_rng(cfg.seed, *stream, 1)``,
+    per draw, n_obs functional normals then n_obs noise normals, so the
+    normals do not depend on the block size."""
+    grid_rng, obs_rng = derive_rng(cfg.seed, *stream), derive_rng(cfg.seed, *stream, 1)
+    for start in range(0, cfg.n_outer, _DRAW_BLOCK):
+        n = min(_DRAW_BLOCK, cfg.n_outer - start)
+        z_obs, noise = np.hsplit(obs_rng.standard_normal((n, 2 * n_obs)), 2)
+        yield slice(start, start + n), grid_rng.standard_normal((n, n_grid)), z_obs, noise
+
+
+def _design_pairs(problem: EllipticDesignProblem, predictor):
+    """The map from standard normals to posterior pair differences X - X'
+    on the grid of a fixed design: ``pairs(z, z_obs, noise)`` gives one row
+    per row of z (n, n_grid), z_obs and noise (n, n_obs), for the n_obs
+    observations of ``predictor``. ``_prior_pairs`` draws the prior pairs
+    over [grid; observations], writing the grid pairs over z, and
+    ``_matheron`` makes them posterior ones through the predictor's
+    ``cross_solve`` against the grid, computed here once, and its nugget.
+    Without observations the map gives the prior pair draws.
+
+    Beyond z a call allocates one (n, n_grid) array, Matheron's result,
+    and a few (n, n_obs) arrays.
+    """
+    grid = problem.grid_points
+    cross, solved = predictor.cross_solve(grid, np.full(grid.shape[0], POINT, dtype=np.int64))
+    obs = predictor.observations
+    points = np.array([o.location for o in obs], dtype=float).reshape(-1, 2)
+    draw = _prior_pairs(problem, cross, points, np.array([o.code for o in obs], dtype=np.int64))
+
+    def pairs(z, z_obs, noise):
+        prior, observed = draw(z, z_obs)
+        return _matheron(prior, observed, noise, predictor.nugget, solved)
 
     return pairs
 
@@ -496,10 +517,8 @@ def design_criterion(problem: EllipticDesignProblem, points,
 
     The draws are taken, mapped and reduced to their maxima _DRAW_BLOCK
     rows at a time, so the memory is that of one block for any n_outer.
-    Two streams give the normals, in the same order for any block size:
-    ``derive_rng(cfg.seed, 10**6)`` the (n_outer, n_grid) grid normals, row
-    by row, and ``derive_rng(cfg.seed, 10**6, 1)``, for each draw in turn,
-    one normal per observation and then one noise normal per observation.
+    The normals follow ``_normal_blocks`` with the streams
+    ``derive_rng(cfg.seed, 10**6)`` and ``derive_rng(cfg.seed, 10**6, 1)``.
 
     The dense sampler that this replaced, which factors each grid posterior
     ``_predictor(problem, points).cov(problem.grid_points)``, shares no
@@ -514,18 +533,12 @@ def design_criterion(problem: EllipticDesignProblem, points,
         var = predictor.var(problem.grid_points)
         return 2.0 * float(weights @ var), 0.0
     pairs = _design_pairs(problem, predictor)
-    n_obs = len(predictor.observations)
-    grid_rng, obs_rng = derive_rng(cfg.seed, 10**6), derive_rng(cfg.seed, 10**6, 1)
-
-    def block_maxes(start):
-        # A function, so that a block's arrays are freed before the next.
-        n = min(_DRAW_BLOCK, cfg.n_outer - start)
-        z_obs, noise = np.hsplit(obs_rng.standard_normal((n, 2 * n_obs)), 2)
-        block = pairs(grid_rng.standard_normal((n, len(weights))), z_obs, noise)
-        return np.abs(block, out=block).max(axis=1)
-
-    value, stderr = mean_and_stderr(np.concatenate(
-        [block_maxes(start) for start in range(0, cfg.n_outer, _DRAW_BLOCK)]))
+    maxes = np.empty(cfg.n_outer)
+    for rows, *normals in _normal_blocks(cfg, len(weights), len(predictor.observations), 10**6):
+        block = pairs(*normals)
+        maxes[rows] = np.abs(block, out=block).max(axis=1)
+        del normals, block  # freed before the next block is drawn
+    value, stderr = mean_and_stderr(maxes)
     return float(value), float(stderr)
 
 
@@ -541,10 +554,11 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
     block against its own observations, and scores every free candidate,
     the sorted candidate indices not yet picked, through one body,
     ``_candidate_values``, from that predictor's ``cross_solve``; the two
-    criteria differ only in the final scoring. At p = inf the prior over
-    [grid; candidates; boundary] is assembled and factored once per search,
-    one pool of pair draws is taken from cfg.seed, and each step maps that
-    pool to posterior pair draws (``_pathwise_pairs``). The draws are
+    criteria differ only in the final scoring. At p = inf one pool of prior
+    pair draws over [grid; candidates; boundary] is taken from cfg.seed
+    through the fixed-design sampler's map, which factors only the cached
+    grid prior, and each step maps that pool to posterior pair draws
+    (``_pathwise_pairs``). The draws are
     therefore deterministic given cfg.seed alone, the same at every step.
 
     Each step takes the first minimum of the computed candidate values

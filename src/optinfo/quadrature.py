@@ -149,7 +149,7 @@ def optimize_design(n: int, optimizer: str = "closed-form", seed: int = 0,
     raise OptimizerDiverged("coordinate descent did not converge")
 
 
-def design_report(design: QuadratureDesign, values=None, mc=None) -> dict:
+def design_report(design: QuadratureDesign, mc=None) -> dict:
     """CLI-facing JSON summary for one design."""
     out = {
         "nodes": design.nodes.tolist(),
@@ -157,8 +157,6 @@ def design_report(design: QuadratureDesign, values=None, mc=None) -> dict:
         "bpn": bpn_closed_form(design),
         "bdt": bdt_closed_form(design),
     }
-    if values is not None:
-        out["posterior_mean"] = quadrature_posterior(design, values).mean
     if mc is not None:
         estimate, stderr = mc
         out["bpn_monte_carlo"] = {"estimate": estimate, "stderr": stderr}

@@ -46,8 +46,10 @@ def cho_factor_calls(monkeypatch):
 @pytest.fixture
 def cholesky_calls(monkeypatch):
     """List that grows by one entry per Cholesky factorisation, through
-    ``np.linalg.cholesky`` or through the in-place ``scipy.linalg.lapack.dpotrf``
-    of ``gaussian._unit_diagonal_factor``."""
+    ``np.linalg.cholesky`` (``gaussian._psd_factor``) or through the
+    in-place ``scipy.linalg.lapack.dpotrf`` of
+    ``gaussian._unit_diagonal_factor``, which factors the grid prior that
+    the p = inf search and fixed designs share (``pde._grid_pair_factor``)."""
     calls = []
     for module, name in [(np.linalg, "cholesky"), (scipy.linalg.lapack, "dpotrf")]:
         def counting(*args, _f=getattr(module, name), **kwargs):

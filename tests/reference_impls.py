@@ -14,6 +14,9 @@ against. None of them is called by the library or the CLI.
 - ``BrownianBridge``: the Wiener process pinned at both ends of an
   interval, the second 1-D kernel of the conditioning tests and the
   closed form of a Wiener posterior between two nodes.
+- ``discrete_posterior`` and ``gaussian_posterior``: the posterior of one
+  observation of a finite or a linear-Gaussian experiment, read from the
+  tables the engines use.
 
 The module is not named ``oracles`` because ``optbench/oracles.py`` is
 imported under that name in the same pytest session.
@@ -22,8 +25,9 @@ imported under that name in the same pytest session.
 import numpy as np
 
 from optinfo.criteria import mean_and_stderr
-from optinfo.errors import UnsupportedFunctional
-from optinfo.gaussian import _psd_factor, derive_rng
+from optinfo.decisions import posterior_table
+from optinfo.errors import DimensionMismatch, UnsupportedFunctional
+from optinfo.gaussian import GaussianDensity, _psd_factor, derive_rng
 from optinfo.pde import (
     EllipticDesignProblem,
     _check_design_size,
@@ -134,3 +138,23 @@ class BrownianBridge:
         t = np.asarray(pts, dtype=float).reshape(-1)
         w = (t - self.left) / (self.right - self.left)
         return (1.0 - w) * self.left_value + w * self.right_value
+
+
+def discrete_posterior(problem, e, y: int) -> np.ndarray:
+    """Exact Bayes posterior over the states of a ``DiscreteProblem`` given
+    observation index y, the row of ``posterior_table``; ValueError if y
+    has zero marginal probability."""
+    _, marginal, post = posterior_table(problem, e)
+    if marginal[y] <= 0.0:
+        raise ValueError(f"observation {y} has zero marginal probability under {e!r}")
+    return post[y]
+
+
+def gaussian_posterior(problem, e, y) -> GaussianDensity:
+    """Posterior of a ``GaussianLinearProblem`` given observation y of
+    experiment e, from its cached ``_posterior_pieces``."""
+    gain, base, _ = problem._posterior_pieces(e)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.shape != (gain.shape[1],):
+        raise DimensionMismatch(f"observation shape {y.shape} != ({gain.shape[1]},)")
+    return GaussianDensity(base.mean + gain @ y, base.cov)

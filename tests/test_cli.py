@@ -281,6 +281,14 @@ class TestRegressionCommand:
         doc = json.loads(out)
         assert doc["A"]["values"]["e"] == pytest.approx(doc["c"]["values"]["e"], rel=1e-10)
 
+    def test_malformed_json_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"prior_cov": [[1.0]],\n "candidates": ')
+        code, out, err = run(["regression", "--config", str(config)], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: $: invalid JSON at line 2: Expecting value\n"
+
     def test_missing_key_exits_2(self, tmp_path, capsys):
         config = self.write_config(tmp_path, {"prior_cov": [[1.0]]})
         code, _, err = run(["regression", "--config", config], capsys)

@@ -21,10 +21,10 @@ from optinfo.discrete import (
     DiscreteProblem,
     bpn_exact,
     build_counterexample,
-    posterior,
 )
 from optinfo.errors import AllValuesNonFinite, MissingLossTable, NonPSDInput, SamplerFailure
 from optinfo.gaussian import GaussianDensity, _psd_factor, conjugate_posterior, derive_rng
+from reference_impls import discrete_posterior, gaussian_posterior
 
 # Property tests replay the same examples on every run and have no deadline,
 # so Tier-1 stays deterministic and free of timing failures.
@@ -56,7 +56,8 @@ def per_draw_bpn_mc(problem, e, cfg):
         if isinstance(problem, DiscreteProblem):
             row = problem.experiments[e][x]
             y = rng.choice(row.shape[0], p=row)
-            x_primes = rng.choice(len(problem.states), size=cfg.n_inner, p=posterior(problem, e, y))
+            x_primes = rng.choice(len(problem.states), size=cfg.n_inner,
+                                  p=discrete_posterior(problem, e, y))
             losses = [problem.state_loss[x, xp] for xp in x_primes]
         else:
             A, noise = problem.experiments[e]
@@ -289,7 +290,7 @@ class TestBPNEstimators:
         cov = problem.posterior_cov("e")
         np.testing.assert_array_equal(problem.posterior_cov("e"), cov)
         y = rng.standard_normal(2)
-        post = problem.posterior("e", y)
+        post = gaussian_posterior(problem, "e", y)
         bpn_mc(problem, "e", MonteCarloConfig(n_outer=20, n_inner=2))
         assert len(cho_factor_calls) == 1
         want = conjugate_posterior(prior, A, np.eye(2), y)

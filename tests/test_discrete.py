@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optinfo.decisions import bayes_risk_discrete, bayes_rule_discrete
+from optinfo.decisions import bayes_risk_discrete, bayes_rule_discrete, posterior_table
 from optinfo.discrete import (
     CounterexampleSpec,
     DiscreteProblem,
@@ -17,14 +17,10 @@ from optinfo.discrete import (
     build_counterexample,
     criteria_report,
     load_problem,
-    posterior,
     problem_from_dict,
 )
-from optinfo.errors import (
-    InvalidSpec,
-    MissingLossTable,
-    ZeroProbabilityObservation,
-)
+from optinfo.errors import InvalidSpec, MissingLossTable
+from reference_impls import discrete_posterior
 
 
 def admissible_triples(count=50):
@@ -79,12 +75,12 @@ class TestPosterior:
     def test_uninformative_returns_prior(self):
         problem = DiscreteProblem(["a", "b"], [0.3, 0.7], {"e": [[1.0], [1.0]]}, ["u"],
                                   [[0.0], [0.0]])
-        assert posterior(problem, "e", 0) == pytest.approx([0.3, 0.7], abs=1e-15)
+        assert discrete_posterior(problem, "e", 0) == pytest.approx([0.3, 0.7], abs=1e-15)
 
     def test_counterexample_hand_values(self):
         problem = build_counterexample(CounterexampleSpec(0.2, 0.3, 0.5))
-        assert posterior(problem, "e2", 1) == pytest.approx([0.4, 0.6, 0.0], abs=1e-14)
-        assert posterior(problem, "e1", 1) == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
+        assert discrete_posterior(problem, "e2", 1) == pytest.approx([0.4, 0.6, 0.0], abs=1e-14)
+        assert discrete_posterior(problem, "e1", 1) == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
 
     @settings(derandomize=True, deadline=None, database=None)
     @given(n_states=st.integers(1, 40), n_obs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
@@ -98,12 +94,16 @@ class TestPosterior:
                                   np.zeros((n_states, 1)))
         for y in range(n_obs):
             joint = prior * lik[:, y]
-            assert np.array_equal(posterior(problem, "e", y), joint / joint.sum())
+            assert np.array_equal(discrete_posterior(problem, "e", y), joint / joint.sum())
 
     def test_zero_probability_observation(self):
+        # The engines' table keeps the row of an impossible observation at
+        # zero; the oracle refuses it.
         problem = DiscreteProblem(["a"], [1.0], {"e": [[1.0, 0.0]]}, ["u"], [[0.0]])
-        with pytest.raises(ZeroProbabilityObservation):
-            posterior(problem, "e", 1)
+        _, marginal, post = posterior_table(problem, "e")
+        assert marginal[1] == 0.0 and np.all(post[1] == 0.0)
+        with pytest.raises(ValueError, match="zero marginal"):
+            discrete_posterior(problem, "e", 1)
 
 
 class TestBatchSampling:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from optinfo.decisions import GaussianLinearProblem, PNormOnGrid
 from optinfo.errors import DimensionMismatch, FactorizationFailure, SingularSystem
 from optinfo.gaussian import (
     DEFAULT_JITTER_SCALE,
@@ -208,12 +209,13 @@ class TestConjugatePosterior:
 
 class TestFactorJitter:
     def test_diagonal_jitter_matches_dense_identity(self, monkeypatch):
+        # _psd_factor adds no jitter: this rank-30 cov has no Cholesky
+        # factor, so it takes the eigenvalue clip of cov as it is.
         rng = derive_rng(11)
         a = rng.standard_normal((40, 30))
         cov = a @ a.T
-        n = cov.shape[0]
-        jitter_psd = DEFAULT_JITTER_SCALE * (np.trace(cov) / n + 1.0)
-        want_psd = np.linalg.cholesky(cov + jitter_psd * np.eye(n))
+        w, v = np.linalg.eigh(cov)
+        want_psd = v * np.sqrt(np.clip(w, 0.0, None))
 
         b = rng.standard_normal((40, 60))
         spd = b @ b.T
@@ -237,14 +239,26 @@ class TestFactorJitter:
 
         monkeypatch.setattr(np, "eye", no_dense_identity)
         np.testing.assert_array_equal(_psd_factor(cov), want_psd)
+        np.testing.assert_array_equal(_psd_factor(spd), np.linalg.cholesky(spd))
         np.testing.assert_array_equal(_spd_factor(spd)[0], want_spd)
         np.testing.assert_array_equal(gp_condition(kernel, obs)._factor[0], want_gram)
+
+
+class TestSamplingFactor:
+    def test_tiny_observation_noise_is_drawn_at_its_own_variance(self):
+        # The sampler factors the noise covariance as it is: a jitter scaled
+        # by the mean diagonal would draw noise of variance about 1e-10 here.
+        prior = GaussianDensity([0.0, 0.0], np.diag([2.0, 0.5]))
+        problem = GaussianLinearProblem(prior, {"e": (np.eye(2), 1e-12 * np.eye(2))},
+                                        PNormOnGrid(2.0, np.ones(2)))
+        xs, ys, _ = problem.sample_nested(derive_rng(14), "e", 20000, 0)
+        assert np.var(ys - xs, axis=0, ddof=1) == pytest.approx([1e-12, 1e-12], rel=0.05)
 
 
 class TestUnitDiagonalFactor:
     def test_jitter_is_relative_to_each_variance(self):
         # Variances over eight decades; each gets a 1e-12 relative jitter,
-        # where _psd_factor's mean-diagonal jitter would swamp the small ones.
+        # where _add_jitter's mean-diagonal jitter would swamp the small ones.
         a = derive_rng(12).standard_normal((6, 6))
         scale = np.logspace(-4, 4, 6)
         cov = (a @ a.T + np.eye(6)) * np.outer(scale, scale)
@@ -252,13 +266,11 @@ class TestUnitDiagonalFactor:
         want = cov + SAMPLING_JITTER * np.diag(np.diag(cov))
         assert np.max(np.abs(factor @ factor.T - want) / np.outer(scale, scale)) <= 1e-13
 
-    def test_indefinite_form_falls_back_to_eigenvalue_clip(self):
+    def test_indefinite_form_raises(self):
         scale = np.array([2.0, 0.5])
         corr = np.array([[1.0, 1.001], [1.001, 1.0]])
-        factor = _unit_diagonal_factor(corr * np.outer(scale, scale))
-        clipped = (2.001 + SAMPLING_JITTER) / 2.0 * np.ones((2, 2))
-        np.testing.assert_allclose(factor @ factor.T, clipped * np.outer(scale, scale),
-                                   rtol=1e-12)
+        with pytest.raises(FactorizationFailure, match="Cholesky"):
+            _unit_diagonal_factor(corr * np.outer(scale, scale))
 
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(FactorizationFailure):
@@ -295,19 +307,14 @@ class TestUnitDiagonalFactor:
         [[1.0, 1.001, 0.2], [1.001, 1.0, 0.3], [0.2, 0.3, 1.0]],
         [[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]],
     ], ids=["second-pivot", "third-pivot"])
-    def test_failure_at_a_later_column_falls_back_to_eigenvalue_clip(self, corr):
-        # LAPACK overwrites the leading rows of the factor and the diagonal
-        # before it finds a pivot that is not positive; the fallback must see
-        # the form as it was. Read from the overwritten lower triangle, the
-        # third-pivot form is 280 % off.
+    def test_failure_at_a_later_column_raises(self, corr):
+        # LAPACK reports the first pivot that is not positive by info > 0,
+        # after it has overwritten the leading rows.
         scale = np.array([2.0, 0.5, 3.0])
         corr = np.array(corr)
-        factor = _unit_diagonal_factor(corr * np.outer(scale, scale))
-        w, v = np.linalg.eigh(corr + SAMPLING_JITTER * np.eye(3))
-        assert w[0] < 0.0
-        clipped = (v * np.clip(w, 0.0, None)) @ v.T
-        np.testing.assert_allclose(factor @ factor.T, clipped * np.outer(scale, scale),
-                                   rtol=1e-12)
+        assert np.linalg.eigvalsh(corr + SAMPLING_JITTER * np.eye(3))[0] < 0.0
+        with pytest.raises(FactorizationFailure, match="Cholesky"):
+            _unit_diagonal_factor(corr * np.outer(scale, scale))
 
 
 class TestSeedSplitting:

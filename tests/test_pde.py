@@ -20,7 +20,7 @@ from optinfo import pde
 from optinfo.criteria import MonteCarloConfig, bdt_criterion
 from optinfo.decisions import GaussianLinearProblem, WeightedQuadratic
 from optinfo.errors import FactorizationFailure, SamplerFailure, SingularGram
-from optinfo.gaussian import GaussianDensity, _psd_factor, derive_rng
+from optinfo.gaussian import GaussianDensity, _add_jitter, _psd_factor, derive_rng
 from optinfo.kernels import NEG_LAPLACIAN, POINT, ConditionedPredictor, SquaredExponential
 from optinfo.pde import (
     EllipticDesignProblem,
@@ -176,7 +176,7 @@ class TestFixedDesignScoring:
         cholesky_calls.clear()
         shapes = record_cross_cov_shapes(monkeypatch)
         factored = []
-        for module, name in [(np.linalg, "eigh"), (scipy.linalg, "cho_factor")]:
+        for module, name in [(scipy.linalg, "eigh"), (scipy.linalg, "cho_factor")]:
             def recording(mat, *args, _f=getattr(module, name), **kwargs):
                 factored.append(np.shape(mat))
                 return _f(mat, *args, **kwargs)
@@ -373,21 +373,23 @@ class TestGreedy:
     def test_prior_assembled_once(self, monkeypatch):
         # The exact blocks of a search: the prior blocks once, then per step
         # the Gram and the query x observation block of its predictor. At
-        # p = 2 the one prior block is candidates x grid; at p = inf the
-        # six blocks of [grid; candidates; boundary] at or below the
-        # diagonal fill the buffer that is factored.
+        # p = 2 the one prior block is candidates x grid. At p = inf the
+        # pool's map reads that block from search.cand_grid and adds the
+        # boundary x grid block, the grid x grid block of the grid factor
+        # (the cache is cold here) and the block of [candidates; boundary]
+        # for its Schur complement.
         shapes = record_cross_cov_shapes(monkeypatch)
         m = 3
         for p in (2.0, np.inf):
             problem = small_problem(p=p)
             n_grid, n_cand = problem.grid_points.shape[0], problem.candidates.shape[0]
             n_bnd = problem.n_boundary
+            _grid_pair_factor.cache_clear()
             shapes.clear()
             greedy_design(problem, m, MonteCarloConfig(seed=1, n_outer=16))
             prior = [(n_cand, n_grid)]
             if p == np.inf:
-                prior += [(n_grid, n_grid), (n_cand, n_cand),
-                          (n_bnd, n_grid), (n_bnd, n_cand), (n_bnd, n_bnd)]
+                prior += [(n_bnd, n_grid), (n_grid, n_grid), (n_cand + n_bnd, n_cand + n_bnd)]
             steps = [shape for k in range(m)
                      for shape in [(n_bnd + k, n_bnd + k), (n_grid + n_cand, n_bnd + k)]]
             assert sorted(shapes) == sorted(prior + steps), p
@@ -659,15 +661,15 @@ class TestBlockedPinfKernel:
                                  np.arange(len(cands)), MonteCarloConfig(seed=2, n_outer=8))
 
 
-def pathwise_variances(search, predictor, chosen, factor):
+def pathwise_variances(search, predictor, chosen, basis):
     """Exact diagonal of the covariance of ``_pathwise_pairs`` for a pool
-    drawn through ``factor``. The map is linear, so its covariance is the
-    sum over the columns of ``factor`` fed in as pool rows with zero noise,
-    plus the noise basis fed in with zero pairs."""
+    whose rows have covariance basis^T basis. The map is linear, so its
+    covariance is the sum over the rows of ``basis`` fed in as pool rows
+    with zero noise, plus the noise basis fed in with zero pairs."""
     _, solved = predictor.cross_solve(search.points, search.codes)
-    n_all = factor.shape[0]
+    n_rows, n_all = basis.shape
     n_noise = n_all - search.n_grid
-    signal = replace(search, pairs=factor.T, noise=np.zeros((n_all, n_noise)))
+    signal = replace(search, pairs=basis, noise=np.zeros((n_rows, n_noise)))
     noise = replace(search, pairs=np.zeros((n_noise, n_all)), noise=np.eye(n_noise))
     return sum((_pathwise_pairs(pool, predictor, chosen, solved) ** 2).sum(axis=0)
                for pool in (signal, noise))
@@ -683,21 +685,28 @@ class TestPathwiseSampler:
     def test_map_covariance_is_twice_the_posterior(self, monkeypatch):
         # Deterministic oracle at default sizes, before the ninth step: the
         # pathwise map's variances against 2 x cov_functionals through the
-        # same predictor. A pool drawn through _psd_factor(2 P), whose
-        # jitter is scaled by the mean diagonal, fails the same check.
+        # same predictor. The pool's covariance comes from the shared prior
+        # map, with each basis block of normals fed through it and the
+        # other at zero, as design_map_variances does. A pool drawn through
+        # a Cholesky factor of 2 P with _add_jitter's jitter, which is
+        # scaled by the mean diagonal, fails the same check.
         problem = EllipticDesignProblem(p=np.inf)
         cands = problem.candidates
         chosen = [int(np.argmin(np.linalg.norm(cands - q, axis=1))) for q in PREFIX_8]
-        factors = []
-        unit_diagonal_factor = pde._unit_diagonal_factor
+        maps = []
+        prior_pairs = pde._prior_pairs
 
-        def capturing(cov):
-            factors.append(unit_diagonal_factor(cov))
-            return factors[-1]
+        def capturing(*args):
+            maps.append(prior_pairs(*args))
+            return maps[-1]
 
-        monkeypatch.setattr(pde, "_unit_diagonal_factor", capturing)
+        monkeypatch.setattr(pde, "_prior_pairs", capturing)
         search = _search_prior(problem, cands, MonteCarloConfig(n_outer=1))
-        (factor,) = factors
+        (draw,) = maps
+        n_grid = search.n_grid
+        n_obs = search.pairs.shape[1] - n_grid
+        basis = np.vstack([np.hstack(draw(np.eye(n_grid), np.zeros((n_grid, n_obs)))),
+                           np.hstack(draw(np.zeros((n_obs, n_grid)), np.eye(n_obs)))])
         # What the search keeps of the prior is the one-call assembly over
         # the joint, bit for bit.
         joint = problem.kernel.cross_cov(search.points, search.codes,
@@ -707,13 +716,13 @@ class TestPathwiseSampler:
         assert search.cand_grid.flags.c_contiguous
         predictor = _predictor(problem, cands[chosen])
         want = 2.0 * np.diagonal(predictor.cov_functionals(search.points, search.codes))
-        got = pathwise_variances(search, predictor, chosen, factor)
+        got = pathwise_variances(search, predictor, chosen, basis)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-2
 
         pts = np.vstack([search.points, problem.boundary])
         codes = np.concatenate([search.codes, np.full(problem.n_boundary, POINT)])
-        dense = _psd_factor(2.0 * problem.kernel.cross_cov(pts, codes, pts, codes))
-        leaked = pathwise_variances(search, predictor, chosen, dense)
+        jittered = _add_jitter(2.0 * problem.kernel.cross_cov(pts, codes, pts, codes))
+        leaked = pathwise_variances(search, predictor, chosen, np.linalg.cholesky(jittered).T)
         assert np.max(np.abs(leaked / want - 1.0)) > 1e-2
 
     def test_step_values_agree_with_dense_sampler(self):
@@ -733,30 +742,71 @@ class TestPathwiseSampler:
         assert np.all(np.abs(values - dense) <= 4.0 * np.hypot(stderrs, dense_se))
 
     def test_one_prior_factorisation_per_search(self, cholesky_calls, monkeypatch):
+        # The only prior a search factors is the cached grid prior: one
+        # Cholesky on a cold cache, none on a warm one.
         def never(*args, **kwargs):
             raise AssertionError("a p = inf step formed a query covariance")
 
         monkeypatch.setattr(ConditionedPredictor, "cov_functionals", never)
-        greedy_design(small_problem(p=np.inf), 3, MonteCarloConfig(seed=1, n_outer=16))
+        problem = small_problem(p=np.inf)
+        cfg = MonteCarloConfig(seed=1, n_outer=16)
+        _grid_pair_factor.cache_clear()
+        greedy_design(problem, 3, cfg)
         assert len(cholesky_calls) == 1
+        cholesky_calls.clear()
+        greedy_design(problem, 3, cfg)
+        assert not cholesky_calls
 
-    def test_search_prior_memory_peak(self):
-        # At p = inf and default sizes, with the CLI's 128 pair samples, the
-        # search assembles and factors the prior over [grid; candidates;
-        # boundary] in one buffer, "the joint". numpy reports its buffers to
-        # tracemalloc: the peak read 2.38 joints when the Cholesky copied
-        # the joint and the kernel held four blocks, and 1.98 without.
+    @staticmethod
+    def search_prior_peak(n_outer):
+        """tracemalloc's peak, which numpy reports its buffers to, of the
+        default p = inf search prior on a cold grid cache."""
         problem = EllipticDesignProblem(p=np.inf)
-        cands = problem.candidates
-        n = problem.grid_points.shape[0] + len(cands) + problem.n_boundary
-        _search_prior(small_problem(p=np.inf), cands, MonteCarloConfig(n_outer=4))
+        _search_prior(small_problem(p=np.inf), problem.candidates, MonteCarloConfig(n_outer=4))
+        _grid_pair_factor.cache_clear()
         tracemalloc.start()
         try:
-            _search_prior(problem, cands, MonteCarloConfig(n_outer=128))
-            peak = tracemalloc.get_traced_memory()[1]
+            _search_prior(problem, problem.candidates, MonteCarloConfig(n_outer=n_outer))
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * n * n * 8
+
+    def test_search_prior_memory_peak(self):
+        # With the CLI's 128 pair samples the peak read 36.5 MiB (28.5 MiB
+        # on a warm grid cache), against 42.7 MiB when the search assembled
+        # and factored the 1681 x 1681 prior over [grid; candidates;
+        # boundary] in one buffer.
+        assert self.search_prior_peak(128) < 37 * 2**20
+
+    def test_search_prior_memory_peak_at_default_draws(self):
+        # At MonteCarloConfig()'s 10000 pair samples the pool and its noise
+        # take 178 MiB; the peak read 218 MiB, against 283 MiB when the
+        # normals and their product z F^T were held at once.
+        assert self.search_prior_peak(MonteCarloConfig().n_outer) < 283 * 2**20
+
+    @pytest.mark.parametrize("block", [7, 4096])
+    def test_pool_does_not_depend_on_the_block_size(self, monkeypatch, block):
+        # The normals are the same for any block size; the pair draws agree
+        # to roundoff, since BLAS may sum a row of a short block in another
+        # order.
+        problem = small_problem(p=np.inf)
+        cfg = MonteCarloConfig(seed=6, n_outer=64)
+        want = _search_prior(problem, problem.candidates, cfg)
+        monkeypatch.setattr(pde, "_DRAW_BLOCK", block)
+        got = _search_prior(problem, problem.candidates, cfg)
+        np.testing.assert_array_equal(got.noise, want.noise)
+        np.testing.assert_allclose(got.pairs, want.pairs, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(want.pairs)))
+
+    def test_pool_streams(self):
+        # The pool's normals follow the stream rule of _normal_blocks with
+        # derive_rng(seed) and derive_rng(seed, 1): its noise is the second
+        # half of each row of the second stream.
+        problem = small_problem(p=np.inf)
+        n_obs = len(problem.candidates) + problem.n_boundary
+        search = _search_prior(problem, problem.candidates, MonteCarloConfig(seed=3, n_outer=20))
+        obs = derive_rng(3, 1).standard_normal((20, 2 * n_obs))
+        np.testing.assert_array_equal(search.noise, obs[:, n_obs:])
 
     def test_search_without_boundary(self):
         # With no boundary points the first step has no observations: the

@@ -55,10 +55,6 @@ def _dump(doc: dict, output: str | None):
         print(text)
 
 
-class UsageError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -67,10 +63,10 @@ class UsageError(Exception):
 def cmd_quadrature(args) -> int:
     if args.optimize:
         if args.n is None:
-            raise UsageError("--optimize requires --n")
+            raise InvalidSpec("--optimize requires --n")
         design = quadrature.optimize_design(args.n, optimizer="closed-form")
     elif args.n is not None:
-        raise UsageError("--n requires --optimize")
+        raise InvalidSpec("--n requires --optimize")
     else:
         design = quadrature.QuadratureDesign(args.nodes)
     mc = None
@@ -106,8 +102,6 @@ def _contour_csvs(candidates, grids):
 
 def cmd_pde_design(args) -> int:
     p = np.inf if args.p == "inf" else float(args.p)
-    if p not in (2.0, np.inf):
-        raise UsageError("--p must be 2 or inf")
     problem = pde.EllipticDesignProblem(
         eval_grid=args.eval_grid,
         candidate_grid=args.candidate_grid,
@@ -170,45 +164,21 @@ def cmd_discrete(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _has_bool(value) -> bool:
-    """Whether a JSON value is, or nests, ``true`` or ``false``."""
-    if isinstance(value, list):
-        return any(_has_bool(v) for v in value)
-    return isinstance(value, bool)
-
-
-def _array(value, path: str, shape: tuple) -> np.ndarray:
-    """``value`` as a float array of finite numbers (not booleans) with the
-    given shape, in which None leaves an axis length free but nonzero;
-    InvalidSpec naming the JSON path otherwise."""
-    try:
-        arr = np.empty(0) if _has_bool(value) else np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = np.empty(0)
-    if (arr.ndim != len(shape) or 0 in arr.shape or not np.all(np.isfinite(arr))
-            or any(k not in (None, n) for k, n in zip(shape, arr.shape))):
-        want = ", ".join("k" if k is None else str(k) for k in shape)
-        raise InvalidSpec(f"{path}: must be an array of shape ({want}) of finite numbers")
-    return arr
-
-
 def cmd_regression(args) -> int:
     doc = discrete._read_json(args.config)
-    if not isinstance(doc, dict):
-        raise InvalidSpec("$: document must be an object")
+    discrete._require(isinstance(doc, dict), "$", "document must be an object")
     for key in ("prior_cov", "candidates"):
-        if key not in doc:
-            raise InvalidSpec(f"$.{key}: missing required key")
-    prior_cov = _array(doc["prior_cov"], "$.prior_cov", (None, None))
+        discrete._require(key in doc, f"$.{key}", "missing required key")
+    prior_cov = discrete._array(doc["prior_cov"], "$.prior_cov", (None, None))
     d = prior_cov.shape[0]
-    if prior_cov.shape[1] != d:
-        raise InvalidSpec(f"$.prior_cov: must be square, not {d} x {prior_cov.shape[1]}")
-    lam = _array(doc["lambda"], "$.lambda", (d, d)) if "lambda" in doc else np.eye(d)
-    direction = _array(doc["c"], "$.c", (d,)) if "c" in doc else None
+    discrete._require(prior_cov.shape[1] == d, "$.prior_cov",
+                      f"must be square, not {d} x {prior_cov.shape[1]}")
+    lam = discrete._array(doc["lambda"], "$.lambda", (d, d)) if "lambda" in doc else np.eye(d)
+    direction = discrete._array(doc["c"], "$.c", (d,)) if "c" in doc else None
     which = ["A", "E", "D"] + (["c"] if direction is not None else [])
-    if not (isinstance(doc["candidates"], dict) and doc["candidates"]):
-        raise InvalidSpec("$.candidates: must be a non-empty object")
-    designs = {cid: _array(A, f"$.candidates.{cid}", (None, d))
+    discrete._require(isinstance(doc["candidates"], dict) and doc["candidates"],
+                      "$.candidates", "must be a non-empty object")
+    designs = {cid: discrete._array(A, f"$.candidates.{cid}", (None, d))
                for cid, A in doc["candidates"].items()}
 
     prior = gaussian.GaussianDensity(np.zeros(d), prior_cov)
@@ -290,7 +260,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, InvalidSpec, ValueError, OSError) as exc:
+    except (InvalidSpec, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OptinfoError as exc:

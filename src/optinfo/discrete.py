@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria
-from .decisions import bayes_risk_discrete, bayes_rule_discrete, posterior_table
+from .decisions import posterior_table
 from .errors import InvalidSpec, MissingLossTable
 
 PROB_TOL = 1e-12
@@ -167,7 +167,7 @@ def build_counterexample(spec: CounterexampleSpec) -> DiscreteProblem:
 def criteria_report(problem: DiscreteProblem) -> dict:
     """Per-criterion reports (BDT risk, BPN, KL gain) over all experiments."""
     ids = problem.experiment_ids()
-    br = {e: bayes_risk_discrete(problem, e, bayes_rule_discrete(problem, e)) for e in ids}
+    br = {e: criteria.bdt_criterion(problem, e) for e in ids}
     kl = {e: criteria.kl_gain_discrete(problem, e) for e in ids}
     reports = {
         "bdt": criteria.make_report("bdt", br),
@@ -195,9 +195,27 @@ def _require(cond, path, message):
         raise InvalidSpec(f"{path}: {message}")
 
 
-def _is_number(value) -> bool:
-    """A JSON number; ``true`` and ``false`` are not numbers."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _array(value, path: str, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of the given shape, in which None leaves an
+    axis length free but nonzero: the one check of the numbers in the CLI's
+    input files. Every entry must be a finite JSON number, an int or a
+    float: not a boolean, a string or a NaN or Infinity literal. InvalidSpec
+    names the JSON path of the first violation."""
+    dims = list(shape)
+
+    def check(v, p, depth):
+        if depth == len(dims):
+            _require(isinstance(v, (int, float)) and not isinstance(v, bool), p, "must be a number")
+            _require(abs(v) <= float(np.finfo(float).max), p, "non-finite or out-of-range number")
+            return
+        want = "a non-empty array" if dims[depth] is None else f"an array of {dims[depth]} entries"
+        _require(isinstance(v, list) and v and len(v) == (dims[depth] or len(v)), p, f"must be {want}")
+        dims[depth] = len(v)
+        for i, entry in enumerate(v):
+            check(entry, f"{p}[{i}]", depth + 1)
+
+    check(value, path, 0)
+    return np.array(value, dtype=float)
 
 
 def problem_from_dict(doc: dict) -> DiscreteProblem:
@@ -211,43 +229,19 @@ def problem_from_dict(doc: dict) -> DiscreteProblem:
     for i, entry in enumerate(doc["states"]):
         path = f"$.states[{i}]"
         _require(isinstance(entry, dict), path, "must be an object")
-        _require("name" in entry, f"{path}.name", "missing required key")
-        _require("prior" in entry, f"{path}.prior", "missing required key")
-        _require(_is_number(entry["prior"]), f"{path}.prior", "must be a number")
+        for key in ("name", "prior"):
+            _require(key in entry, f"{path}.{key}", "missing required key")
         names.append(str(entry["name"]))
-        prior.append(float(entry["prior"]))
+        prior.append(float(_array(entry["prior"], f"{path}.prior", ())))
     n = len(names)
     _require(isinstance(doc["experiments"], dict) and doc["experiments"],
              "$.experiments", "must be a non-empty object")
-    experiments = {}
-    for e, rows in doc["experiments"].items():
-        path = f"$.experiments.{e}"
-        _require(isinstance(rows, list) and len(rows) == n, path, f"must be an array of {n} rows")
-        for i, row in enumerate(rows):
-            _require(isinstance(row, list) and row, f"{path}[{i}]", "must be a non-empty array")
-            _require(all(_is_number(v) for v in row), f"{path}[{i}]", "entries must be numbers")
-        widths = {len(r) for r in rows}
-        _require(len(widths) == 1, path, "rows must have equal length")
-        experiments[str(e)] = rows
+    experiments = {str(e): _array(rows, f"$.experiments.{e}", (n, None))
+                   for e, rows in doc["experiments"].items()}
     _require(isinstance(doc["actions"], list) and doc["actions"], "$.actions", "must be a non-empty array")
     actions = [str(a) for a in doc["actions"]]
-
-    def check_table(key, n_rows, n_cols, required):
-        if key not in doc:
-            _require(not required, f"$.{key}", "missing required key")
-            return None
-        table = doc[key]
-        _require(isinstance(table, list) and len(table) == n_rows, f"$.{key}",
-                 f"must be an array of {n_rows} rows")
-        for i, row in enumerate(table):
-            _require(isinstance(row, list) and len(row) == n_cols, f"$.{key}[{i}]",
-                     f"must be an array of {n_cols} numbers")
-            _require(all(_is_number(v) for v in row), f"$.{key}[{i}]",
-                     "entries must be numbers")
-        return table
-
-    loss = check_table("loss", n, len(actions), required=True)
-    state_loss = check_table("state_loss", n, n, required=False)
+    loss = _array(doc["loss"], "$.loss", (n, len(actions)))
+    state_loss = _array(doc["state_loss"], "$.state_loss", (n, n)) if "state_loss" in doc else None
     try:
         return DiscreteProblem(names, prior, experiments, actions, loss, state_loss)
     except InvalidSpec as exc:

@@ -222,6 +222,9 @@ class ConditionedPredictor:
     ValueError and same-kind observations closer than MIN_SEPARATION raise
     SingularGram; a Gram that fails the gate or its Cholesky factorisation
     raises SingularSystem (numerics).
+
+    ``points`` (n_obs, dim) and ``codes`` (n_obs,) hold the observations'
+    locations and functional codes as arrays, in conditioning order.
     """
 
     def __init__(self, kernel, observations):
@@ -231,8 +234,8 @@ class ConditionedPredictor:
         self.kernel = kernel
         self.observations = tuple(observations)
         pts, codes, values = _split_obs(kernel, observations)
-        self._obs_pts = pts
-        self._obs_codes = codes
+        self.points = pts
+        self.codes = codes
         if pts.shape[0] == 0:
             self._weights = np.zeros(0)
             self._factor = None
@@ -257,7 +260,7 @@ class ConditionedPredictor:
     def _cross(self, pts, codes):
         """Prior covariance of the query functionals with the observations,
         one column per observation in conditioning order."""
-        return self.kernel.cross_cov(pts, codes, self._obs_pts, self._obs_codes)
+        return self.kernel.cross_cov(pts, codes, self.points, self.codes)
 
     def cross_solve(self, points, codes):
         """``(cross, K^-1 cross^T)`` for linear functionals (points with

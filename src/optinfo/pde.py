@@ -492,9 +492,7 @@ def _design_pairs(problem: EllipticDesignProblem, predictor):
     """
     grid = problem.grid_points
     cross, solved = predictor.cross_solve(grid, np.full(grid.shape[0], POINT, dtype=np.int64))
-    obs = predictor.observations
-    points = np.array([o.location for o in obs], dtype=float).reshape(-1, 2)
-    draw = _prior_pairs(problem, cross, points, np.array([o.code for o in obs], dtype=np.int64))
+    draw = _prior_pairs(problem, cross, predictor.points, predictor.codes)
 
     def pairs(z, z_obs, noise):
         prior, observed = draw(z, z_obs)
@@ -534,7 +532,7 @@ def design_criterion(problem: EllipticDesignProblem, points,
         return 2.0 * float(weights @ var), 0.0
     pairs = _design_pairs(problem, predictor)
     maxes = np.empty(cfg.n_outer)
-    for rows, *normals in _normal_blocks(cfg, len(weights), len(predictor.observations), 10**6):
+    for rows, *normals in _normal_blocks(cfg, len(weights), len(predictor.codes), 10**6):
         block = pairs(*normals)
         maxes[rows] = np.abs(block, out=block).max(axis=1)
         del normals, block  # freed before the next block is drawn

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import MonteCarloConfig, mean_and_stderr
+from .criteria import MonteCarloConfig, _check_integer, mean_and_stderr
 from .errors import LengthMismatch, OptimizerDiverged
 from .gaussian import derive_rng
 
@@ -88,14 +88,16 @@ def bpn_closed_form(design: QuadratureDesign) -> float:
 
 def _bridge_integral_variances(deltas: np.ndarray) -> np.ndarray:
     """Variance of the trapezoid integral of a discretised Brownian bridge
-    on each interval, from the K-step bridge construction."""
+    on each interval, from the K-step bridge construction.
+
+    On the interior grid s_j = j / K (j = 1..K-1) of a unit interval the
+    bridge covariance is cov(B_s, B_t) = s (1 - t) for s <= t, and the
+    trapezoid weights are 1 / K; the weighted covariance sums to
+    (K^2 - 1) / (12 K^2), and an interval of length delta scales it by
+    delta^3.
+    """
     K = BRIDGE_POINTS
-    # Interior grid j = 1..K-1 in unit coordinates; bridge covariance
-    # cov(B_s, B_t) = s (1 - t) for s <= t, scaled by interval length.
-    s = np.arange(1, K) / K
-    cov_unit = np.minimum.outer(s, s) * (1.0 - np.maximum.outer(s, s))
-    unit_var = cov_unit.sum() / K**2  # trapezoid weights are delta/K on interior
-    return deltas**3 * unit_var
+    return deltas**3 * ((K**2 - 1) / (12 * K**2))
 
 
 def bpn_monte_carlo(design: QuadratureDesign, cfg: MonteCarloConfig):
@@ -127,8 +129,7 @@ def optimize_design(n: int, optimizer: str = "closed-form", seed: int = 0,
     the interval-cube objective from a random start by exact coordinate
     updates (each node moves to the midpoint of its neighbours).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_integer("n", n, 1)
     if optimizer == "closed-form":
         return QuadratureDesign(np.arange(1, n) / n)
     if optimizer != "coordinate-descent":

@@ -316,6 +316,20 @@ class TestRegressionCommand:
         assert code == EXIT_USAGE
         assert "$.prior_cov" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"prior_cov": [["1", "0"], ["0", "1e0"]], "candidates": {"e": [[1.0, 0.0]]}},
+         "$.prior_cov[0][0]: must be a number"),
+        ({"prior_cov": [[1.0, 0.0], [0.0, 1.0]], "candidates": {"e": [[1.0, " 2 "]]}},
+         "$.candidates.e[0][1]: must be a number"),
+        ({"prior_cov": [[1.0, 0.0], [0.0, 10**400]], "candidates": {"e": [[1.0, 0.0]]}},
+         "$.prior_cov[1][1]: non-finite or out-of-range number"),
+    ], ids=["string-in-prior-cov", "string-in-candidate", "integer-beyond-float-range"])
+    def test_entries_that_are_not_finite_numbers_exit_2(self, tmp_path, capsys, doc, message):
+        code, out, err = run(["regression", "--config", self.write_config(tmp_path, doc)], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_non_psd_prior_exits_3(self, tmp_path, capsys):
         config = self.write_config(tmp_path, {
             "prior_cov": [[1.0, 2.0], [2.0, 1.0]],

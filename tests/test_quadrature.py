@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from optinfo import quadrature
 from optinfo.criteria import MonteCarloConfig
 from optinfo.errors import LengthMismatch, OptimizerDiverged
 from optinfo.quadrature import (
@@ -109,6 +110,17 @@ class TestMonteCarlo:
         assert abs(est - bpn_closed_form(design)) <= 3.0 * se
         assert est < 1e-4
 
+    @pytest.mark.parametrize("K", [2, 8, 64])
+    def test_bridge_variance_closed_form_matches_covariance_sum(self, monkeypatch, K):
+        # Oracle: the trapezoid weights 1 / K summed against the bridge
+        # covariance s (1 - t), s <= t, on the interior grid j / K.
+        s = np.arange(1, K) / K
+        cov = np.minimum.outer(s, s) * (1.0 - np.maximum.outer(s, s))
+        deltas = np.array([0.1, 0.25, 0.65])
+        monkeypatch.setattr(quadrature, "BRIDGE_POINTS", K)
+        np.testing.assert_allclose(quadrature._bridge_integral_variances(deltas),
+                                   deltas**3 * cov.sum() / K**2, rtol=1e-14)
+
     def test_deterministic_given_seed(self):
         design = QuadratureDesign([0.3, 0.6])
         cfg = MonteCarloConfig(seed=5, n_outer=1000, n_inner=2)
@@ -138,6 +150,9 @@ class TestOptimizeDesign:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             optimize_design(0)
+        for n in (2.5, True):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                optimize_design(n)
         with pytest.raises(ValueError):
             optimize_design(3, optimizer="simulated-annealing")
 

@@ -1,12 +1,15 @@
-"""The README's Python examples run as written, and the code it names exists."""
+"""The README's Python examples run as written, its JSON input files are
+accepted by their subcommands, and the code it names exists."""
 
 import ast
 import importlib
+import json
 import pkgutil
 import re
 from pathlib import Path
 
 import optinfo
+from optinfo.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -18,6 +21,22 @@ def test_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_json_input_files_accepted(tmp_path, capsys):
+    # A document with "states" is a `discrete --problem` file; one with
+    # "prior_cov" a `regression --config` file.
+    blocks = re.findall(r"^```json\n(.*?)^```", README.read_text(), flags=re.S | re.M)
+    commands = []
+    for k, block in enumerate(blocks):
+        doc = json.loads(block)
+        command, flag = ("discrete", "--problem") if "states" in doc else ("regression", "--config")
+        path = tmp_path / f"input_{k}.json"
+        path.write_text(block)
+        code = main([command, flag, str(path)])
+        assert code == EXIT_OK, f"README {command} example exits {code}: {capsys.readouterr().err}"
+        commands.append(command)
+    assert sorted(commands) == ["discrete", "regression"]
 
 
 def test_named_library_objects_exist():

@@ -34,13 +34,7 @@ from .discrete import (
     criteria_report,
 )
 from .gaussian import GaussianDensity, conjugate_posterior, derive_rng
-from .kernels import (
-    NegativeLaplacianEvaluation,
-    PointEvaluation,
-    SquaredExponential,
-    Wiener,
-    gp_condition,
-)
+from .kernels import ConditionedPredictor, SquaredExponential
 from .pde import DesignState, EllipticDesignProblem, greedy_design
 from .quadrature import (
     QuadratureDesign,

@@ -26,7 +26,8 @@ class UnsupportedFunctional(OptinfoError):
 class SingularGram(OptinfoError):
     """Observation geometry makes the Gram matrix singular: two observations
     of one kind closer than ``kernels.MIN_SEPARATION``, the one check, in
-    ``kernels._split_obs``."""
+    ``kernels._check_geometry``, which ``ConditionedPredictor`` runs on
+    its points and codes."""
 
 
 class NonPSDInput(OptinfoError):

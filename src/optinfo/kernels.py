@@ -1,18 +1,23 @@
-"""Covariance kernels, linear observation functionals and GP conditioning.
+"""Covariance kernel, linear observation functionals and GP conditioning.
 
-Two kernels are provided: the Wiener kernel min(t, t') on [0, 1] and the
-squared-exponential kernel amp * exp(-||t - t'||^2 / lengthscale^2) in one
-or two dimensions (the only kernel smooth enough to support Laplacian
-observations). The SE kernel assembles covariances in blocks of one
-functional code per side, from r^2 and one multiplier for the code pair.
+A linear functional is a location and a code: ``POINT`` observes x(t) and
+``NEG_LAPLACIAN`` observes -Delta x(t). The kernel provided is the
+squared-exponential amp * exp(-||t - t'||^2 / lengthscale^2) in one or two
+dimensions, smooth enough to support Laplacian observations. It assembles
+covariances in blocks of one functional code per side, from r^2 and one
+multiplier for the code pair, and rejects a code it does not know and
+points of another dimension.
 
-``ConditionedPredictor`` is the one conditioning path: it alone knows its
-observations, checks their geometry (``_split_obs``), factors the Gram
-once and assembles every block against its observations. Callers read
-posterior covariances and pathwise draws from the two blocks of
-``cross_solve``.
+``ConditionedPredictor(kernel, points, codes)`` is the one conditioning
+path: it alone knows its observations, an (n, dim) location array and an
+(n,) code array, checks their geometry (``_check_geometry``), factors the
+Gram once and assembles every block against its observations. Callers
+read posterior covariances and pathwise draws from the two blocks of
+``cross_solve``. No observed value enters: for a linear problem with a
+Gaussian prior the posterior covariance depends on where and what is
+observed, not on what is seen.
 
-Each kernel has ``diag(pts)``, the prior variances of point values (SE:
+A kernel's ``diag(pts)`` gives the prior variances of point values (SE:
 ``diag(pts, code)``, of either functional), equal bit for bit to the
 diagonal of ``cross_cov``.
 ``ConditionedPredictor.var`` reads only that diagonal and the query-by-
@@ -22,8 +27,6 @@ returns.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,49 +43,25 @@ NEG_LAPLACIAN = 1
 MIN_SEPARATION = 1e-6
 
 
-@dataclass(frozen=True)
-class PointEvaluation:
-    """Observation of x(location)."""
-
-    location: np.ndarray
-    value: float = 0.0
-    code = POINT
-
-    def __post_init__(self):
-        object.__setattr__(self, "location", np.atleast_1d(np.asarray(self.location, dtype=float)))
-
-
-@dataclass(frozen=True)
-class NegativeLaplacianEvaluation:
-    """Observation of -Delta x(location); requires a twice-differentiable kernel."""
-
-    location: np.ndarray
-    value: float = 0.0
-    code = NEG_LAPLACIAN
-
-    def __post_init__(self):
-        object.__setattr__(self, "location", np.atleast_1d(np.asarray(self.location, dtype=float)))
-
-
-class Wiener:
-    """Standard Wiener kernel k(t, t') = min(t, t') on [0, 1]."""
-
-    dim = 1
-    smooth = False
-
-    def cross_cov(self, pts_a, codes_a, pts_b, codes_b):
-        if np.any(np.asarray(codes_a)) or np.any(np.asarray(codes_b)):
-            raise UnsupportedFunctional("Wiener kernel is not twice differentiable")
-        ta = np.asarray(pts_a, dtype=float).reshape(-1)
-        tb = np.asarray(pts_b, dtype=float).reshape(-1)
-        return np.minimum.outer(ta, tb)
-
-    def diag(self, pts):
-        """Prior variances k(t, t) = t."""
-        return np.array(pts, dtype=float).reshape(-1)
-
-    def mean(self, pts):
-        return np.zeros(np.asarray(pts, dtype=float).reshape(-1).shape[0])
+def _functionals(pts, codes, dim):
+    """``pts`` as an (n, dim) float array, ``codes`` as (n,) int64 and the
+    codes' sorted distinct values. Points that are not one row of dimension
+    dim per code raise ValueError, and a code other than POINT and
+    NEG_LAPLACIAN raises UnsupportedFunctional."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.ndim != 1 or pts.shape != (len(codes), dim):
+        raise ValueError(
+            f"need one code per point of an (n, {dim}) array, got points "
+            f"of shape {pts.shape} and codes of shape {codes.shape}"
+        )
+    groups = np.unique(codes)
+    if len(groups) and (groups[0] < POINT or groups[-1] > NEG_LAPLACIAN):
+        raise UnsupportedFunctional(
+            f"functional codes must be POINT ({POINT}) or NEG_LAPLACIAN "
+            f"({NEG_LAPLACIAN}), got {groups.tolist()}"
+        )
+    return pts, codes, groups
 
 
 class SquaredExponential:
@@ -110,13 +89,13 @@ class SquaredExponential:
     def cross_cov(self, pts_a, codes_a, pts_b, codes_b):
         """Cross-covariance matrix between two sets of linear functionals.
 
-        pts_* have shape (n, d); codes_* hold POINT or NEG_LAPLACIAN per row,
-        in any order. Each pair of one-code row and column groups is one
-        ``_from_r2`` block, returned as it is when it fills the matrix.
+        pts_* have shape (n, dim); codes_* hold POINT or NEG_LAPLACIAN per
+        row, in any order (``_functionals``). Each pair of one-code row and
+        column groups is one ``_from_r2`` block, returned as it is when it
+        fills the matrix.
         """
-        pts_a, pts_b = (np.atleast_2d(np.asarray(p, dtype=float)) for p in (pts_a, pts_b))
-        codes_a, codes_b = (np.asarray(c, dtype=np.int64) for c in (codes_a, codes_b))
-        groups_a, groups_b = np.unique(codes_a), np.unique(codes_b)
+        pts_a, codes_a, groups_a = _functionals(pts_a, codes_a, self.dim)
+        pts_b, codes_b, groups_b = _functionals(pts_b, codes_b, self.dim)
         one_block = len(groups_a) == len(groups_b) == 1
         out = None if one_block else np.empty((len(codes_a), len(codes_b)))
         for code_a in groups_a:
@@ -131,15 +110,15 @@ class SquaredExponential:
                     np.square(sq, out=sq)
                     r2 = sq if r2 is None else np.add(r2, sq, out=r2)
                 del sq  # frees the last square before _from_r2 allocates
-                block = self._from_r2(r2, code_a + code_b, pts_a.shape[1])
+                block = self._from_r2(r2, code_a + code_b)
                 if one_block:
                     return block
                 out[np.ix_(rows, cols)] = block
         return out
 
-    def _from_r2(self, r2, s, d):
-        """Covariances at squared distances r2 in d dimensions with -Delta
-        on s of the two sides; r2 is overwritten.
+    def _from_r2(self, r2, s):
+        """Covariances at squared distances r2 with -Delta on s of the two
+        sides; r2 is overwritten.
 
         The value k = amplitude * exp(-g r^2) goes into one new buffer of
         r2's shape, and the code pair's polynomial in r^2 into r2's own
@@ -150,7 +129,7 @@ class SquaredExponential:
         the heap above it, and each later greedy step then page-faults its
         temporaries afresh (about 1000 faults a step at default sizes).
         """
-        g = self.gamma
+        g, d = self.gamma, self.dim
         k = np.multiply(-g, r2)
         np.exp(k, out=k)
         k *= self.amplitude
@@ -168,31 +147,23 @@ class SquaredExponential:
     def diag(self, pts, code=POINT):
         """Prior variances of one functional at each point: ``cross_cov``'s diagonal."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._from_r2(np.zeros(pts.shape[0]), 2 * code, pts.shape[1])
-
-    def mean(self, pts):
-        return np.zeros(np.atleast_2d(np.asarray(pts, dtype=float)).shape[0])
+        _functionals(pts, np.full(len(pts), code), self.dim)
+        return self._from_r2(np.zeros(len(pts)), 2 * code)
 
 
-def _split_obs(kernel, observations):
-    """Locations, codes and values of the observations, and the one check of
-    their geometry: a non-finite location raises ValueError, and two
-    observations of one kind closer than MIN_SEPARATION raise SingularGram
-    naming both locations. Observations of different kinds may share a
-    location."""
-    if not observations:
-        d = kernel.dim
-        return np.zeros((0, d)), np.zeros(0, dtype=np.int64), np.zeros(0)
-    pts = np.vstack([np.atleast_1d(o.location) for o in observations])
-    codes = np.array([o.code for o in observations], dtype=np.int64)
-    values = np.array([o.value for o in observations], dtype=float)
+def _check_geometry(kernel, pts, codes, groups):
+    """The one check of the observations' geometry: a non-finite location
+    raises ValueError, -Laplacian observations on a kernel that is not
+    twice differentiable raise UnsupportedFunctional, and two observations
+    of one kind closer than MIN_SEPARATION raise SingularGram naming both
+    locations. Observations of different kinds may share a location."""
     if not np.all(np.isfinite(pts)):
         raise ValueError("observation locations must be finite")
-    if np.any(codes == NEG_LAPLACIAN) and not kernel.smooth:
+    if NEG_LAPLACIAN in groups and not kernel.smooth:
         raise UnsupportedFunctional(
             "Laplacian observations require a twice-differentiable kernel"
         )
-    for kind in np.unique(codes):
+    for kind in groups:
         sub = pts[codes == kind]
         dists = np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=-1)
         np.fill_diagonal(dists, np.inf)
@@ -202,42 +173,40 @@ def _split_obs(kernel, observations):
                 f"observation locations {sub[i].tolist()} and {sub[j].tolist()} "
                 f"are closer than MIN_SEPARATION = {MIN_SEPARATION}"
             )
-    return pts, codes, values
 
 
 class ConditionedPredictor:
-    """GP posterior predictor: mean and covariance over query points.
+    """GP posterior covariance over linear functionals, conditioned on
+    observing the functionals ``codes`` at ``points``.
 
-    The predictor is the only code that knows its observations: ``mean``,
-    ``var`` and ``cov_functionals`` all read the query-by-observation block
-    from ``_cross``. The Gram matrix gets its nugget here, in two stages:
-    ``jitter`` = DEFAULT_JITTER_SCALE * mean(diag Gram), then
+    ``points`` (n_obs, kernel.dim) and ``codes`` (n_obs,) are the
+    observations' locations and functional codes, in conditioning order;
+    ``_functionals`` checks their shapes and codes, and ``_check_geometry``
+    their geometry: a non-finite location raises ValueError and same-kind
+    observations closer than MIN_SEPARATION raise SingularGram. No observed
+    value is needed: the posterior covariance does not depend on it.
+
+    The predictor is the only code that knows its observations: ``var``,
+    ``cov_functionals`` and pathwise draws all read the query-by-observation
+    block from ``cross_solve``. The Gram matrix gets its nugget here, in
+    two stages: ``jitter`` = DEFAULT_JITTER_SCALE * mean(diag Gram), then
     ``_add_jitter``'s DEFAULT_JITTER_SCALE * (mean diagonal + 1).
     ``nugget`` is the total of both stages, the variance that the factored
     matrix adds to every observation (0 without observations); a pathwise
     draw that conditions through this factor adds noise of that variance
     to its observed values. The Gram is factored once, at construction, by
     ``_spd_factor``, whose 1e12 condition gate on that matrix is the one
-    gate. ``_split_obs`` checks the geometry: a non-finite location raises
-    ValueError and same-kind observations closer than MIN_SEPARATION raise
-    SingularGram; a Gram that fails the gate or its Cholesky factorisation
-    raises SingularSystem (numerics).
-
-    ``points`` (n_obs, dim) and ``codes`` (n_obs,) hold the observations'
-    locations and functional codes as arrays, in conditioning order.
+    gate; a Gram that fails the gate or its Cholesky factorisation raises
+    SingularSystem (numerics).
     """
 
-    def __init__(self, kernel, observations):
-        # Imported on first use: scipy is slow to import and most runs never need it.
-        import scipy.linalg
-
+    def __init__(self, kernel, points, codes):
         self.kernel = kernel
-        self.observations = tuple(observations)
-        pts, codes, values = _split_obs(kernel, observations)
+        pts, codes, groups = _functionals(points, codes, kernel.dim)
+        _check_geometry(kernel, pts, codes, groups)
         self.points = pts
         self.codes = codes
         if pts.shape[0] == 0:
-            self._weights = np.zeros(0)
             self._factor = None
             self.jitter = self.nugget = 0.0
             return
@@ -246,8 +215,6 @@ class ConditionedPredictor:
         np.fill_diagonal(gram, np.diagonal(gram) + self.jitter)
         self.nugget = self.jitter + float(_jitter(gram))
         self._factor = _spd_factor(_add_jitter(gram))
-        prior_mean = kernel.mean(pts)
-        self._weights = scipy.linalg.cho_solve(self._factor, values - prior_mean)
 
     def _query(self, points):
         pts = np.asarray(points, dtype=float)
@@ -257,20 +224,17 @@ class ConditionedPredictor:
             pts = np.atleast_2d(pts)
         return pts
 
-    def _cross(self, pts, codes):
-        """Prior covariance of the query functionals with the observations,
-        one column per observation in conditioning order."""
-        return self.kernel.cross_cov(pts, codes, self.points, self.codes)
-
     def cross_solve(self, points, codes):
         """``(cross, K^-1 cross^T)`` for linear functionals (points with
         per-point functional codes): their prior covariance with the
-        observations, n x n_obs, and its solve against the factored Gram,
-        n_obs x n. Posterior covariances and pathwise draws are read from
-        these two blocks: a covariance block is ``prior - cross_a @
-        solved_b``, and a pathwise draw is ``prior draw - (observed draw +
-        noise) @ solved`` with noise of variance ``nugget``. Without
-        observations both have zero width.
+        observations, n x n_obs, one column per observation in conditioning
+        order, and its solve against the factored Gram, n_obs x n.
+        Posterior covariances and pathwise draws are read from these two
+        blocks: a covariance block is ``prior - cross_a @ solved_b``, a
+        pathwise draw is ``prior draw - (observed draw + noise) @ solved``
+        with noise of variance ``nugget``, and the posterior mean given
+        observed values y is ``y @ solved``. Without observations both have
+        zero width.
         """
         # Imported on first use: scipy is slow to import and most runs never need it.
         import scipy.linalg
@@ -279,15 +243,8 @@ class ConditionedPredictor:
         codes = np.asarray(codes, dtype=np.int64)
         if self._factor is None:
             return np.zeros((len(codes), 0)), np.zeros((0, len(codes)))
-        cross = self._cross(pts, codes)
+        cross = self.kernel.cross_cov(pts, codes, self.points, self.codes)
         return cross, scipy.linalg.cho_solve(self._factor, cross.T)
-
-    def mean(self, points) -> np.ndarray:
-        pts = self._query(points)
-        base = self.kernel.mean(pts)
-        if self._factor is None:
-            return base
-        return base + self._cross(pts, np.zeros(pts.shape[0], dtype=np.int64)) @ self._weights
 
     def cov(self, points) -> np.ndarray:
         pts = self._query(points)
@@ -324,8 +281,3 @@ class ConditionedPredictor:
             return prior
         cross, solved = self.cross_solve(pts, np.zeros(pts.shape[0], dtype=np.int64))
         return prior - np.einsum("ij,ji->i", cross, solved)
-
-
-def gp_condition(kernel, observations) -> ConditionedPredictor:
-    """Condition ``kernel``'s GP on a list of linear observations."""
-    return ConditionedPredictor(kernel, observations)

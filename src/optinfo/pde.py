@@ -47,14 +47,7 @@ import numpy as np
 from .criteria import MonteCarloConfig, _check_integer, _check_integers, mean_and_stderr
 from .errors import SamplerFailure
 from .gaussian import _unit_diagonal_factor, derive_rng
-from .kernels import (
-    NEG_LAPLACIAN,
-    POINT,
-    NegativeLaplacianEvaluation,
-    PointEvaluation,
-    SquaredExponential,
-    gp_condition,
-)
+from .kernels import NEG_LAPLACIAN, POINT, ConditionedPredictor, SquaredExponential
 
 # Candidates per block of the p = inf scoring kernel (512 KB at 1024 grid
 # points). The kernel of a default seed-0 search on 2 cores, at blocks of
@@ -149,18 +142,12 @@ class DesignState:
     points: list = field(default_factory=list)
 
 
-def _observations(problem: EllipticDesignProblem, points):
-    obs = [PointEvaluation(p) for p in problem.boundary]
-    obs += [NegativeLaplacianEvaluation(p) for p in points]
-    return obs
-
-
 def _predictor(problem: EllipticDesignProblem, points):
-    """GP conditioned on ``_observations(problem, points)``.
+    """GP conditioned on the boundary values, then -Laplacian at ``points``.
 
     ``points`` is an empty list, one flat point or a (k, 2) array; any other
-    shape raises ValueError. ``gp_condition`` checks the geometry: a
-    non-finite point raises ValueError, and two points closer than
+    shape raises ValueError. ``ConditionedPredictor`` checks the geometry:
+    a non-finite point raises ValueError, and two points closer than
     ``kernels.MIN_SEPARATION`` raise SingularGram.
     """
     pts = np.asarray(points, dtype=float)
@@ -168,7 +155,12 @@ def _predictor(problem: EllipticDesignProblem, points):
         pts = pts.reshape(-1, 2)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"design points must form a (k, 2) array, got shape {pts.shape}")
-    return gp_condition(problem.kernel, _observations(problem, pts))
+    bnd = problem.boundary
+    codes = np.concatenate(
+        [np.full(bnd.shape[0], POINT, dtype=np.int64),
+         np.full(pts.shape[0], NEG_LAPLACIAN, dtype=np.int64)]
+    )
+    return ConditionedPredictor(problem.kernel, np.vstack([bnd, pts]), codes)
 
 
 @functools.lru_cache(maxsize=1)
@@ -302,7 +294,7 @@ def _pathwise_pairs(search: _SearchPrior, predictor, chosen, solved) -> np.ndarr
     for each pool row.
 
     The observations o are the predictor's, in the order of
-    ``_observations``: the boundary values, then -Laplacian at the
+    ``_predictor``: the boundary values, then -Laplacian at the
     candidates indexed by ``chosen``. ``solved`` is K^-1 C_oq from
     ``predictor.cross_solve``. The map is linear in the pool, and with pool
     rows drawn from N(0, 2 P) it has twice the posterior covariance that the

@@ -11,6 +11,8 @@ against. None of them is called by the library or the CLI.
 - ``dense_design_criterion``: the p = inf fixed-design criterion sampled
   from a factor of each dense grid posterior, the oracle of the pathwise
   ``design_criterion``.
+- ``Wiener``: the kernel min(t, t') on [0, 1], the 1-D kernel of the
+  conditioning tests.
 - ``BrownianBridge``: the Wiener process pinned at both ends of an
   interval, the second 1-D kernel of the conditioning tests and the
   closed form of a Wiener posterior between two nodes.
@@ -99,6 +101,24 @@ def dense_design_criterion(problem: EllipticDesignProblem, points, cfg):
     z = rng.standard_normal((cfg.n_outer, cov.shape[0])) @ factor.T
     value, stderr = mean_and_stderr(np.max(np.abs(z), axis=1))
     return float(value), float(stderr)
+
+
+class Wiener:
+    """Standard Wiener kernel k(t, t') = min(t, t') on [0, 1]."""
+
+    dim = 1
+    smooth = False
+
+    def cross_cov(self, pts_a, codes_a, pts_b, codes_b):
+        if np.any(np.asarray(codes_a)) or np.any(np.asarray(codes_b)):
+            raise UnsupportedFunctional("Wiener kernel is not twice differentiable")
+        ta = np.asarray(pts_a, dtype=float).reshape(-1)
+        tb = np.asarray(pts_b, dtype=float).reshape(-1)
+        return np.minimum.outer(ta, tb)
+
+    def diag(self, pts):
+        """Prior variances k(t, t) = t."""
+        return np.array(pts, dtype=float).reshape(-1)
 
 
 class BrownianBridge:

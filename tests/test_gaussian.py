@@ -18,12 +18,7 @@ from optinfo.gaussian import (
     conjugate_posterior,
     derive_rng,
 )
-from optinfo.kernels import (
-    NegativeLaplacianEvaluation,
-    PointEvaluation,
-    SquaredExponential,
-    gp_condition,
-)
+from optinfo.kernels import NEG_LAPLACIAN, POINT, ConditionedPredictor, SquaredExponential
 
 
 def grid_posterior_oracle(prior, A, noise, y, half_width=6.0, resolution=400):
@@ -222,11 +217,8 @@ class TestFactorJitter:
         want_spd = scipy.linalg.cho_factor(0.5 * (spd + spd.T))[0]
 
         kernel = SquaredExponential(lengthscale=0.5, dim=2)
-        obs = [PointEvaluation([t, 0.0], 0.0) for t in (0.0, 0.5, 1.0)]
-        obs += [NegativeLaplacianEvaluation([0.3, 0.6], 1.0),
-                NegativeLaplacianEvaluation([0.7, 0.4], -1.0)]
-        pts = np.array([o.location for o in obs])
-        codes = np.array([o.code for o in obs])
+        pts = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.3, 0.6], [0.7, 0.4]])
+        codes = np.array([POINT, POINT, POINT, NEG_LAPLACIAN, NEG_LAPLACIAN])
         gram = kernel.cross_cov(pts, codes, pts, codes)
         m = gram.shape[0]
         stage1 = gram + DEFAULT_JITTER_SCALE * np.trace(gram) / m * np.eye(m)
@@ -241,7 +233,8 @@ class TestFactorJitter:
         np.testing.assert_array_equal(_psd_factor(cov), want_psd)
         np.testing.assert_array_equal(_psd_factor(spd), np.linalg.cholesky(spd))
         np.testing.assert_array_equal(_spd_factor(spd)[0], want_spd)
-        np.testing.assert_array_equal(gp_condition(kernel, obs)._factor[0], want_gram)
+        np.testing.assert_array_equal(ConditionedPredictor(kernel, pts, codes)._factor[0],
+                                      want_gram)
 
 
 class TestSamplingFactor:

@@ -10,16 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from optinfo import gaussian, kernels
 from optinfo.errors import SingularGram, SingularSystem, UnsupportedFunctional
-from optinfo.kernels import (
-    NEG_LAPLACIAN,
-    POINT,
-    NegativeLaplacianEvaluation,
-    PointEvaluation,
-    SquaredExponential,
-    Wiener,
-    gp_condition,
-)
-from reference_impls import BrownianBridge, se_functional_covariances
+from optinfo.kernels import NEG_LAPLACIAN, POINT, ConditionedPredictor, SquaredExponential
+from reference_impls import BrownianBridge, Wiener, se_functional_covariances
 
 
 def fd_laplacian(f, t, h=1e-4):
@@ -31,6 +23,20 @@ def fd_laplacian(f, t, h=1e-4):
         e[i] = h
         total += (f(t + e) - 2.0 * f(t) + f(t - e)) / h**2
     return total
+
+
+def points_1d(ts):
+    """(n, 1) locations and POINT codes of point observations in 1-D."""
+    ts = np.asarray(ts, dtype=float).reshape(-1, 1)
+    return ts, np.full(len(ts), POINT)
+
+
+def mixed_design():
+    """SE kernel, boundary values and two -Laplacian observations."""
+    kernel = SquaredExponential(lengthscale=0.5, dim=2)
+    points = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.3, 0.6], [0.7, 0.4]])
+    codes = np.array([POINT, POINT, POINT, NEG_LAPLACIAN, NEG_LAPLACIAN])
+    return kernel, points, codes
 
 
 class TestWiener:
@@ -46,7 +52,7 @@ class TestWiener:
         with pytest.raises(UnsupportedFunctional):
             k.cross_cov([0.5], [NEG_LAPLACIAN], [0.5], [POINT])
         with pytest.raises(UnsupportedFunctional):
-            gp_condition(k, [NegativeLaplacianEvaluation([0.5], 0.0)])
+            ConditionedPredictor(k, [[0.5]], [NEG_LAPLACIAN])
 
 
 class TestBrownianBridge:
@@ -73,7 +79,7 @@ class TestWienerConditioning:
         # Conditioning the Wiener prior on node values leaves a Brownian
         # bridge on each open interval between consecutive nodes.
         nodes = [0.2, 0.6]
-        pred = gp_condition(Wiener(), [PointEvaluation([t], 0.0) for t in nodes])
+        pred = ConditionedPredictor(Wiener(), *points_1d(nodes))
         query = np.array([0.3, 0.45, 0.55])
         cov = pred.cov(query)
         bridge = BrownianBridge(0.2, 0.6)
@@ -81,19 +87,20 @@ class TestWienerConditioning:
         assert cov == pytest.approx(expected, abs=1e-7)
 
     def test_point_conditioning_pins_variance(self):
-        pred = gp_condition(Wiener(), [PointEvaluation([0.5], 1.0)])
+        pred = ConditionedPredictor(Wiener(), *points_1d([0.5]))
         assert pred.var([0.5])[0] <= pred.jitter * 10
-        assert pred.mean([0.5])[0] == pytest.approx(1.0, abs=1e-6)
+        # The posterior mean given the observed value 1.0 interpolates it.
+        _, solved = pred.cross_solve([0.5], [POINT])
+        assert (np.array([1.0]) @ solved)[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_observations_returns_prior(self):
-        pred = gp_condition(Wiener(), [])
+        pred = ConditionedPredictor(Wiener(), *points_1d([]))
         t = np.array([0.1, 0.9])
         assert pred.cov(t) == pytest.approx(np.minimum.outer(t, t), abs=1e-15)
-        assert pred.mean(t) == pytest.approx(0.0, abs=1e-15)
 
     def test_duplicate_locations_rejected(self):
         with pytest.raises(SingularGram):
-            gp_condition(Wiener(), [PointEvaluation([0.5], 0.0), PointEvaluation([0.5], 1.0)])
+            ConditionedPredictor(Wiener(), *points_1d([0.5, 0.5]))
 
 
 class TestObservationGeometry:
@@ -104,14 +111,13 @@ class TestObservationGeometry:
     def test_same_kind_observations_too_close_rejected(self, kernel, loc):
         near = loc + 5e-7
         with pytest.raises(SingularGram) as err:
-            gp_condition(kernel, [PointEvaluation(loc, 0.0), PointEvaluation(near, 1.0)])
+            ConditionedPredictor(kernel, np.vstack([loc, near]), [POINT, POINT])
         assert str(loc.tolist()) in str(err.value)
         assert str(near.tolist()) in str(err.value)
 
     def test_point_and_laplacian_at_one_location_condition(self):
         loc = [0.4, 0.7]
-        pred = gp_condition(SquaredExponential(dim=2),
-                            [PointEvaluation(loc, 1.0), NegativeLaplacianEvaluation(loc, 0.0)])
+        pred = ConditionedPredictor(SquaredExponential(dim=2), [loc, loc], [POINT, NEG_LAPLACIAN])
         assert pred.var([loc])[0] <= 10 * pred.nugget
 
     @pytest.mark.parametrize("kernel, loc", [
@@ -120,8 +126,7 @@ class TestObservationGeometry:
     ])
     def test_non_finite_location_rejected(self, kernel, loc):
         with pytest.raises(ValueError, match="finite"):
-            gp_condition(kernel, [PointEvaluation([0.2] * len(loc), 0.0),
-                                  PointEvaluation(loc, 0.0)])
+            ConditionedPredictor(kernel, [[0.2] * len(loc), loc], [POINT, POINT])
 
 
 class TestSquaredExponentialCalculus:
@@ -306,6 +311,73 @@ class TestCrossCovBlocks:
         assert peak <= 3 * out.nbytes + 8 * 8 * (400 + 300)
 
 
+SE2 = SquaredExponential(dim=2)
+PT = np.array([[0.3, 0.4]])
+THREE_PTS = np.array([[0.1, 0.2], [0.5, 0.5], [0.8, 0.3]])
+PT_3D = np.array([[0.3, 0.4, 0.9]])
+
+
+class TestMalformedFunctionals:
+    @pytest.mark.parametrize("call, error", [
+        (lambda: SE2.cross_cov(PT, [2], PT, [POINT]), UnsupportedFunctional),
+        (lambda: SE2.cross_cov(PT, [-1], PT, [NEG_LAPLACIAN]), UnsupportedFunctional),
+        (lambda: SE2.diag(PT, 5), UnsupportedFunctional),
+        (lambda: SE2.cross_cov(THREE_PTS, [POINT] * 2, PT, [POINT]), ValueError),
+        (lambda: ConditionedPredictor(*mixed_design()).cross_solve(THREE_PTS, [POINT] * 2),
+         ValueError),
+        (lambda: ConditionedPredictor(SE2, THREE_PTS, [POINT] * 2), ValueError),
+        (lambda: SE2.cross_cov(PT_3D, [POINT], PT, [POINT]), ValueError),
+        (lambda: SE2.diag(PT_3D), ValueError),
+        (lambda: ConditionedPredictor(*mixed_design()).var(PT_3D), ValueError),
+        (lambda: ConditionedPredictor(SE2, PT_3D, [POINT]), ValueError),
+    ], ids=["code-2", "code-minus-1", "diag-code-5", "3-points-2-codes",
+            "cross-solve-3-points-2-codes", "condition-3-points-2-codes", "3d-point",
+            "diag-3d-point", "var-3d-point", "condition-3d-point"])
+    def test_rejected(self, call, error):
+        with pytest.raises(error):
+            call()
+
+
+LATTICE = np.array([(x, y) for x in np.linspace(0.1, 0.9, 5) for y in np.linspace(0.1, 0.9, 5)])
+ORDER_QUERY = np.random.default_rng(10).uniform(0, 1, (6, 2))
+ORDER_QUERY_CODES = np.array([POINT, NEG_LAPLACIAN] * 3)
+
+
+@st.composite
+def separated_designs(draw):
+    """A lengthscale in [0.3, 0.5], 2 to 8 distinct sites of a lattice of
+    spacing 0.2 with both codes among them, and a permutation of the rows."""
+    lengthscale = draw(st.floats(0.3, 0.5))
+    sites = draw(st.lists(st.integers(0, len(LATTICE) - 1), min_size=2, max_size=8, unique=True))
+    codes = [POINT, NEG_LAPLACIAN] + draw(st.lists(
+        st.sampled_from([POINT, NEG_LAPLACIAN]), min_size=len(sites) - 2, max_size=len(sites) - 2))
+    perm = draw(st.permutations(range(len(sites))))
+    return lengthscale, LATTICE[sites], np.array(codes), np.array(perm)
+
+
+class TestObservationOrder:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(separated_designs())
+    def test_permuting_observations_moves_results_by_roundoff(self, design):
+        # Reordering the rows reorders the Gram's Cholesky, so the results
+        # agree to roundoff, not bit for bit. The Grams of these designs have
+        # condition numbers below 2e5, so errors stay well below 1e-10 of the
+        # largest prior variance of the query functionals (1e-14 measured);
+        # the nugget sums the same few diagonal entries in another order.
+        lengthscale, pts, codes, perm = design
+        kernel = SquaredExponential(lengthscale=lengthscale, dim=2)
+        pred = ConditionedPredictor(kernel, pts, codes)
+        permuted = ConditionedPredictor(kernel, pts[perm], codes[perm])
+        prior = kernel.cross_cov(ORDER_QUERY, ORDER_QUERY_CODES, ORDER_QUERY, ORDER_QUERY_CODES)
+        atol = 1e-10 * np.max(np.diagonal(prior))
+        np.testing.assert_allclose(permuted.var(ORDER_QUERY), pred.var(ORDER_QUERY),
+                                   rtol=0, atol=atol)
+        np.testing.assert_allclose(
+            permuted.cov_functionals(ORDER_QUERY, ORDER_QUERY_CODES),
+            pred.cov_functionals(ORDER_QUERY, ORDER_QUERY_CODES), rtol=0, atol=atol)
+        assert permuted.nugget == pytest.approx(pred.nugget, rel=1e-14)
+
+
 class TestCrossCovBatch:
     def test_mixed_codes_match_closed_forms_entrywise(self):
         # Oracle for the per-code blocks: every entry of a mixed-code
@@ -329,26 +401,12 @@ class TestCrossCovBatch:
 
 class TestFactorOnce:
     def test_conditioning_factors_gram_once(self, cho_factor_calls):
-        kernel = SquaredExponential(lengthscale=0.5, dim=2)
-        boundary = [PointEvaluation([t, 0.0], 0.0) for t in (0.0, 0.5, 1.0)]
-        interior = [NegativeLaplacianEvaluation([0.3, 0.6], 1.0),
-                    NegativeLaplacianEvaluation([0.7, 0.4], -1.0)]
-        pred = gp_condition(kernel, boundary + interior)
+        pred = ConditionedPredictor(*mixed_design())
         query = np.array([[0.2, 0.2], [0.5, 0.5], [0.8, 0.3]])
-        pred.mean(query)
         pred.cov(query)
         pred.cov_functionals(query, [POINT, NEG_LAPLACIAN, POINT])
         pred.cov_functionals(query, [NEG_LAPLACIAN] * 3)
         assert len(cho_factor_calls) == 1
-
-
-def mixed_predictor():
-    """SE predictor on boundary values and two -Laplacian observations."""
-    kernel = SquaredExponential(lengthscale=0.5, dim=2)
-    boundary = [PointEvaluation([t, 0.0], 0.0) for t in (0.0, 0.5, 1.0)]
-    interior = [NegativeLaplacianEvaluation([0.3, 0.6], 1.0),
-                NegativeLaplacianEvaluation([0.7, 0.4], -1.0)]
-    return kernel, boundary + interior
 
 
 class TestOneGate:
@@ -361,13 +419,13 @@ class TestOneGate:
             return cond(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "cond", counting)
-        gp_condition(*mixed_predictor())
+        ConditionedPredictor(*mixed_design())
         assert len(calls) == 1
 
     def test_failed_gate_raises_singular_system(self, monkeypatch):
         monkeypatch.setattr(gaussian, "MAX_CONDITION", 1.0)
         with pytest.raises(SingularSystem):
-            gp_condition(*mixed_predictor())
+            ConditionedPredictor(*mixed_design())
 
 
 class TestNugget:
@@ -380,32 +438,29 @@ class TestNugget:
             return spd_factor(mat)
 
         monkeypatch.setattr(kernels, "_spd_factor", recording)
-        kernel, obs = mixed_predictor()
-        pred = gp_condition(kernel, obs)
-        pts = np.array([o.location for o in obs])
-        codes = np.array([o.code for o in obs])
+        kernel, pts, codes = mixed_design()
+        pred = ConditionedPredictor(kernel, pts, codes)
         excess = np.diagonal(factored[0]) - np.diagonal(kernel.cross_cov(pts, codes, pts, codes))
         # The diagonal reaches 512, whose ulp is 1.1e-13, and the nugget is
         # 4.1e-8, so two roundings move each excess by up to 3e-6 relative.
         np.testing.assert_allclose(excess, pred.nugget, rtol=1e-5)
         assert pred.nugget > pred.jitter > 0.0
-        assert gp_condition(kernel, []).nugget == 0.0
+        assert ConditionedPredictor(kernel, np.zeros((0, 2)), []).nugget == 0.0
 
 
 class TestConditioningProperties:
     def test_monotone_variance_reduction_nested_sets(self):
         rng = np.random.default_rng(4)
-        obs = [PointEvaluation(rng.uniform(0.05, 0.95, 1), 0.0) for _ in range(4)]
-        small = gp_condition(Wiener(), obs[:2])
-        large = gp_condition(Wiener(), obs)
+        pts, codes = points_1d(rng.uniform(0.05, 0.95, 4))
+        small = ConditionedPredictor(Wiener(), pts[:2], codes[:2])
+        large = ConditionedPredictor(Wiener(), pts, codes)
         query = np.linspace(0.05, 0.95, 17)
         assert np.all(large.var(query) <= small.var(query) + 1e-9)
 
     def test_laplacian_observations_reduce_variance(self):
         kernel = SquaredExponential(dim=2)
         rng = np.random.default_rng(2)
-        obs = [NegativeLaplacianEvaluation(rng.uniform(0.2, 0.8, 2), 0.0) for _ in range(3)]
-        pred = gp_condition(kernel, obs)
+        pred = ConditionedPredictor(kernel, rng.uniform(0.2, 0.8, (3, 2)), [NEG_LAPLACIAN] * 3)
         query = rng.uniform(0.0, 1.0, (25, 2))
         prior_var = np.diag(kernel.cross_cov(query, np.zeros(25, dtype=int), query, np.zeros(25, dtype=int)))
         assert np.all(pred.var(query) <= prior_var + 1e-9)
@@ -413,8 +468,7 @@ class TestConditioningProperties:
     def test_posterior_cov_symmetric_psd(self):
         kernel = SquaredExponential(dim=2)
         rng = np.random.default_rng(6)
-        obs = [PointEvaluation(rng.uniform(0, 1, 2), 0.0) for _ in range(5)]
-        pred = gp_condition(kernel, obs)
+        pred = ConditionedPredictor(kernel, rng.uniform(0, 1, (5, 2)), [POINT] * 5)
         query = rng.uniform(0, 1, (12, 2))
         cov = pred.cov(query)
         assert cov == pytest.approx(cov.T, abs=1e-12)
@@ -440,20 +494,18 @@ class TestPriorDiagonal:
 
 class TestPosteriorVariance:
     @pytest.mark.parametrize("kernel, obs, query", [
-        (Wiener(), [PointEvaluation([t], 0.0) for t in (0.2, 0.5, 0.9)],
-         np.linspace(0.05, 0.95, 13)),
-        (BrownianBridge(0.0, 2.0), [PointEvaluation([t], 1.0) for t in (0.4, 1.5)],
-         np.linspace(0.1, 1.9, 11)),
-        (SquaredExponential(lengthscale=0.6, amplitude=1.3, dim=2),
-         [PointEvaluation([t, 0.0], 0.0) for t in (0.0, 0.5, 1.0)]
-         + [NegativeLaplacianEvaluation([0.3, 0.6], 1.0),
-            NegativeLaplacianEvaluation([0.7, 0.4], -1.0)],
+        (Wiener(), points_1d([0.2, 0.5, 0.9]), np.linspace(0.05, 0.95, 13)),
+        (BrownianBridge(0.0, 2.0), points_1d([0.4, 1.5]), np.linspace(0.1, 1.9, 11)),
+        (SquaredExponential(lengthscale=0.6, amplitude=1.3, dim=2), mixed_design()[1:],
          np.random.default_rng(3).uniform(0, 1, (20, 2))),
-        (*mixed_predictor(), np.array([[0.2, 0.2], [0.5, 0.5], [0.8, 0.3], [0.4, 0.7]])),
+        (mixed_design()[0], mixed_design()[1:],
+         np.array([[0.2, 0.2], [0.5, 0.5], [0.8, 0.3], [0.4, 0.7]])),
     ])
     @pytest.mark.parametrize("observed", [True, False])
     def test_var_equals_cov_diagonal(self, kernel, obs, query, observed):
-        pred = gp_condition(kernel, obs if observed else [])
+        points, codes = obs
+        n = len(codes) if observed else 0
+        pred = ConditionedPredictor(kernel, points[:n], codes[:n])
         want = np.diag(pred.cov(query))
         np.testing.assert_allclose(pred.var(query), want, rtol=1e-12, atol=1e-13)
         if not observed:

@@ -834,7 +834,7 @@ def design_map_variances(problem, points):
     block is fed in as draws (the grid block gives the factor's columns)
     with the other two at zero, and the squared outputs are summed."""
     predictor = _predictor(problem, points)
-    n_grid, n_obs = problem.grid_points.shape[0], len(predictor.observations)
+    n_grid, n_obs = problem.grid_points.shape[0], len(predictor.codes)
     total = np.zeros(n_grid)
     for k, n in enumerate((n_grid, n_obs, n_obs)):
         blocks = [np.zeros((n, n_grid)), np.zeros((n, n_obs)), np.zeros((n, n_obs))]

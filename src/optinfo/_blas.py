@@ -1,0 +1,84 @@
+"""One OpenBLAS thread per library call.
+
+numpy's and scipy's wheels each bundle their own OpenBLAS, and each starts
+one thread per core. The thread count changes how a blocked product or
+factorisation splits its sums, so it changes the last bits of results, and
+two pools on the same cores spin against each other. ``one_thread`` sets
+every such pool already loaded in the process to one thread for the body
+of a ``with`` statement, then restores the count it found, as
+``pde._pinf_values`` does with numpy's ufunc buffer.
+
+It loads no library: ``ctypes.CDLL`` with RTLD_NOLOAD fails unless the
+library is already in the process, and loading scipy's would start its
+threads. So a caller that will use scipy's BLAS imports scipy.linalg
+before it enters. A library that is not found or lacks these symbols, as
+in another BLAS build, is left alone.
+
+The thread count is a setting of the whole process. Each pool counts the
+calls that pin it, under one lock, and the last of them to leave restores
+the count the first one found, so nested calls, calls from several Python
+threads and a pool first loaded inside an outer call all end with the
+caller's count.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import sys
+import threading
+
+# Package, its bundled OpenBLAS in ``<package>.libs`` and the symbol suffix
+# of that build (numpy's is the 64-bit integer interface).
+_BUILDS = (("numpy", "libscipy_openblas64_*.so", "64_"),
+           ("scipy", "libscipy_openblas-*.so", ""))
+_lock = threading.Lock()
+_pinned: dict = {}  # library path -> [calls pinning it, count found by the first]
+
+
+def _loaded_pools():
+    """(path, get, set) of the thread-count functions of each known
+    OpenBLAS that is loaded in the process."""
+    import ctypes
+    import glob
+
+    pools = []
+    for package, pattern, suffix in _BUILDS:
+        module = sys.modules.get(package)
+        if getattr(module, "__file__", None) is None:
+            continue
+        site = os.path.dirname(os.path.dirname(module.__file__))
+        for path in glob.glob(os.path.join(site, package + ".libs", pattern)):
+            try:
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+            except (OSError, AttributeError):  # not loaded, or another build
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            pools.append((path, get, put))
+    return pools
+
+
+@contextlib.contextmanager
+def one_thread():
+    """Run the body with every loaded OpenBLAS pool on one thread."""
+    entered = []
+    try:
+        with _lock:
+            for path, get, put in _loaded_pools():
+                entry = _pinned.setdefault(path, [0, 0])
+                if entry[0] == 0:
+                    entry[1] = get()
+                    put(1)
+                entry[0] += 1
+                entered.append((path, put))
+        yield
+    finally:
+        with _lock:
+            for path, put in entered:
+                entry = _pinned[path]
+                entry[0] -= 1
+                if entry[0] == 0:
+                    put(entry[1])

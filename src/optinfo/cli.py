@@ -7,7 +7,11 @@ criteria comparison for linear-Gaussian candidates).
 
 Exit codes: 0 success, 2 invalid arguments/input, 3 numerical failure.
 All outputs are deterministic given flags and seed; OPTINFO_SEED is used
-as a fallback when --seed is not passed.
+as a fallback when --seed is not passed. Each command runs the OpenBLAS
+pools already loaded on one thread (``_blas.one_thread``), and the PDE
+search and criterion pin scipy's too, so pde-design's bytes do not depend
+on OPENBLAS_NUM_THREADS or the core count; its --threads is the only
+parallelism.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import criteria, discrete, gaussian, pde, quadrature
+from ._blas import one_thread
 from .criteria import MonteCarloConfig
 from .errors import InvalidSpec, OptinfoError
 
@@ -259,7 +264,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        with one_thread():
+            return args.func(args)
     except (InvalidSpec, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

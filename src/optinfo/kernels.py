@@ -47,21 +47,22 @@ def _functionals(pts, codes, dim):
     """``pts`` as an (n, dim) float array, ``codes`` as (n,) int64 and the
     codes' sorted distinct values. Points that are not one row of dimension
     dim per code raise ValueError, and a code other than POINT and
-    NEG_LAPLACIAN raises UnsupportedFunctional."""
+    NEG_LAPLACIAN, such as 2 or 1.5, raises UnsupportedFunctional."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = np.asarray(codes)
     if codes.ndim != 1 or pts.shape != (len(codes), dim):
         raise ValueError(
             f"need one code per point of an (n, {dim}) array, got points "
             f"of shape {pts.shape} and codes of shape {codes.shape}"
         )
     groups = np.unique(codes)
-    if len(groups) and (groups[0] < POINT or groups[-1] > NEG_LAPLACIAN):
+    # Checked before the cast, which would truncate 1.5 to NEG_LAPLACIAN.
+    if not all(g in (POINT, NEG_LAPLACIAN) for g in groups.tolist()):
         raise UnsupportedFunctional(
             f"functional codes must be POINT ({POINT}) or NEG_LAPLACIAN "
             f"({NEG_LAPLACIAN}), got {groups.tolist()}"
         )
-    return pts, codes, groups
+    return pts, codes.astype(np.int64, copy=False), groups.astype(np.int64, copy=False)
 
 
 class SquaredExponential:
@@ -234,13 +235,13 @@ class ConditionedPredictor:
         pathwise draw is ``prior draw - (observed draw + noise) @ solved``
         with noise of variance ``nugget``, and the posterior mean given
         observed values y is ``y @ solved``. Without observations both have
-        zero width.
+        zero width. Queries are checked as ``cross_cov`` checks them, with
+        or without observations.
         """
         # Imported on first use: scipy is slow to import and most runs never need it.
         import scipy.linalg
 
-        pts = self._query(points)
-        codes = np.asarray(codes, dtype=np.int64)
+        pts, codes, _ = _functionals(self._query(points), codes, self.kernel.dim)
         if self._factor is None:
             return np.zeros((len(codes), 0)), np.zeros((0, len(codes)))
         cross = self.kernel.cross_cov(pts, codes, self.points, self.codes)

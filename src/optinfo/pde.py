@@ -31,6 +31,11 @@ pathwise too. Both draw prior pairs through one map, ``_prior_pairs``,
 from a grid factor computed once per process, ``_DRAW_BLOCK`` rows at a
 time by one stream rule (``_normal_blocks``).
 
+``greedy_design`` and ``design_criterion`` run numpy's and scipy's
+OpenBLAS on one thread (``_blas.one_thread``), so their results do not
+depend on OPENBLAS_NUM_THREADS or the core count; the p = inf search's
+``threads`` argument is the only parallelism.
+
 The dense references that check these paths, the full-reconditioning
 greedy trace search, the dense joint posterior over [grid; candidates] and
 the dense sampler of the grid posterior, live in tests/reference_impls.py.
@@ -44,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import one_thread
 from .criteria import MonteCarloConfig, _check_integer, _check_integers, mean_and_stderr
 from .errors import SamplerFailure
 from .gaussian import _unit_diagonal_factor, derive_rng
@@ -427,9 +433,14 @@ def _prior_pairs(problem: EllipticDesignProblem, cross, points, codes):
 
     The solve, L_og^T L_og (``dsyrk``, into the lower triangle that ``eigh``
     reads) and ``eigh`` (``dsyevd``, as in ``np.linalg.eigh``) run in
-    scipy's OpenBLAS, not numpy's: a numpy call right after a scipy call
-    shares the cores with scipy's spinning threads (on 2 cores the default
-    search's 657 x 657 ``np.linalg.eigh`` took 120 ms instead of 65 ms).
+    scipy's OpenBLAS, not numpy's. They were moved there when both pools ran
+    a thread per core and a numpy call right after a scipy call shared the
+    cores with scipy's spinning threads, which ``_blas.one_thread`` now
+    prevents. They stay because the solve and the triangular multiply below
+    have no numpy form, so the map needs scipy's build anyway, and with the
+    whole map in one build its bits depend on one LAPACK, not two. (With one
+    thread, ``np.linalg.eigh`` and ``l_og.T @ l_og`` gave the same bits as
+    these calls on the bundled numpy 2.4 and scipy 1.17 builds.)
 
     The grid draws z F^T are formed in place, by a triangular multiply into
     the buffer of a C-contiguous z, which is overwritten and returned; the
@@ -516,18 +527,22 @@ def design_criterion(problem: EllipticDesignProblem, points,
     tests (``dense_design_criterion`` in tests/reference_impls.py) as the
     independent oracle of this estimator.
     """
+    # Loaded before the pin, so that scipy's OpenBLAS pool is pinned too.
+    import scipy.linalg  # noqa: F401
+
     cfg = cfg or MonteCarloConfig()
     weights = problem.grid_weights
-    predictor = _predictor(problem, points)
-    if problem.p == 2.0:
-        var = predictor.var(problem.grid_points)
-        return 2.0 * float(weights @ var), 0.0
-    pairs = _design_pairs(problem, predictor)
-    maxes = np.empty(cfg.n_outer)
-    for rows, *normals in _normal_blocks(cfg, len(weights), len(predictor.codes), 10**6):
-        block = pairs(*normals)
-        maxes[rows] = np.abs(block, out=block).max(axis=1)
-        del normals, block  # freed before the next block is drawn
+    with one_thread():
+        predictor = _predictor(problem, points)
+        if problem.p == 2.0:
+            var = predictor.var(problem.grid_points)
+            return 2.0 * float(weights @ var), 0.0
+        pairs = _design_pairs(problem, predictor)
+        maxes = np.empty(cfg.n_outer)
+        for rows, *normals in _normal_blocks(cfg, len(weights), len(predictor.codes), 10**6):
+            block = pairs(*normals)
+            maxes[rows] = np.abs(block, out=block).max(axis=1)
+            del normals, block  # freed before the next block is drawn
     value, stderr = mean_and_stderr(maxes)
     return float(value), float(stderr)
 
@@ -563,22 +578,26 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
     """
     _check_design_size(problem, m)
     _check_integer("threads", threads, 1)
+    # Loaded before the pin, so that scipy's OpenBLAS pool is pinned too.
+    import scipy.linalg  # noqa: F401
+
     C = problem.candidate_grid
     cfg = cfg or MonteCarloConfig()
     cands = problem.candidates
-    search = _search_prior(problem, cands, cfg)
     picked: list = []
     contours = []
     trace = []
-    for _ in range(m):
-        free = np.setdiff1d(np.arange(len(cands)), picked)
-        values = _candidate_values(
-            problem, search, _predictor(problem, cands[picked]), picked, free, threads
-        )[0]
-        best = int(np.argmin(values))
-        surface = np.full(len(cands), np.nan)
-        surface[free] = values
-        contours.append(surface.reshape(C, C))
-        picked.append(int(free[best]))
-        trace.append(float(values[best]))
+    with one_thread():
+        search = _search_prior(problem, cands, cfg)
+        for _ in range(m):
+            free = np.setdiff1d(np.arange(len(cands)), picked)
+            values = _candidate_values(
+                problem, search, _predictor(problem, cands[picked]), picked, free, threads
+            )[0]
+            best = int(np.argmin(values))
+            surface = np.full(len(cands), np.nan)
+            surface[free] = values
+            contours.append(surface.reshape(C, C))
+            picked.append(int(free[best]))
+            trace.append(float(values[best]))
     return DesignState(points=list(cands[picked])), contours, trace

@@ -1,0 +1,156 @@
+"""BLAS thread pinning: library calls run every loaded OpenBLAS pool on one
+thread and give the caller's thread counts back on every way out."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+import scipy.linalg  # noqa: F401  loads scipy's pool, so both pools are pinned and read
+
+from optinfo import _blas, pde
+from optinfo.cli import EXIT_NUMERICAL, EXIT_OK, main
+from optinfo.criteria import MonteCarloConfig
+from optinfo.errors import SamplerFailure
+from optinfo.pde import EllipticDesignProblem, design_criterion, greedy_design
+
+SMALL = dict(eval_grid=6, candidate_grid=4, n_boundary=8)
+CFG = MonteCarloConfig(seed=0, n_outer=4)
+# Not 1, and not the default thread count of a pool, so a restored count
+# is told apart from both.
+CALLER_COUNT = 3
+
+
+def counts():
+    """Thread counts of the loaded pools, through the symbols the helper uses."""
+    return [get() for _, get, _ in _blas._loaded_pools()]
+
+
+@pytest.fixture
+def caller_counts():
+    """Every loaded pool at CALLER_COUNT threads for the test, then back."""
+    pools = _blas._loaded_pools()
+    before = [get() for _, get, _ in pools]
+    for _, _, put in pools:
+        put(CALLER_COUNT)
+    yield [CALLER_COUNT] * len(pools)
+    for (_, _, put), n in zip(pools, before):
+        put(n)
+
+
+@pytest.fixture
+def counts_inside(monkeypatch):
+    """Pool counts seen inside each search or fixed-design body, read when
+    ``pde._predictor`` is called."""
+    seen = []
+    predictor = pde._predictor
+
+    def recording(*args):
+        seen.append(counts())
+        return predictor(*args)
+
+    monkeypatch.setattr(pde, "_predictor", recording)
+    return seen
+
+
+def test_both_wheel_pools_found():
+    # numpy and scipy wheels each bundle one OpenBLAS; with another BLAS
+    # build the helper finds none and pins nothing.
+    names = [path for path, _, _ in _blas._loaded_pools()]
+    assert len(names) == 2
+    assert any("numpy.libs" in n for n in names) and any("scipy.libs" in n for n in names)
+
+
+@pytest.mark.parametrize("p", [2.0, np.inf])
+def test_greedy_design_pins_then_restores(p, caller_counts, counts_inside):
+    greedy_design(EllipticDesignProblem(p=p, **SMALL), 2, CFG)
+    assert counts_inside and all(c == [1, 1] for c in counts_inside)
+    assert counts() == caller_counts
+
+
+@pytest.mark.parametrize("p", [2.0, np.inf])
+def test_design_criterion_pins_then_restores(p, caller_counts, counts_inside):
+    design_criterion(EllipticDesignProblem(p=p, **SMALL), [[0.5, 0.5]], CFG)
+    assert counts_inside == [[1, 1]]
+    assert counts() == caller_counts
+
+
+def test_restored_after_a_failure_in_the_search(caller_counts, monkeypatch):
+    def failing(*args, **kwargs):
+        assert counts() == [1, 1]
+        raise SamplerFailure("injected")
+
+    monkeypatch.setattr(pde, "_candidate_values", failing)
+    with pytest.raises(SamplerFailure, match="injected"):
+        greedy_design(EllipticDesignProblem(p=np.inf, **SMALL), 2, CFG)
+    assert counts() == caller_counts
+
+
+def test_restored_after_a_failure_in_the_fixed_design(caller_counts, monkeypatch):
+    def failing(*args, **kwargs):
+        assert counts() == [1, 1]
+        raise SamplerFailure("injected")
+
+    monkeypatch.setattr(pde, "_design_pairs", failing)
+    with pytest.raises(SamplerFailure, match="injected"):
+        design_criterion(EllipticDesignProblem(p=np.inf, **SMALL), [[0.5, 0.5]], CFG)
+    assert counts() == caller_counts
+
+
+def test_restored_after_the_cli_and_its_nested_search(caller_counts, counts_inside, tmp_path,
+                                                      capsys):
+    argv = ["pde-design", "--m", "2", "--eval-grid", "6", "--candidate-grid", "4",
+            "--n-boundary", "8", "--outdir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert len(counts_inside) == 2 and all(c == [1, 1] for c in counts_inside)
+    assert counts() == caller_counts
+
+
+def test_cli_failure_restores(caller_counts, monkeypatch, tmp_path, capsys):
+    def failing(*args, **kwargs):
+        raise SamplerFailure("injected")
+
+    monkeypatch.setattr(pde, "_candidate_values", failing)
+    argv = ["pde-design", "--m", "1", "--eval-grid", "6", "--candidate-grid", "4",
+            "--n-boundary", "8", "--outdir", str(tmp_path)]
+    assert main(argv) == EXIT_NUMERICAL
+    assert "injected" in capsys.readouterr().err
+    assert counts() == caller_counts
+
+
+def test_no_known_pool_is_a_no_op(caller_counts, monkeypatch):
+    pools = _blas._loaded_pools()
+    monkeypatch.setattr(_blas, "_loaded_pools", list)
+    with _blas.one_thread():
+        assert [get() for _, get, _ in pools] == caller_counts
+    assert [get() for _, get, _ in pools] == caller_counts
+
+
+def test_concurrent_calls_stay_pinned_and_restore(caller_counts):
+    # The count is one setting of the whole process: while any call is
+    # inside, every pool stays at 1, and the last call out restores it.
+    errors = []
+
+    def worker():
+        try:
+            for _ in range(50):
+                with _blas.one_thread():
+                    if counts() != [1, 1]:
+                        errors.append(counts())
+        except Exception as exc:  # reported below; a thread cannot raise into the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker) for _ in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+    assert counts() == caller_counts

@@ -495,3 +495,31 @@ def test_pinf_search_loads_scipy_spatial(tmp_path):
     codes, loaded = _scipy_after(PDE_SMALL + ["--p", "inf", "--outdir", str(tmp_path / "pinf")])
     assert codes == [EXIT_OK]
     assert "scipy.spatial" in loaded
+
+
+def test_pde_design_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # The smallest sizes found whose bytes changed with OPENBLAS_NUM_THREADS
+    # on 2 cores before the library pinned its BLAS pools: the p = 2 step 4
+    # contour of the default grids, and the p = inf design at eval grid 12.
+    runs = [
+        ["pde-design", "--m", "4", "--p", "2"],
+        ["pde-design", "--m", "1", "--p", "inf", "--eval-grid", "12", "--candidate-grid", "3",
+         "--n-boundary", "8", "--samples", "2"],
+    ]
+    probe = ("import json, sys, optinfo.cli\n"
+             "sys.exit(max(optinfo.cli.main(argv) for argv in json.loads(sys.argv[1])))\n")
+    src = str(Path(optinfo.__file__).resolve().parents[1])
+    outputs = []
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = src
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        outdir = tmp_path / str(threads)
+        argvs = [argv + ["--outdir", str(outdir / f"p{argv[4]}")] for argv in runs]
+        subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)], env=env, check=True,
+                       capture_output=True)
+        outputs.append({str(f.relative_to(outdir)): f.read_bytes()
+                        for f in sorted(outdir.rglob("*")) if f.is_file()})
+    assert len(outputs[0]) == 7  # 4 + 1 step CSVs and a design.json per run
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -330,9 +330,15 @@ class TestMalformedFunctionals:
         (lambda: SE2.diag(PT_3D), ValueError),
         (lambda: ConditionedPredictor(*mixed_design()).var(PT_3D), ValueError),
         (lambda: ConditionedPredictor(SE2, PT_3D, [POINT]), ValueError),
+        (lambda: SE2.cross_cov(PT, [1.5], [[0.6, 0.1]], [POINT]), UnsupportedFunctional),
+        (lambda: ConditionedPredictor(SE2, np.zeros((0, 2)), []).cross_solve(
+            THREE_PTS, [7] * 3), UnsupportedFunctional),
+        (lambda: ConditionedPredictor(SE2, np.zeros((0, 2)), []).cross_solve(
+            THREE_PTS, [POINT] * 2), ValueError),
     ], ids=["code-2", "code-minus-1", "diag-code-5", "3-points-2-codes",
             "cross-solve-3-points-2-codes", "condition-3-points-2-codes", "3d-point",
-            "diag-3d-point", "var-3d-point", "condition-3d-point"])
+            "diag-3d-point", "var-3d-point", "condition-3d-point", "code-1.5",
+            "unconditioned-cross-solve-code-7", "unconditioned-cross-solve-3-points-2-codes"])
     def test_rejected(self, call, error):
         with pytest.raises(error):
             call()

@@ -14,6 +14,12 @@ threads. So a caller that will use scipy's BLAS imports scipy.linalg
 before it enters. A library that is not found or lacks these symbols, as
 in another BLAS build, is left alone.
 
+Each library is looked up once per process: the ``<package>.libs``
+directory is globbed the first time its package is loaded, and a pool's
+(path, get, set) handles are kept once it is found. A library not yet
+loaded is looked up again on the next call, so scipy's pool is found
+once scipy.linalg has been imported, even after a call that missed it.
+
 The thread count is a setting of the whole process. Each pool counts the
 calls that pin it, under one lock, and the last of them to leave restores
 the count the first one found, so nested calls, calls from several Python
@@ -24,6 +30,7 @@ caller's count.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import sys
 import threading
@@ -34,30 +41,47 @@ _BUILDS = (("numpy", "libscipy_openblas64_*.so", "64_"),
            ("scipy", "libscipy_openblas-*.so", ""))
 _lock = threading.Lock()
 _pinned: dict = {}  # library path -> [calls pinning it, count found by the first]
+_found: dict = {}  # library path -> its (path, get, set), once the pool is loaded
+
+
+@functools.cache
+def _library_paths(libs: str, pattern: str) -> tuple:
+    """The bundled libraries in the directory ``libs``, globbed once."""
+    import glob
+
+    return tuple(glob.glob(os.path.join(libs, pattern)))
+
+
+def _pool(path: str, suffix: str):
+    """(path, get, set) of the library at ``path``, or None if it is not
+    loaded or lacks the symbols."""
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+        put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+    except (OSError, AttributeError):  # not loaded, or another build
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return path, get, put
 
 
 def _loaded_pools():
     """(path, get, set) of the thread-count functions of each known
     OpenBLAS that is loaded in the process."""
-    import ctypes
-    import glob
-
     pools = []
     for package, pattern, suffix in _BUILDS:
         module = sys.modules.get(package)
         if getattr(module, "__file__", None) is None:
             continue
         site = os.path.dirname(os.path.dirname(module.__file__))
-        for path in glob.glob(os.path.join(site, package + ".libs", pattern)):
-            try:
-                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
-                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
-            except (OSError, AttributeError):  # not loaded, or another build
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            pools.append((path, get, put))
+        for path in _library_paths(os.path.join(site, package + ".libs"), pattern):
+            pool = _found.get(path) or _pool(path, suffix)
+            if pool is not None:
+                _found[path] = pool
+                pools.append(pool)
     return pools
 
 

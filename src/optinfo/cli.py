@@ -6,17 +6,20 @@ report, including the built-in counterexample) and regression (alphabet
 criteria comparison for linear-Gaussian candidates).
 
 Exit codes: 0 success, 2 invalid arguments/input, 3 numerical failure.
-All outputs are deterministic given flags and seed; OPTINFO_SEED is used
-as a fallback when --seed is not passed. Each command runs the OpenBLAS
-pools already loaded on one thread (``_blas.one_thread``), and the PDE
-search and criterion pin scipy's too, so pde-design's bytes do not depend
-on OPENBLAS_NUM_THREADS or the core count; its --threads is the only
-parallelism.
+All outputs are deterministic given flags and seed; OPTINFO_SEED is read
+on each call and used as a fallback when --seed is not passed. Each
+command runs the OpenBLAS pools already loaded on one thread
+(``_blas.one_thread``), and the PDE search and criterion and the
+regression command load and pin scipy's too, so no command's bytes depend
+on OPENBLAS_NUM_THREADS or the core count; pde-design's --threads is the
+only parallelism. The parser is built on the first call, not at import,
+and reused by later calls in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -186,12 +189,18 @@ def cmd_regression(args) -> int:
     designs = {cid: discrete._array(A, f"$.candidates.{cid}", (None, d))
                for cid, A in doc["candidates"].items()}
 
+    # Imported before pinning, so that scipy's pool, which runs the
+    # posterior's Cholesky factorisations, is pinned too.
+    import scipy.linalg  # noqa: F401
+
     prior = gaussian.GaussianDensity(np.zeros(d), prior_cov)
     values: dict = {w: {} for w in which}
-    for cid, A in designs.items():
-        post = gaussian.conjugate_posterior(prior, A, np.eye(A.shape[0]), np.zeros(A.shape[0]))
-        for w in which:
-            values[w][cid] = criteria.alphabet(post.cov, lam, w, direction=direction)
+    with one_thread():
+        for cid, A in designs.items():
+            post = gaussian.conjugate_posterior(prior, A, np.eye(A.shape[0]),
+                                                np.zeros(A.shape[0]))
+            for w in which:
+                values[w][cid] = criteria.alphabet(post.cov, lam, w, direction=direction)
     out = {
         w: criteria.make_report(f"{w}-optimality", vals).to_json_dict()
         for w, vals in values.items()
@@ -205,13 +214,16 @@ def cmd_regression(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. Parsing keeps no state in it, and
+    --seed defaults to None, filled by ``main`` from OPTINFO_SEED on each
+    call."""
     parser = argparse.ArgumentParser(
         prog="optinfo",
         description="Optimality criteria for probabilistic numerical methods",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
 
     q = sub.add_parser("quadrature", help="node-placement case study")
     q.add_argument("--n", type=int, default=None, help="number of intervals (with --optimize)")
@@ -220,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="explicit interior nodes in [0, 1]")
     nodes.add_argument("--optimize", action="store_true", help="use the optimal equispaced nodes")
     q.add_argument("--mc", action="store_true", help="add a Monte Carlo criterion estimate")
-    q.add_argument("--seed", type=_seed, default=seed)
+    q.add_argument("--seed", type=_seed, default=None)
     q.add_argument("--n-outer", type=int, default=20000)
     q.add_argument("--n-inner", type=int, default=4)
     q.add_argument("--output", default=None, help="write the JSON report to this file")
@@ -233,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--candidate-grid", type=int, default=25)
     g.add_argument("--n-boundary", type=int, default=32)
     g.add_argument("--samples", type=int, default=128, help="pair samples per candidate (p=inf)")
-    g.add_argument("--seed", type=_seed, default=seed)
+    g.add_argument("--seed", type=_seed, default=None)
     g.add_argument("--threads", type=int, default=1,
                    help="parallel candidate evaluation; never changes results")
     g.add_argument("--outdir", required=True)
@@ -263,6 +275,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    if getattr(args, "seed", 0) is None:
+        args.seed = _default_seed()
     try:
         with one_thread():
             return args.func(args)

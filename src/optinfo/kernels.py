@@ -257,7 +257,6 @@ class ConditionedPredictor:
         The prior and cross blocks are both assembled here.
         """
         pts = self._query(points)
-        codes = np.asarray(codes, dtype=np.int64)
         prior = self.kernel.cross_cov(pts, codes, pts, codes)
         if self._factor is None:
             return 0.5 * (prior + prior.T)

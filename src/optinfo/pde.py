@@ -179,9 +179,10 @@ def _grid_pair_factor(eval_grid: int, lengthscale: float, amplitude: float) -> n
     This is the only prior that a search or a fixed design factors.
 
     A grid prior whose unit-diagonal form has no Cholesky factor raises
-    FactorizationFailure. The Cholesky succeeded on every grid tried: G x G
-    for G up to 48 at lengthscales 0.3 to 3, and G up to 32 at lengthscales
-    up to 100.
+    FactorizationFailure, and a factor with a non-finite entry raises
+    scipy's ValueError here, once, not in each solve against it. The
+    Cholesky succeeded on every grid tried: G x G for G up to 48 at
+    lengthscales 0.3 to 3, and G up to 32 at lengthscales up to 100.
     """
     problem = EllipticDesignProblem(eval_grid=eval_grid, lengthscale=lengthscale,
                                     amplitude=amplitude)
@@ -189,7 +190,7 @@ def _grid_pair_factor(eval_grid: int, lengthscale: float, amplitude: float) -> n
     codes = np.full(grid.shape[0], POINT, dtype=np.int64)
     cov = problem.kernel.cross_cov(grid, codes, grid, codes)
     cov *= 2.0
-    factor = _unit_diagonal_factor(cov)
+    factor = np.asarray_chkfinite(_unit_diagonal_factor(cov))
     factor.setflags(write=False)
     return factor
 
@@ -451,7 +452,9 @@ def _prior_pairs(problem: EllipticDesignProblem, cross, points, codes):
     import scipy.linalg
 
     factor = _grid_pair_factor(problem.eval_grid, problem.lengthscale, problem.amplitude)
-    l_og = scipy.linalg.solve_triangular(factor, 2.0 * cross, lower=True, overwrite_b=True)
+    # F was checked finite when it was cached; only the cross block is scanned.
+    l_og = scipy.linalg.solve_triangular(factor, np.asarray_chkfinite(2.0 * cross), lower=True,
+                                         overwrite_b=True, check_finite=False)
     schur = 2.0 * problem.kernel.cross_cov(points, codes, points, codes)
     if len(codes):  # dsyrk rejects an empty product
         schur -= scipy.linalg.blas.dsyrk(1.0, l_og, trans=1, lower=1)

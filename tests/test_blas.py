@@ -1,13 +1,18 @@
 """BLAS thread pinning: library calls run every loaded OpenBLAS pool on one
 thread and give the caller's thread counts back on every way out."""
 
+import json
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg  # noqa: F401  loads scipy's pool, so both pools are pinned and read
 
+import optinfo
 from optinfo import _blas, pde
 from optinfo.cli import EXIT_NUMERICAL, EXIT_OK, main
 from optinfo.criteria import MonteCarloConfig
@@ -154,3 +159,69 @@ def test_concurrent_calls_stay_pinned_and_restore(caller_counts):
     assert not any(w.is_alive() for w in workers)
     assert errors == []
     assert counts() == caller_counts
+
+
+def run_child(probe, *args):
+    """The JSON that ``probe`` prints last, run in a fresh process that
+    imports the package from this checkout."""
+    src = str(Path(optinfo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe, *args], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_pool_lookups_are_kept_but_misses_are_retried():
+    # A fresh process: numpy's pool alone, then scipy imported without its
+    # BLAS (a lookup that misses), then scipy.linalg, whose pool the next
+    # call must still find. Later calls glob nothing and return the handles
+    # found first.
+    probe = (
+        "import glob, json, numpy\n"
+        "from optinfo import _blas\n"
+        "names = lambda pools: [path.split('/')[-2] for path, _, _ in pools]\n"
+        "seen = [names(_blas._loaded_pools())]\n"
+        "import scipy\n"
+        "seen.append(names(_blas._loaded_pools()))\n"
+        "import scipy.linalg\n"
+        "first = _blas._loaded_pools()\n"
+        "seen.append(names(first))\n"
+        "globs = []\n"
+        "glob.glob = lambda *args, **kwargs: globs.append(args) or []\n"
+        "again = [_blas._loaded_pools() for _ in range(3)]\n"
+        "same = all(a is b for pools in again for a, b in zip(pools, first))\n"
+        "print(json.dumps([seen, names(again[-1]), len(globs), same]))\n"
+    )
+    seen, again, globs, same = run_child(probe)
+    assert seen == [["numpy.libs"], ["numpy.libs"], ["numpy.libs", "scipy.libs"]]
+    assert again == seen[-1]
+    assert globs == 0 and same
+
+
+def test_regression_pins_the_scipy_pool_it_loads(tmp_path):
+    # scipy's pool is first loaded inside the command, after the CLI has
+    # pinned numpy's; both must read 1 in the posterior's factorisations
+    # and be back at the caller's counts afterwards. A fresh process, so
+    # scipy is not loaded before the call; its pool's caller count is the
+    # one it starts with, which this process's pool also started with.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"prior_cov": [[1.0, 0.2], [0.2, 1.0]],
+                                  "candidates": {"a": [[1.0, 0.0]], "b": [[0.0, 1.0], [1.0, 1.0]]}}))
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from optinfo import _blas, cli, gaussian\n"
+        "counts = lambda: [get() for _, get, _ in _blas._loaded_pools()]\n"
+        f"[put({CALLER_COUNT}) for _, _, put in _blas._loaded_pools()]\n"
+        "seen, update = [], gaussian.linear_gaussian_update\n"
+        "def recording(*args):\n"
+        "    seen.append(counts())\n"
+        "    return update(*args)\n"
+        "gaussian.linear_gaussian_update = recording\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['regression', '--config', sys.argv[1]])\n"
+        "print(json.dumps([code, seen, counts()]))\n"
+    )
+    code, seen, after = run_child(probe, str(config))
+    assert code == EXIT_OK
+    assert seen == [[1, 1], [1, 1]]
+    assert after == [CALLER_COUNT, counts()[1]]

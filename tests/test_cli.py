@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import optinfo
-from optinfo import gaussian, pde
+from optinfo import cli, gaussian, pde
 from optinfo.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, _contour_csvs, main
 
 
@@ -421,6 +421,60 @@ class TestArgparseBehaviour:
         code, _, err = run([a.format(dir=tmp_path, file=afile) for a in argv], capsys)
         assert code == EXIT_USAGE
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+class TestCachedParser:
+    QUADRATURE = ["quadrature", "--n", "2", "--optimize", "--mc", "--n-outer", "200"]
+
+    def test_env_seed_read_on_each_call(self, capsys, monkeypatch):
+        seeds = []
+        for env in ("11", "12"):
+            monkeypatch.setenv("OPTINFO_SEED", env)
+            _, out, _ = run(self.QUADRATURE, capsys)
+            seeds.append(json.loads(out)["seed"])
+        assert seeds == [11, 12]
+
+    def test_failed_parses_leave_no_state(self, capsys, monkeypatch):
+        # Each rejected or --help argv sets a value that the valid call
+        # leaves at its default.
+        monkeypatch.delenv("OPTINFO_SEED", raising=False)
+        cli.build_parser.cache_clear()
+        alone = run(self.QUADRATURE, capsys)
+        cli.build_parser.cache_clear()
+        codes = [run(argv, capsys)[0] for argv in (
+            ["quadrature", "--optimize", "--n", "3", "--n-outer", "x"],
+            ["quadrature", "--nodes", "0.5", "--optimize", "--seed", "4"],
+            ["quadrature", "--n-inner", "7", "--help"],
+        )]
+        assert codes == [EXIT_USAGE, EXIT_USAGE, EXIT_OK]
+        assert run(self.QUADRATURE, capsys) == alone
+        assert alone[0] == EXIT_OK and json.loads(alone[1])["seed"] == 0
+
+    def test_parser_built_once_and_not_at_import(self):
+        probe = (
+            "import argparse, contextlib, io, json\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import optinfo.cli\n"
+            "counts = [len(built)]\n"
+            "argv = ['discrete', '--counterexample', '0.2', '0.3', '0.5']\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    for _ in range(4):\n"
+            "        optinfo.cli.main(argv)\n"
+            "        counts.append(len(built))\n"
+            "print(json.dumps([counts, built.count('optinfo')]))\n"
+        )
+        src = str(Path(optinfo.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                             check=True, capture_output=True, text=True).stdout
+        counts, top_level = json.loads(out)
+        # The top-level parser and one per subcommand, all on the first call.
+        assert counts[0] == 0 and counts[1] == counts[-1] == 5
+        assert top_level == 1
 
 
 def test_import_leaves_scipy_optimize_unloaded():

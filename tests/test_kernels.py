@@ -335,10 +335,16 @@ class TestMalformedFunctionals:
             THREE_PTS, [7] * 3), UnsupportedFunctional),
         (lambda: ConditionedPredictor(SE2, np.zeros((0, 2)), []).cross_solve(
             THREE_PTS, [POINT] * 2), ValueError),
+        # A cast to int64 before the check would read 1.5 as NEG_LAPLACIAN.
+        (lambda: ConditionedPredictor(*mixed_design()).cov_functionals([[0.5, 0.5]], [1.5]),
+         UnsupportedFunctional),
+        (lambda: ConditionedPredictor(SE2, np.zeros((0, 2)), []).cov_functionals(
+            [[0.5, 0.5]], [1.5]), UnsupportedFunctional),
     ], ids=["code-2", "code-minus-1", "diag-code-5", "3-points-2-codes",
             "cross-solve-3-points-2-codes", "condition-3-points-2-codes", "3d-point",
             "diag-3d-point", "var-3d-point", "condition-3d-point", "code-1.5",
-            "unconditioned-cross-solve-code-7", "unconditioned-cross-solve-3-points-2-codes"])
+            "unconditioned-cross-solve-code-7", "unconditioned-cross-solve-3-points-2-codes",
+            "cov-functionals-code-1.5", "unconditioned-cov-functionals-code-1.5"])
     def test_rejected(self, call, error):
         with pytest.raises(error):
             call()

@@ -237,6 +237,42 @@ class TestFixedDesignScoring:
         with pytest.raises(ValueError):
             factor[0, 0] = 0.0
 
+    @staticmethod
+    def prior_pairs_inputs():
+        """A p = inf problem and the cross block, points and codes of one
+        -Laplacian observation, as ``_design_pairs`` passes them."""
+        problem = small_problem(p=np.inf)
+        grid = problem.grid_points
+        points, codes = np.array([[0.5, 0.5]]), np.array([NEG_LAPLACIAN])
+        cross = problem.kernel.cross_cov(grid, np.full(len(grid), POINT), points, codes)
+        return problem, cross, points, codes
+
+    def test_non_finite_cross_block_rejected(self):
+        problem, cross, points, codes = self.prior_pairs_inputs()
+        cross[3, 0] = np.nan
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            pde._prior_pairs(problem, cross, points, codes)
+
+    def test_non_finite_grid_factor_rejected_and_not_cached(self, monkeypatch):
+        # The factor is scanned once, when it is formed, and the solves
+        # against it skip the scan; a factor that fails it is not cached.
+        problem, cross, points, codes = self.prior_pairs_inputs()
+        factor_of = pde._unit_diagonal_factor
+
+        def poisoned(cov):
+            factor = factor_of(cov)
+            factor[-1, 0] = np.inf
+            return factor
+
+        monkeypatch.setattr(pde, "_unit_diagonal_factor", poisoned)
+        _grid_pair_factor.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                pde._prior_pairs(problem, cross, points, codes)
+            assert _grid_pair_factor.cache_info().currsize == 0
+        finally:
+            _grid_pair_factor.cache_clear()
+
 
 def step_value(problem, chosen, candidate, cfg=None):
     """The greedy step's value of ``candidate`` added to the boundary and the

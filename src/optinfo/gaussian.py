@@ -15,10 +15,6 @@ from .errors import DimensionMismatch, FactorizationFailure, SingularSystem
 
 # Scale of the diagonal jitter that ``_add_jitter`` applies.
 DEFAULT_JITTER_SCALE = 1e-10
-# Relative diagonal jitter of ``_unit_diagonal_factor``. It stays far below
-# the GP nugget (at least 2e-10 of the mean Gram diagonal), so pathwise draws
-# of observed functionals carry almost no extra variance for K^-1 to amplify.
-SAMPLING_JITTER = 1e-12
 # Condition-number ceiling beyond which a solve is declared degenerate.
 MAX_CONDITION = 1e12
 
@@ -103,45 +99,6 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
             raise FactorizationFailure("covariance has no nonnegative eigenvalues")
         w = np.clip(w, 0.0, None)
         return v * np.sqrt(w)
-
-
-def _unit_diagonal_factor(cov: np.ndarray) -> np.ndarray:
-    """Return F with F F^T = cov + SAMPLING_JITTER * diag(cov), overwriting
-    the C-contiguous ``cov``.
-
-    Factors the unit-diagonal form D^-1/2 cov D^-1/2 + SAMPLING_JITTER * I
-    by Cholesky and scales the rows back by D^1/2. The jitter is relative to
-    each variance, not to the mean diagonal as in ``_add_jitter``, so a
-    small variance next to large ones keeps its size. The diagonal must be
-    positive.
-
-    The Cholesky runs in place: LAPACK's ``dpotrf`` (through scipy) takes
-    the upper factor U^T U of the Fortran-ordered transpose, which read in
-    C order is the lower factor of ``cov``, from and into its lower
-    triangle, and the strict upper triangle is then zeroed row by row. So
-    F is ``cov`` itself and no other n x n array is allocated. A form that
-    is not positive definite raises FactorizationFailure; ``cov`` is then
-    left overwritten.
-    """
-    # Imported on first use: scipy is slow to import and most runs never need it.
-    from scipy.linalg import lapack
-
-    if not cov.flags.c_contiguous:
-        raise ValueError("the unit-diagonal factor is formed in a C-contiguous buffer")
-    scale = np.sqrt(np.diagonal(cov))
-    if not np.all(scale > 0.0):
-        raise FactorizationFailure("unit-diagonal factor needs a positive diagonal")
-    cov /= scale[:, None]
-    cov /= scale[None, :]
-    np.fill_diagonal(cov, 1.0 + SAMPLING_JITTER)
-    _, info = lapack.dpotrf(cov.T, lower=0, clean=0, overwrite_a=1)
-    if info != 0:
-        raise FactorizationFailure(f"the unit-diagonal form has no Cholesky factor "
-                                   f"(dpotrf info {info})")
-    for i in range(len(cov) - 1):
-        cov[i, i + 1:] = 0.0
-    cov *= scale[:, None]
-    return cov
 
 
 def _spd_factor(mat: np.ndarray):

@@ -28,8 +28,10 @@ covariance, and the draws depend on cfg.seed alone, not on the step.
 fused, exact pass, scipy's Chebyshev ``cdist``, so only the p = inf search
 loads scipy.spatial. ``design_criterion`` samples a fixed design
 pathwise too. Both draw prior pairs through one map, ``_prior_pairs``,
-from a grid factor computed once per process, ``_DRAW_BLOCK`` rows at a
-time by one stream rule (``_normal_blocks``).
+``_DRAW_BLOCK`` rows at a time by one stream rule (``_normal_blocks``).
+Its grid factor comes from the G x G kernel matrix over one axis of the
+tensor grid (``_grid_pair_factor``), so no sampler assembles or factors a
+matrix over grid x grid.
 
 ``greedy_design`` and ``design_criterion`` run numpy's and scipy's
 OpenBLAS on one thread (``_blas.one_thread``), so their results do not
@@ -43,7 +45,6 @@ the dense sampler of the grid posterior, live in tests/reference_impls.py.
 
 from __future__ import annotations
 
-import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -52,7 +53,7 @@ import numpy as np
 from ._blas import one_thread
 from .criteria import MonteCarloConfig, _check_integer, _check_integers, mean_and_stderr
 from .errors import SamplerFailure
-from .gaussian import _unit_diagonal_factor, derive_rng
+from .gaussian import derive_rng
 from .kernels import NEG_LAPLACIAN, POINT, ConditionedPredictor, SquaredExponential
 
 # Candidates per block of the p = inf scoring kernel (512 KB at 1024 grid
@@ -63,6 +64,16 @@ _CAND_BLOCK = 64
 # Draws per block of the pathwise prior sampler, for a fixed design and for
 # the search's pool: two 4 MB blocks at the default 1024 grid points.
 _DRAW_BLOCK = 512
+# Relative diagonal jitter of the grid pair-difference factor
+# (``_grid_pair_factor``). It stays far below the GP nugget (at least 2e-10
+# of the mean Gram diagonal), so pathwise draws of observed functionals
+# carry almost no extra variance for K^-1 to amplify.
+SAMPLING_JITTER = 1e-12
+
+
+def _grid_axis(eval_grid: int) -> np.ndarray:
+    """The G cell centres of the evaluation grid along one axis."""
+    return (np.arange(eval_grid) + 0.5) / eval_grid
 
 
 def boundary_points(n_boundary: int) -> np.ndarray:
@@ -118,8 +129,7 @@ class EllipticDesignProblem:
 
     @property
     def grid_points(self) -> np.ndarray:
-        G = self.eval_grid
-        axis = (np.arange(G) + 0.5) / G
+        axis = _grid_axis(self.eval_grid)
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
         return np.column_stack([xx.ravel(), yy.ravel()])
 
@@ -169,30 +179,29 @@ def _predictor(problem: EllipticDesignProblem, points):
     return ConditionedPredictor(problem.kernel, np.vstack([bnd, pts]), codes)
 
 
-@functools.lru_cache(maxsize=1)
-def _grid_pair_factor(eval_grid: int, lengthscale: float, amplitude: float) -> np.ndarray:
-    """Read-only lower-triangular F with F F^T = 2 P_gg + 1e-12 diag(2 P_gg),
-    where P_gg is the prior covariance over the evaluation grid: the factor
-    of the grid pair-difference prior, by ``_unit_diagonal_factor``. One
-    entry per process, keyed by (eval_grid, lengthscale, amplitude); the
-    grid prior is assembled and factored in one buffer, which becomes F.
-    This is the only prior that a search or a fixed design factors.
+def _grid_pair_factor(problem: EllipticDesignProblem):
+    """(U, root) with F = (U kron U) diag(root.ravel()) a factor of the grid
+    pair-difference prior: F F^T = 2 P_gg + SAMPLING_JITTER diag(2 P_gg),
+    where P_gg is the prior covariance over the evaluation grid.
 
-    A grid prior whose unit-diagonal form has no Cholesky factor raises
-    FactorizationFailure, and a factor with a non-finite entry raises
-    scipy's ValueError here, once, not in each solve against it. The
-    Cholesky succeeded on every grid tried: G x G for G up to 48 at
-    lengthscales 0.3 to 3, and G up to 32 at lengthscales up to 100.
+    The SE kernel is separable and the grid is a tensor grid, so P_gg is
+    amplitude (K1 kron K1) in the "ij" order of ``grid_points``, with K1
+    the unit-diagonal G x G kernel matrix over one axis (Gilboa, Saatci &
+    Cunningham, IEEE TPAMI 2015). From K1 = U diag(lam) U^T, root[i, j] =
+    sqrt(2 amplitude (lam_i lam_j + SAMPLING_JITTER)), with lam clipped at
+    0, so every root is positive and F is invertible. The jitter is added to
+    each product of eigenvalues, not to each axis: a per-axis jitter d
+    leaves only d^2 in the directions where both axes are small, and F^-1
+    blows up there. So the only matrix factored is G x G. A factor with a
+    non-finite entry raises ValueError.
     """
-    problem = EllipticDesignProblem(eval_grid=eval_grid, lengthscale=lengthscale,
-                                    amplitude=amplitude)
-    grid = problem.grid_points
-    codes = np.full(grid.shape[0], POINT, dtype=np.int64)
-    cov = problem.kernel.cross_cov(grid, codes, grid, codes)
-    cov *= 2.0
-    factor = np.asarray_chkfinite(_unit_diagonal_factor(cov))
-    factor.setflags(write=False)
-    return factor
+    axis = _grid_axis(problem.eval_grid)[:, None]
+    codes = np.full(len(axis), POINT, dtype=np.int64)
+    k1 = SquaredExponential(problem.lengthscale, dim=1).cross_cov(axis, codes, axis, codes)
+    lam, u = np.linalg.eigh(k1)
+    lam = np.clip(lam, 0.0, None)
+    root = np.sqrt(2.0 * problem.amplitude * (np.outer(lam, lam) + SAMPLING_JITTER))
+    return np.asarray_chkfinite(u), np.asarray_chkfinite(root)
 
 
 def _joint_functionals(problem: EllipticDesignProblem, extra_points):
@@ -251,12 +260,13 @@ def _search_prior(problem: EllipticDesignProblem, candidates,
     At p = 2 nothing else is assembled. At p = inf the pool is drawn
     through the fixed-design map ``_prior_pairs`` over the functionals
     [-Laplacian at the candidates; boundary values]: the search factors
-    only the cached grid prior, assembles besides only the boundary x grid
-    block and the functionals' own block, and forms nothing of size
-    (grid + candidates + boundary)^2. The pool, with the columns [grid;
-    candidates; boundary], and the noise are preallocated and filled
-    ``_DRAW_BLOCK`` rows at a time from ``_normal_blocks`` with the streams
-    ``derive_rng(cfg.seed)`` and ``derive_rng(cfg.seed, 1)``.
+    only the one-axis grid kernel and the functionals' Schur complement,
+    assembles besides only the boundary x grid block and the functionals'
+    own block, and forms nothing of size (grid + candidates + boundary)^2.
+    The pool, with the columns [grid; candidates; boundary], and the noise
+    are preallocated and filled ``_DRAW_BLOCK`` rows at a time from
+    ``_normal_blocks`` with the streams ``derive_rng(cfg.seed)`` and
+    ``derive_rng(cfg.seed, 1)``.
     """
     kernel = problem.kernel
     grid = problem.grid_points
@@ -424,48 +434,37 @@ def _prior_pairs(problem: EllipticDesignProblem, cross, points, codes):
     the functionals' pairs (n, n_obs), one row per row of z (n, n_grid) and
     z_obs (n, n_obs). What the map reads is computed here, once.
 
-    The draws are taken through the lower-triangular factor of 2 P over the
-    joint, whose grid block is the cached F (``_grid_pair_factor``). Its
-    functional rows are L_og^T with L_og = F^-1 2 P_go, one triangular
-    solve, and the n_obs x n_obs Schur complement 2 P_oo - L_og^T L_og is
-    factored by ``eigh`` with its eigenvalues clipped at 0; P_oo is one
-    ``cross_cov`` call. So no matrix larger than n_obs x n_obs is factored
-    here, and none, once F is cached, that spans the grid.
+    The draws are taken through a factor of 2 P over the joint whose grid
+    block is F = (U kron U) diag(root) from ``_grid_pair_factor``. Its
+    functional rows are L_og^T with L_og = F^-1 2 P_go: column c of 2 P_go,
+    read row-major as a G x G block B_c, maps to (U^T B_c U) / root. The
+    n_obs x n_obs Schur complement 2 P_oo - L_og^T L_og is factored by
+    ``eigh`` with its eigenvalues clipped at 0; P_oo is one ``cross_cov``
+    call. So nothing larger than G x G and n_obs x n_obs is factored, and no
+    block over grid x grid is assembled.
 
-    The solve, L_og^T L_og (``dsyrk``, into the lower triangle that ``eigh``
-    reads) and ``eigh`` (``dsyevd``, as in ``np.linalg.eigh``) run in
-    scipy's OpenBLAS, not numpy's. They were moved there when both pools ran
-    a thread per core and a numpy call right after a scipy call shared the
-    cores with scipy's spinning threads, which ``_blas.one_thread`` now
-    prevents. They stay because the solve and the triangular multiply below
-    have no numpy form, so the map needs scipy's build anyway, and with the
-    whole map in one build its bits depend on one LAPACK, not two. (With one
-    thread, ``np.linalg.eigh`` and ``l_og.T @ l_og`` gave the same bits as
-    these calls on the bundled numpy 2.4 and scipy 1.17 builds.)
-
-    The grid draws z F^T are formed in place, by a triangular multiply into
-    the buffer of a C-contiguous z, which is overwritten and returned; the
-    functionals' draws z L_og + z_obs R^T are taken first, into one new
-    (n, n_obs) array.
+    Each grid draw z F^T is U (root * Z) U^T, with the row of z read
+    row-major as the G x G matrix Z, which matches the "ij" order of
+    ``grid_points``. It is formed in the buffer of z when z is C-contiguous,
+    which is then overwritten; the functionals' draws z L_og + z_obs R^T
+    are taken first, into one new (n, n_obs) array.
     """
-    # Imported on first use: scipy is slow to import and most runs never need it.
-    import scipy.linalg
-
-    factor = _grid_pair_factor(problem.eval_grid, problem.lengthscale, problem.amplitude)
-    # F was checked finite when it was cached; only the cross block is scanned.
-    l_og = scipy.linalg.solve_triangular(factor, np.asarray_chkfinite(2.0 * cross), lower=True,
-                                         overwrite_b=True, check_finite=False)
-    schur = 2.0 * problem.kernel.cross_cov(points, codes, points, codes)
-    if len(codes):  # dsyrk rejects an empty product
-        schur -= scipy.linalg.blas.dsyrk(1.0, l_og, trans=1, lower=1)
-    w, v = scipy.linalg.eigh(schur, driver="evd")
-    root = v * np.sqrt(np.clip(w, 0.0, None))
+    G = problem.eval_grid
+    u, root = _grid_pair_factor(problem)
+    # L_og^T is formed in the buffer of 2 P_og, read as n_obs blocks.
+    l_go = np.asarray_chkfinite(2.0 * cross).T.reshape(-1, G, G)
+    l_go = np.matmul(u.T @ l_go, u, out=l_go)
+    l_go = np.divide(l_go, root, out=l_go).reshape(len(codes), G * G)
+    schur = 2.0 * problem.kernel.cross_cov(points, codes, points, codes) - l_go @ l_go.T
+    w, v = np.linalg.eigh(schur)
+    obs_root = v * np.sqrt(np.clip(w, 0.0, None))
 
     def draw(z, z_obs):
-        observed = z @ l_og + z_obs @ root.T
-        grid = scipy.linalg.blas.dtrmm(1.0, factor.T, z.T, lower=0, trans_a=1,
-                                       overwrite_b=1).T
-        return grid, observed
+        observed = z @ l_go.T + z_obs @ obs_root.T
+        grid = z.reshape(-1, G, G)
+        grid *= root
+        grid = np.matmul(u, grid @ u.T, out=grid)
+        return grid.reshape(len(z), G * G), observed
 
     return draw
 
@@ -515,9 +514,9 @@ def design_criterion(problem: EllipticDesignProblem, points,
     from the posterior variances alone (``ConditionedPredictor.var``); no
     grid x grid block is assembled, and the stderr is 0. p = inf: the mean
     over cfg.n_outer seeded pair differences of the largest absolute grid
-    value, sampled pathwise (``_design_pairs``) from the grid
-    pair-difference factor that is computed once per process. Once that
-    factor is cached, no grid x grid block is assembled or factored.
+    value, sampled pathwise (``_design_pairs``) from the one-axis factor of
+    the grid pair-difference prior, so no grid x grid block is assembled or
+    factored.
 
     The draws are taken, mapped and reduced to their maxima _DRAW_BLOCK
     rows at a time, so the memory is that of one block for any n_outer.
@@ -564,10 +563,10 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
     ``_candidate_values``, from that predictor's ``cross_solve``; the two
     criteria differ only in the final scoring. At p = inf one pool of prior
     pair draws over [grid; candidates; boundary] is taken from cfg.seed
-    through the fixed-design sampler's map, which factors only the cached
-    grid prior, and each step maps that pool to posterior pair draws
-    (``_pathwise_pairs``). The draws are
-    therefore deterministic given cfg.seed alone, the same at every step.
+    through the fixed-design sampler's map, which factors no matrix over
+    the grid larger than G x G, and each step maps that pool to posterior
+    pair draws (``_pathwise_pairs``). The draws are therefore deterministic
+    given cfg.seed alone, the same at every step.
 
     Each step takes the first minimum of the computed candidate values
     (``np.argmin``); there is no tie tolerance. Candidates that tie in exact

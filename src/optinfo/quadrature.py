@@ -18,9 +18,6 @@ from .criteria import MonteCarloConfig, _check_integer, mean_and_stderr
 from .errors import LengthMismatch, OptimizerDiverged
 from .gaussian import derive_rng
 
-# Steps of the discretised Brownian bridge on each interval.
-BRIDGE_POINTS = 64
-
 
 @dataclass(frozen=True)
 class QuadratureDesign:
@@ -86,30 +83,17 @@ def bpn_closed_form(design: QuadratureDesign) -> float:
     return float(np.sum(design.intervals**3) / 6.0)
 
 
-def _bridge_integral_variances(deltas: np.ndarray) -> np.ndarray:
-    """Variance of the trapezoid integral of a discretised Brownian bridge
-    on each interval, from the K-step bridge construction.
-
-    On the interior grid s_j = j / K (j = 1..K-1) of a unit interval the
-    bridge covariance is cov(B_s, B_t) = s (1 - t) for s <= t, and the
-    trapezoid weights are 1 / K; the weighted covariance sums to
-    (K^2 - 1) / (12 K^2), and an interval of length delta scales it by
-    delta^3.
-    """
-    K = BRIDGE_POINTS
-    return deltas**3 * ((K**2 - 1) / (12 * K**2))
-
-
 def bpn_monte_carlo(design: QuadratureDesign, cfg: MonteCarloConfig):
     """Nested Monte Carlo estimate of the concentration criterion via the
     between-node Brownian bridges.
 
     Each posterior draw of the integral differs from the trapezoid value by
-    the sum of independent per-interval bridge integrals; the pair loss is
-    the squared difference of two such draws. Returns (estimate, stderr),
-    deterministic given cfg.seed.
+    the sum of independent per-interval bridge integrals, N(0, delta^3 / 12)
+    on an interval of length delta, as in ``quadrature_posterior``; the pair
+    loss is the squared difference of two such draws. Returns (estimate,
+    stderr), deterministic given cfg.seed.
     """
-    sigmas = np.sqrt(_bridge_integral_variances(design.intervals))
+    sigmas = np.sqrt(design.intervals**3 / 12.0)
     rng = derive_rng(cfg.seed)
     n_int = design.n_intervals
     # Outer draws: true-state bridge integrals given the node values.

@@ -44,17 +44,15 @@ def cho_factor_calls(monkeypatch):
 
 
 @pytest.fixture
-def cholesky_calls(monkeypatch):
-    """List that grows by one entry per Cholesky factorisation, through
-    ``np.linalg.cholesky`` (``gaussian._psd_factor``) or through the
-    in-place ``scipy.linalg.lapack.dpotrf`` of
-    ``gaussian._unit_diagonal_factor``, which factors the grid prior that
-    the p = inf search and fixed designs share (``pde._grid_pair_factor``)."""
-    calls = []
-    for module, name in [(np.linalg, "cholesky"), (scipy.linalg.lapack, "dpotrf")]:
-        def counting(*args, _f=getattr(module, name), **kwargs):
-            calls.append(1)
-            return _f(*args, **kwargs)
+def factored_shapes(monkeypatch):
+    """List that grows by the shape of the matrix passed to every
+    ``cholesky``, ``cho_factor`` and ``eigh`` call of numpy and scipy."""
+    shapes = []
+    for module, name in [(np.linalg, "cholesky"), (np.linalg, "eigh"), (scipy.linalg, "cholesky"),
+                         (scipy.linalg, "cho_factor"), (scipy.linalg, "eigh")]:
+        def recording(mat, *args, _f=getattr(module, name), **kwargs):
+            shapes.append(np.shape(mat))
+            return _f(mat, *args, **kwargs)
 
-        monkeypatch.setattr(module, name, counting)
-    return calls
+        monkeypatch.setattr(module, name, recording)
+    return shapes

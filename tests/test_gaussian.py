@@ -1,7 +1,5 @@
 """Gaussian measures, conjugate conditioning and sampling."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,11 +8,9 @@ from optinfo.decisions import GaussianLinearProblem, PNormOnGrid
 from optinfo.errors import DimensionMismatch, FactorizationFailure, SingularSystem
 from optinfo.gaussian import (
     DEFAULT_JITTER_SCALE,
-    SAMPLING_JITTER,
     GaussianDensity,
     _psd_factor,
     _spd_factor,
-    _unit_diagonal_factor,
     conjugate_posterior,
     derive_rng,
 )
@@ -246,68 +242,6 @@ class TestSamplingFactor:
                                         PNormOnGrid(2.0, np.ones(2)))
         xs, ys, _ = problem.sample_nested(derive_rng(14), "e", 20000, 0)
         assert np.var(ys - xs, axis=0, ddof=1) == pytest.approx([1e-12, 1e-12], rel=0.05)
-
-
-class TestUnitDiagonalFactor:
-    def test_jitter_is_relative_to_each_variance(self):
-        # Variances over eight decades; each gets a 1e-12 relative jitter,
-        # where _add_jitter's mean-diagonal jitter would swamp the small ones.
-        a = derive_rng(12).standard_normal((6, 6))
-        scale = np.logspace(-4, 4, 6)
-        cov = (a @ a.T + np.eye(6)) * np.outer(scale, scale)
-        factor = _unit_diagonal_factor(cov.copy())
-        want = cov + SAMPLING_JITTER * np.diag(np.diag(cov))
-        assert np.max(np.abs(factor @ factor.T - want) / np.outer(scale, scale)) <= 1e-13
-
-    def test_indefinite_form_raises(self):
-        scale = np.array([2.0, 0.5])
-        corr = np.array([[1.0, 1.001], [1.001, 1.0]])
-        with pytest.raises(FactorizationFailure, match="Cholesky"):
-            _unit_diagonal_factor(corr * np.outer(scale, scale))
-
-    def test_nonpositive_variance_rejected(self):
-        with pytest.raises(FactorizationFailure):
-            _unit_diagonal_factor(np.diag([1.0, 0.0]))
-
-    def test_cholesky_factor_is_formed_in_place(self):
-        a = derive_rng(13).standard_normal((7, 7))
-        cov = a @ a.T + np.eye(7)
-        want = cov + SAMPLING_JITTER * np.diag(np.diag(cov))
-        factor = _unit_diagonal_factor(cov)
-        assert factor is cov and np.shares_memory(factor, cov)
-        assert np.all(np.triu(factor, 1) == 0.0)
-        np.testing.assert_allclose(factor @ factor.T, want, rtol=1e-13)
-        with pytest.raises(ValueError, match="C-contiguous"):
-            _unit_diagonal_factor(np.asfortranarray(a @ a.T + np.eye(7)))
-
-    def test_factor_allocates_no_square_array(self):
-        # A 1681 x 1681 form, the size of the default p = inf search prior:
-        # numpy reports its buffers to tracemalloc, and a copy of the form,
-        # or an n x n mask for its upper triangle, would exceed the bound.
-        n = 1681
-        cov = np.full((n, n), 0.5)
-        np.fill_diagonal(cov, 1.0)
-        tracemalloc.start()
-        try:
-            factor = _unit_diagonal_factor(cov)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert factor is cov
-        assert peak < 0.05 * cov.nbytes
-
-    @pytest.mark.parametrize("corr", [
-        [[1.0, 1.001, 0.2], [1.001, 1.0, 0.3], [0.2, 0.3, 1.0]],
-        [[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]],
-    ], ids=["second-pivot", "third-pivot"])
-    def test_failure_at_a_later_column_raises(self, corr):
-        # LAPACK reports the first pivot that is not positive by info > 0,
-        # after it has overwritten the leading rows.
-        scale = np.array([2.0, 0.5, 3.0])
-        corr = np.array(corr)
-        assert np.linalg.eigvalsh(corr + SAMPLING_JITTER * np.eye(3))[0] < 0.0
-        with pytest.raises(FactorizationFailure, match="Cholesky"):
-            _unit_diagonal_factor(corr * np.outer(scale, scale))
 
 
 class TestSeedSplitting:

@@ -10,7 +10,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.spatial.distance
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,14 +18,13 @@ import reference_impls
 from optinfo import pde
 from optinfo.criteria import MonteCarloConfig, bdt_criterion
 from optinfo.decisions import GaussianLinearProblem, WeightedQuadratic
-from optinfo.errors import FactorizationFailure, SamplerFailure, SingularGram
+from optinfo.errors import SamplerFailure, SingularGram
 from optinfo.gaussian import GaussianDensity, _add_jitter, _psd_factor, derive_rng
 from optinfo.kernels import NEG_LAPLACIAN, POINT, ConditionedPredictor, SquaredExponential
 from optinfo.pde import (
     EllipticDesignProblem,
     _candidate_values,
     _design_pairs,
-    _grid_pair_factor,
     _pathwise_pairs,
     _pinf_values,
     _predictor,
@@ -162,30 +160,22 @@ class TestFixedDesignScoring:
         design_criterion(problem, DEFAULT_DESIGN)
         assert shapes and (n_grid, n_grid) not in shapes
 
-    def test_pinf_assembles_grid_prior_once(self, monkeypatch, cholesky_calls):
-        # Once the grid factor is cached, a p = inf call makes no Cholesky
-        # call, assembles no grid x grid block and factors nothing larger
-        # than the n_obs x n_obs Gram and Schur complement.
+    def test_pinf_assembles_no_grid_block(self, monkeypatch, factored_shapes):
+        # Every p = inf call, the first of the process or a later one,
+        # assembles no grid x grid block and factors the same three
+        # matrices, none larger than max(G, n_obs): the one-axis grid
+        # kernel, the Gram and the Schur complement of the observations.
         problem = EllipticDesignProblem(p=np.inf)
-        n_grid = problem.grid_points.shape[0]
+        G, n_grid = problem.eval_grid, problem.grid_points.shape[0]
         n_obs = problem.n_boundary + len(DEFAULT_DESIGN)
         cfg = MonteCarloConfig(seed=1, n_outer=8)
-        _grid_pair_factor.cache_clear()
-        design_criterion(problem, DEFAULT_DESIGN[:3], cfg)
-        assert len(cholesky_calls) == 1
-        cholesky_calls.clear()
         shapes = record_cross_cov_shapes(monkeypatch)
-        factored = []
-        for module, name in [(scipy.linalg, "eigh"), (scipy.linalg, "cho_factor")]:
-            def recording(mat, *args, _f=getattr(module, name), **kwargs):
-                factored.append(np.shape(mat))
-                return _f(mat, *args, **kwargs)
-
-            monkeypatch.setattr(module, name, recording)
-        design_criterion(problem, DEFAULT_DESIGN, cfg)
-        assert not cholesky_calls
-        assert shapes and (n_grid, n_grid) not in shapes
-        assert factored and max(max(shape) for shape in factored) == n_obs
+        for _ in range(2):
+            shapes.clear()
+            factored_shapes.clear()
+            design_criterion(problem, DEFAULT_DESIGN, cfg)
+            assert shapes and (n_grid, n_grid) not in shapes
+            assert sorted(factored_shapes) == [(G, G), (n_obs, n_obs), (n_obs, n_obs)]
 
     @PROPERTY
     @given(
@@ -209,34 +199,6 @@ class TestFixedDesignScoring:
         got, stderr = design_criterion(problem, points)
         assert got == pytest.approx(want, rel=1e-9) and stderr == 0.0
 
-    def test_pinf_cached_prior_cannot_alias(self):
-        # Interleaved grids and lengthscales: with one entry in the grid pair
-        # factor cache, every call below replaces the entry the previous call
-        # left, and the first problem, repeated last, finds its own values
-        # again.
-        problems = [small_problem(p=np.inf), small_problem(p=np.inf, lengthscale=0.5),
-                    small_problem(p=np.inf, eval_grid=7), small_problem(p=np.inf)]
-        points = [[0.35, 0.4], [0.6, 0.65]]
-        cfg = MonteCarloConfig(seed=2, n_outer=32)
-        _grid_pair_factor.cache_clear()
-        values = []
-        for problem in problems:
-            key = (problem.eval_grid, problem.lengthscale, problem.amplitude)
-            cold_value = design_criterion(problem, points, cfg)
-            assert design_criterion(problem, points, cfg) == cold_value
-            np.testing.assert_array_equal(_grid_pair_factor(*key),
-                                          _grid_pair_factor.__wrapped__(*key))
-            values.append(cold_value)
-        assert values[-1] == values[0] and len(set(values)) == 3
-        assert _grid_pair_factor.cache_info().misses == len(problems)
-
-    def test_cached_grid_pair_factor_is_read_only(self):
-        problem = small_problem(p=np.inf)
-        design_criterion(problem, [[0.5, 0.5]], MonteCarloConfig(seed=0, n_outer=4))
-        factor = _grid_pair_factor(problem.eval_grid, problem.lengthscale, problem.amplitude)
-        with pytest.raises(ValueError):
-            factor[0, 0] = 0.0
-
     @staticmethod
     def prior_pairs_inputs():
         """A p = inf problem and the cross block, points and codes of one
@@ -254,24 +216,63 @@ class TestFixedDesignScoring:
             pde._prior_pairs(problem, cross, points, codes)
 
     def test_non_finite_grid_factor_rejected_and_not_cached(self, monkeypatch):
-        # The factor is scanned once, when it is formed, and the solves
-        # against it skip the scan; a factor that fails it is not cached.
+        # The one-axis factor is scanned when it is formed, and a map is
+        # built from a new factor each time, so a good call after a bad one
+        # finds nothing of it.
         problem, cross, points, codes = self.prior_pairs_inputs()
-        factor_of = pde._unit_diagonal_factor
+        eigh = np.linalg.eigh
+        G = problem.eval_grid
 
-        def poisoned(cov):
-            factor = factor_of(cov)
-            factor[-1, 0] = np.inf
-            return factor
+        def poisoned(mat, *args, **kwargs):
+            w, v = eigh(mat, *args, **kwargs)
+            if mat.shape == (G, G):
+                v[-1, 0] = np.inf
+            return w, v
 
-        monkeypatch.setattr(pde, "_unit_diagonal_factor", poisoned)
-        _grid_pair_factor.cache_clear()
-        try:
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", poisoned)
             with pytest.raises(ValueError, match="must not contain infs or NaNs"):
                 pde._prior_pairs(problem, cross, points, codes)
-            assert _grid_pair_factor.cache_info().currsize == 0
-        finally:
-            _grid_pair_factor.cache_clear()
+        draw = pde._prior_pairs(problem, cross, points, codes)
+        assert all(np.isfinite(x).all() for x in draw(np.ones((2, G * G)), np.ones((2, 1))))
+
+
+class TestGridPairFactor:
+    @PROPERTY
+    @given(eval_grid=st.integers(1, 9), lengthscale=st.sampled_from([0.3, 1.0, 3.0]),
+           amplitude=st.sampled_from([0.5, 2.0]), seed=st.integers(0, 2**32 - 1))
+    @example(eval_grid=9, lengthscale=3.0, amplitude=2.0, seed=0)
+    def test_factor_and_map_match_dense_forms(self, eval_grid, lengthscale, amplitude, seed):
+        # Oracles from the dense F = kron(U, U) diag(root): F F^T against the
+        # assembled grid pair prior with its relative jitter, the grid draws
+        # against z F^T, and L_og against a dense solve. F^-1 has condition
+        # up to about 1e7 here, so the dense solve differs from the map's
+        # L_og by up to 6.6e-9 relative (measured), while F L_og
+        # reproduces 2 P_go to 3e-15.
+        problem = small_problem(p=np.inf, eval_grid=eval_grid, lengthscale=lengthscale,
+                                amplitude=amplitude)
+        grid = problem.grid_points
+        n_grid = len(grid)
+        grid_codes = np.full(n_grid, POINT)
+        u, root = pde._grid_pair_factor(problem)
+        factor = np.kron(u, u) * root.ravel()
+        prior = 2.0 * problem.kernel.cross_cov(grid, grid_codes, grid, grid_codes)
+        want = prior + pde.SAMPLING_JITTER * np.diag(np.diag(prior))
+        assert np.max(np.abs(factor @ factor.T - want)) <= 1e-12 * np.max(np.abs(want))
+
+        points = np.vstack([problem.boundary, problem.candidates[[6, 12]]])
+        codes = np.repeat([POINT, NEG_LAPLACIAN], [problem.n_boundary, 2])
+        cross = problem.kernel.cross_cov(grid, grid_codes, points, codes)
+        draw = pde._prior_pairs(problem, cross, points, codes)
+        z = derive_rng(seed).standard_normal((5, n_grid))
+        dense = z @ factor.T
+        got, _ = draw(z, np.zeros((5, len(codes))))
+        np.testing.assert_allclose(got, dense, rtol=0.0, atol=1e-13 * np.max(np.abs(dense)))
+        _, l_og = draw(np.eye(n_grid), np.zeros((n_grid, len(codes))))
+        solved = np.linalg.solve(factor, 2.0 * cross)
+        np.testing.assert_allclose(l_og, solved, rtol=0.0, atol=1e-7 * np.max(np.abs(solved)))
+        np.testing.assert_allclose(factor @ l_og, 2.0 * cross, rtol=0.0,
+                                   atol=1e-13 * np.max(np.abs(cross)))
 
 
 def step_value(problem, chosen, candidate, cfg=None):
@@ -411,21 +412,20 @@ class TestGreedy:
         # the Gram and the query x observation block of its predictor. At
         # p = 2 the one prior block is candidates x grid. At p = inf the
         # pool's map reads that block from search.cand_grid and adds the
-        # boundary x grid block, the grid x grid block of the grid factor
-        # (the cache is cold here) and the block of [candidates; boundary]
-        # for its Schur complement.
+        # boundary x grid block, the G x G kernel over one grid axis, and
+        # the block of [candidates; boundary] for its Schur complement: no
+        # grid x grid block.
         shapes = record_cross_cov_shapes(monkeypatch)
         m = 3
         for p in (2.0, np.inf):
             problem = small_problem(p=p)
             n_grid, n_cand = problem.grid_points.shape[0], problem.candidates.shape[0]
-            n_bnd = problem.n_boundary
-            _grid_pair_factor.cache_clear()
+            n_bnd, G = problem.n_boundary, problem.eval_grid
             shapes.clear()
             greedy_design(problem, m, MonteCarloConfig(seed=1, n_outer=16))
             prior = [(n_cand, n_grid)]
             if p == np.inf:
-                prior += [(n_bnd, n_grid), (n_grid, n_grid), (n_cand + n_bnd, n_cand + n_bnd)]
+                prior += [(n_bnd, n_grid), (G, G), (n_cand + n_bnd, n_cand + n_bnd)]
             steps = [shape for k in range(m)
                      for shape in [(n_bnd + k, n_bnd + k), (n_grid + n_cand, n_bnd + k)]]
             assert sorted(shapes) == sorted(prior + steps), p
@@ -777,29 +777,32 @@ class TestPathwiseSampler:
         dense, dense_se = per_candidate_pinf(*dense_pinf_inputs(joint, n_grid, free, cfg))
         assert np.all(np.abs(values - dense) <= 4.0 * np.hypot(stderrs, dense_se))
 
-    def test_one_prior_factorisation_per_search(self, cholesky_calls, monkeypatch):
-        # The only prior a search factors is the cached grid prior: one
-        # Cholesky on a cold cache, none on a warm one.
+    def test_one_prior_factorisation_per_search(self, factored_shapes, monkeypatch):
+        # The prior is factored once per search, through the G x G kernel
+        # over one grid axis and the Schur complement of [candidates;
+        # boundary]; besides, each step factors only its Gram. A second
+        # search factors the same again: nothing is kept between searches.
         def never(*args, **kwargs):
             raise AssertionError("a p = inf step formed a query covariance")
 
         monkeypatch.setattr(ConditionedPredictor, "cov_functionals", never)
         problem = small_problem(p=np.inf)
+        G, n_bnd = problem.eval_grid, problem.n_boundary
+        n_obs = len(problem.candidates) + n_bnd
         cfg = MonteCarloConfig(seed=1, n_outer=16)
-        _grid_pair_factor.cache_clear()
-        greedy_design(problem, 3, cfg)
-        assert len(cholesky_calls) == 1
-        cholesky_calls.clear()
-        greedy_design(problem, 3, cfg)
-        assert not cholesky_calls
+        want = sorted([(G, G), (n_obs, n_obs)] + [(n_bnd + k, n_bnd + k) for k in range(3)])
+        for _ in range(2):
+            factored_shapes.clear()
+            greedy_design(problem, 3, cfg)
+            assert sorted(factored_shapes) == want
 
     @staticmethod
     def search_prior_peak(n_outer):
         """tracemalloc's peak, which numpy reports its buffers to, of the
-        default p = inf search prior on a cold grid cache."""
+        default p = inf search prior, after a small search prior has loaded
+        what a process loads once."""
         problem = EllipticDesignProblem(p=np.inf)
         _search_prior(small_problem(p=np.inf), problem.candidates, MonteCarloConfig(n_outer=4))
-        _grid_pair_factor.cache_clear()
         tracemalloc.start()
         try:
             _search_prior(problem, problem.candidates, MonteCarloConfig(n_outer=n_outer))
@@ -808,17 +811,19 @@ class TestPathwiseSampler:
             tracemalloc.stop()
 
     def test_search_prior_memory_peak(self):
-        # With the CLI's 128 pair samples the peak read 36.5 MiB (28.5 MiB
-        # on a warm grid cache), against 42.7 MiB when the search assembled
-        # and factored the 1681 x 1681 prior over [grid; candidates;
-        # boundary] in one buffer.
-        assert self.search_prior_peak(128) < 37 * 2**20
+        # With the CLI's 128 pair samples the peak reads 27.7 MiB. It read
+        # 36.5 MiB (28.5 MiB once cached) when the 1024 x 1024 grid prior was
+        # factored and kept, and 42.7 MiB when the search assembled and
+        # factored the 1681 x 1681 prior over [grid; candidates; boundary]
+        # in one buffer.
+        assert self.search_prior_peak(128) < 30 * 2**20
 
     def test_search_prior_memory_peak_at_default_draws(self):
         # At MonteCarloConfig()'s 10000 pair samples the pool and its noise
-        # take 178 MiB; the peak read 218 MiB, against 283 MiB when the
-        # normals and their product z F^T were held at once.
-        assert self.search_prior_peak(MonteCarloConfig().n_outer) < 283 * 2**20
+        # take 178 MiB; the peak reads 210.1 MiB. It read 218 MiB when the
+        # 1024 x 1024 grid prior was factored, and 283 MiB when the normals
+        # and their product z F^T were held at once.
+        assert self.search_prior_peak(MonteCarloConfig().n_outer) < 215 * 2**20
 
     @pytest.mark.parametrize("block", [7, 4096])
     def test_pool_does_not_depend_on_the_block_size(self, monkeypatch, block):
@@ -918,13 +923,17 @@ class TestPathwiseDesignCriterion:
         assert np.max(np.abs(got / want - 1.0)) <= 1e-6
 
     def test_deterministic_across_reruns_and_cache_states(self):
-        problem = small_problem(p=np.inf)
+        # Interleaved grids and lengthscales: no call leaves state that a
+        # later one reads, so the first problem, repeated last, gives its
+        # own value again, and each problem's value is its own.
+        problems = [small_problem(p=np.inf), small_problem(p=np.inf, lengthscale=0.5),
+                    small_problem(p=np.inf, eval_grid=7), small_problem(p=np.inf)]
         cfg = MonteCarloConfig(seed=5, n_outer=64)
-        _grid_pair_factor.cache_clear()
-        cold = design_criterion(problem, DEFAULT_DESIGN, cfg)
-        warm = design_criterion(problem, DEFAULT_DESIGN, cfg)
-        _grid_pair_factor.cache_clear()
-        assert design_criterion(problem, DEFAULT_DESIGN, cfg) == cold == warm
+        values = []
+        for problem in problems:
+            values.append(design_criterion(problem, DEFAULT_DESIGN, cfg))
+            assert design_criterion(problem, DEFAULT_DESIGN, cfg) == values[-1]
+        assert values[-1] == values[0] and len(set(values)) == 3
 
     def test_normals_are_drawn_in_blocks_from_two_streams(self, monkeypatch):
         # The blocks of normals that reach the map are the rows of one draw
@@ -964,9 +973,9 @@ class TestPathwiseDesignCriterion:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_memory_does_not_grow_with_the_draws(self):
-        # numpy reports its buffers to tracemalloc. Once the grid factor is
-        # cached, the draws are held one block at a time: 4096 draws held at
-        # once peaked at 41.0 MiB, against 9.7 MiB at 512.
+        # numpy reports its buffers to tracemalloc. The draws are held one
+        # block at a time: both peaks read 9.2 MiB, where 4096 draws held at
+        # once peaked at 41.0 MiB.
         problem = EllipticDesignProblem(p=np.inf)
         peaks = []
         design_criterion(problem, DEFAULT_DESIGN, MonteCarloConfig(seed=0, n_outer=8))
@@ -978,20 +987,6 @@ class TestPathwiseDesignCriterion:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
-
-    def test_grid_prior_without_cholesky_factor_rejected(self, monkeypatch):
-        # The eigenvalue-clip fallback gives a full factor, which the
-        # triangular solve and multiply would misread. LAPACK reports a
-        # form that is not positive definite by info > 0.
-        def failing(a, *args, **kwargs):
-            return a, 1
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing)
-        _grid_pair_factor.cache_clear()
-        with pytest.raises(FactorizationFailure, match="Cholesky"):
-            design_criterion(small_problem(p=np.inf), DEFAULT_DESIGN,
-                             MonteCarloConfig(seed=0, n_outer=4))
-
 
 class TestEstimatorCrossValidation:
     def test_pair_reduction_vs_naive_nested_mc(self):

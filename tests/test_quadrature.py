@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from optinfo import quadrature
 from optinfo.criteria import MonteCarloConfig
 from optinfo.errors import LengthMismatch, OptimizerDiverged
+from optinfo.gaussian import derive_rng
 from optinfo.quadrature import (
     QuadratureDesign,
     bdt_closed_form,
@@ -110,16 +110,19 @@ class TestMonteCarlo:
         assert abs(est - bpn_closed_form(design)) <= 3.0 * se
         assert est < 1e-4
 
-    @pytest.mark.parametrize("K", [2, 8, 64])
-    def test_bridge_variance_closed_form_matches_covariance_sum(self, monkeypatch, K):
-        # Oracle: the trapezoid weights 1 / K summed against the bridge
-        # covariance s (1 - t), s <= t, on the interior grid j / K.
-        s = np.arange(1, K) / K
-        cov = np.minimum.outer(s, s) * (1.0 - np.maximum.outer(s, s))
-        deltas = np.array([0.1, 0.25, 0.65])
-        monkeypatch.setattr(quadrature, "BRIDGE_POINTS", K)
-        np.testing.assert_allclose(quadrature._bridge_integral_variances(deltas),
-                                   deltas**3 * cov.sum() / K**2, rtol=1e-14)
+    def test_estimate_draws_at_the_posterior_bridge_variance(self):
+        # Oracle: the same normals of derive_rng(seed), outer then inner,
+        # scaled by the posterior sd sqrt(delta^3 / 12) of each interval's
+        # bridge integral, the variance that quadrature_posterior sums.
+        design = QuadratureDesign([0.1, 0.45])
+        cfg = MonteCarloConfig(seed=3, n_outer=500, n_inner=3)
+        sigmas = np.sqrt(design.intervals**3 / 12.0)
+        rng = derive_rng(cfg.seed)
+        outer = rng.standard_normal((cfg.n_outer, 3)) @ sigmas
+        inner = rng.standard_normal((cfg.n_outer, cfg.n_inner, 3)) @ sigmas
+        losses = ((outer[:, None] - inner) ** 2).mean(axis=1)
+        want = (losses.mean(), losses.std(ddof=1) / np.sqrt(cfg.n_outer))
+        np.testing.assert_allclose(bpn_monte_carlo(design, cfg), want, rtol=1e-14, atol=0.0)
 
     def test_deterministic_given_seed(self):
         design = QuadratureDesign([0.3, 0.6])

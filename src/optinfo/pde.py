@@ -31,7 +31,12 @@ pathwise too. Both draw prior pairs through one map, ``_prior_pairs``,
 ``_DRAW_BLOCK`` rows at a time by one stream rule (``_normal_blocks``).
 Its grid factor comes from the G x G kernel matrix over one axis of the
 tensor grid (``_grid_pair_factor``), so no sampler assembles or factors a
-matrix over grid x grid.
+matrix over grid x grid. The map reads the functionals' covariance with
+the grid as row blocks, the search's candidate and boundary blocks,
+unstacked, and builds its functional rows in one buffer, which it frees
+before ``eigh`` factors their Schur complement and rebuilds after: at the
+factorisation a search holds no functional x grid block beyond the two it
+reads.
 
 ``greedy_design`` and ``design_criterion`` run numpy's and scipy's
 OpenBLAS on one thread (``_blas.one_thread``), so their results do not
@@ -56,10 +61,12 @@ from .errors import SamplerFailure
 from .gaussian import derive_rng
 from .kernels import NEG_LAPLACIAN, POINT, ConditionedPredictor, SquaredExponential
 
-# Candidates per block of the p = inf scoring kernel (512 KB at 1024 grid
-# points). The kernel of a default seed-0 search on 2 cores, at blocks of
-# 32 / 64 / 128, took a median 0.92 / 0.98 / 1.20 s with 1 thread (32 and
-# 64 within each other's quartiles) and 1.00 / 0.70 / 0.83 s with 2.
+# Candidates per block of the p = inf scoring kernel, and functionals per
+# block of the prior map's functional rows (``_prior_pairs``): 512 KB at
+# 1024 grid points. The kernel of a default seed-0 search on 2 cores, at
+# blocks of 32 / 64 / 128, took a median 0.92 / 0.98 / 1.20 s with 1
+# thread (32 and 64 within each other's quartiles) and 1.00 / 0.70 /
+# 0.83 s with 2.
 _CAND_BLOCK = 64
 # Draws per block of the pathwise prior sampler, for a fixed design and for
 # the search's pool: two 4 MB blocks at the default 1024 grid points.
@@ -263,6 +270,11 @@ def _search_prior(problem: EllipticDesignProblem, candidates,
     only the one-axis grid kernel and the functionals' Schur complement,
     assembles besides only the boundary x grid block and the functionals'
     own block, and forms nothing of size (grid + candidates + boundary)^2.
+    The map reads the candidate x grid and boundary x grid blocks as they
+    are, without stacking them, so while ``eigh`` factors the Schur
+    complement the only functional x grid blocks live are these two (625
+    x 1024 and 32 x 1024 at default sizes); the map's own L_og^T is freed
+    before the factorisation and rebuilt from them after it.
     The pool, with the columns [grid; candidates; boundary], and the noise
     are preallocated and filled ``_DRAW_BLOCK`` rows at a time from
     ``_normal_blocks`` with the streams ``derive_rng(cfg.seed)`` and
@@ -280,10 +292,10 @@ def _search_prior(problem: EllipticDesignProblem, candidates,
         return search
     bnd = problem.boundary
     bnd_codes = np.full(len(bnd), POINT, dtype=np.int64)
-    cross = np.vstack([search.cand_grid, kernel.cross_cov(bnd, bnd_codes, grid, grid_codes)])
-    draw = _prior_pairs(problem, cross.T, np.vstack([candidates, bnd]),
+    bnd_grid = kernel.cross_cov(bnd, bnd_codes, grid, grid_codes)
+    draw = _prior_pairs(problem, (search.cand_grid, bnd_grid), np.vstack([candidates, bnd]),
                         np.concatenate([cand_codes, bnd_codes]))
-    del cross
+    del bnd_grid  # freed before the pool is drawn
     n_grid, n_obs = len(grid), len(candidates) + len(bnd)
     search.pairs = np.empty((cfg.n_outer, n_grid + n_obs))
     search.noise = np.empty((cfg.n_outer, n_obs))
@@ -426,22 +438,35 @@ def _pinf_values(dx, dg, columns, variances, threads=1):
     return mean_and_stderr(np.ascontiguousarray(maxes.T))
 
 
-def _prior_pairs(problem: EllipticDesignProblem, cross, points, codes):
+def _prior_pairs(problem: EllipticDesignProblem, blocks, points, codes):
     """The map from standard normals to prior pair differences X - X' over
     [grid; functionals], for the n_obs functionals given by ``points`` and
-    ``codes`` and their (n_grid, n_obs) prior covariance ``cross`` with the
-    grid values: ``draw(z, z_obs)`` gives the grid pairs (n, n_grid) and
-    the functionals' pairs (n, n_obs), one row per row of z (n, n_grid) and
-    z_obs (n, n_obs). What the map reads is computed here, once.
+    ``codes``: ``draw(z, z_obs)`` gives the grid pairs (n, n_grid) and the
+    functionals' pairs (n, n_obs), one row per row of z (n, n_grid) and
+    z_obs (n, n_obs). ``blocks`` holds the functionals' prior covariance
+    with the grid values, P_og, as row blocks (k, n_grid) whose rows,
+    stacked, follow ``points``; they are read, never stacked or written.
+    What the map reads is computed here, once.
 
     The draws are taken through a factor of 2 P over the joint whose grid
     block is F = (U kron U) diag(root) from ``_grid_pair_factor``. Its
-    functional rows are L_og^T with L_og = F^-1 2 P_go: column c of 2 P_go,
-    read row-major as a G x G block B_c, maps to (U^T B_c U) / root. The
+    functional rows are L_og^T with L_og = F^-1 2 P_go: each row of 2 P_og,
+    read row-major as a G x G block B, maps to (U^T B U) / root. The
     n_obs x n_obs Schur complement 2 P_oo - L_og^T L_og is factored by
     ``eigh`` with its eigenvalues clipped at 0; P_oo is one ``cross_cov``
     call. So nothing larger than G x G and n_obs x n_obs is factored, and no
     block over grid x grid is assembled.
+
+    L_og^T is one (n_obs, n_grid) buffer: 2 P_og is written into it block
+    by block, and the map runs in place, ``_CAND_BLOCK`` rows at a time.
+    2 P_oo is doubled in its own buffer before L_og^T exists, and the Gram
+    is subtracted into it; L_og^T and the Gram are then freed, so at the
+    Schur ``eigh`` only ``blocks``, 2 P_oo - L_og^T L_og and the G x G
+    factor are live, and the eigenvector buffer becomes the Schur root.
+    L_og^T is then rebuilt from ``blocks`` by the same operations, bit for
+    bit, for the draws. That costs one more pass of the map, but no
+    assembly, and keeps the n_obs x n_grid block out of the factorisation's
+    peak.
 
     Each grid draw z F^T is U (root * Z) U^T, with the row of z read
     row-major as the G x G matrix Z, which matches the "ij" order of
@@ -450,14 +475,33 @@ def _prior_pairs(problem: EllipticDesignProblem, cross, points, codes):
     are taken first, into one new (n, n_obs) array.
     """
     G = problem.eval_grid
+    n_obs = len(codes)
     u, root = _grid_pair_factor(problem)
-    # L_og^T is formed in the buffer of 2 P_og, read as n_obs blocks.
-    l_go = np.asarray_chkfinite(2.0 * cross).T.reshape(-1, G, G)
-    l_go = np.matmul(u.T @ l_go, u, out=l_go)
-    l_go = np.divide(l_go, root, out=l_go).reshape(len(codes), G * G)
-    schur = 2.0 * problem.kernel.cross_cov(points, codes, points, codes) - l_go @ l_go.T
-    w, v = np.linalg.eigh(schur)
-    obs_root = v * np.sqrt(np.clip(w, 0.0, None))
+
+    def functional_rows():
+        # In the first block's memory layout (F-ordered for a fixed design):
+        # BLAS rounds the draws' products on a short block of rows
+        # differently for C- and F-ordered operands.
+        l_go = np.empty_like(blocks[0], shape=(n_obs, G * G))
+        start = 0
+        for block in blocks:
+            np.multiply(block, 2.0, out=l_go[start:start + len(block)])
+            start += len(block)
+        stack = np.asarray_chkfinite(l_go).reshape(-1, G, G)
+        for c0 in range(0, n_obs, _CAND_BLOCK):
+            b = stack[c0:c0 + _CAND_BLOCK]
+            np.divide(np.matmul(u.T @ b, u, out=b), root, out=b)
+        return l_go
+
+    schur = problem.kernel.cross_cov(points, codes, points, codes)
+    schur *= 2.0
+    l_go = functional_rows()
+    schur -= l_go @ l_go.T
+    del l_go
+    w, obs_root = np.linalg.eigh(schur)
+    del schur
+    obs_root = np.multiply(obs_root, np.sqrt(np.clip(w, 0.0, None)), out=obs_root)
+    l_go = functional_rows()
 
     def draw(z, z_obs):
         observed = z @ l_go.T + z_obs @ obs_root.T
@@ -497,7 +541,7 @@ def _design_pairs(problem: EllipticDesignProblem, predictor):
     """
     grid = problem.grid_points
     cross, solved = predictor.cross_solve(grid, np.full(grid.shape[0], POINT, dtype=np.int64))
-    draw = _prior_pairs(problem, cross, predictor.points, predictor.codes)
+    draw = _prior_pairs(problem, (cross.T,), predictor.points, predictor.codes)
 
     def pairs(z, z_obs, noise):
         prior, observed = draw(z, z_obs)

@@ -11,6 +11,11 @@ against. None of them is called by the library or the CLI.
 - ``dense_design_criterion``: the p = inf fixed-design criterion sampled
   from a factor of each dense grid posterior, the oracle of the pathwise
   ``design_criterion``.
+- ``prior_pairs_map``, ``design_pairs_map`` and ``search_pool``: the prior
+  pair map from a stacked P_og block, mapped and reduced to its Schur
+  complement in whole-array expressions, and the fixed-design map and the
+  p = inf search pool drawn through it; the bit-for-bit oracles of the
+  in-place ``pde._prior_pairs``.
 - ``Wiener``: the kernel min(t, t') on [0, 1], the 1-D kernel of the
   conditioning tests.
 - ``BrownianBridge``: the Wiener process pinned at both ends of an
@@ -30,10 +35,13 @@ from optinfo.criteria import mean_and_stderr
 from optinfo.decisions import posterior_table
 from optinfo.errors import DimensionMismatch, UnsupportedFunctional
 from optinfo.gaussian import GaussianDensity, _psd_factor, derive_rng
+from optinfo.kernels import NEG_LAPLACIAN, POINT
 from optinfo.pde import (
     EllipticDesignProblem,
     _check_design_size,
+    _grid_pair_factor,
     _joint_functionals,
+    _normal_blocks,
     _predictor,
 )
 
@@ -101,6 +109,69 @@ def dense_design_criterion(problem: EllipticDesignProblem, points, cfg):
     z = rng.standard_normal((cfg.n_outer, cov.shape[0])) @ factor.T
     value, stderr = mean_and_stderr(np.max(np.abs(z), axis=1))
     return float(value), float(stderr)
+
+
+def prior_pairs_map(problem: EllipticDesignProblem, cross, points, codes):
+    """``draw(z, z_obs)``, the prior pair map of ``pde._prior_pairs`` for the
+    functionals ``points`` and ``codes`` with their (n_grid, n_obs) prior
+    covariance ``cross`` with the grid, by the same operations on whole
+    arrays: L_og^T formed in the buffer of ``2 cross`` read as n_obs G x G
+    blocks, every block mapped by one matmul, the Schur complement as one
+    expression and its root as a new array."""
+    G = problem.eval_grid
+    u, root = _grid_pair_factor(problem)
+    l_go = np.asarray_chkfinite(2.0 * cross).T.reshape(-1, G, G)
+    l_go = np.matmul(u.T @ l_go, u, out=l_go)
+    l_go = np.divide(l_go, root, out=l_go).reshape(len(codes), G * G)
+    schur = 2.0 * problem.kernel.cross_cov(points, codes, points, codes) - l_go @ l_go.T
+    w, v = np.linalg.eigh(schur)
+    obs_root = v * np.sqrt(np.clip(w, 0.0, None))
+
+    def draw(z, z_obs):
+        observed = z @ l_go.T + z_obs @ obs_root.T
+        grid = z.reshape(-1, G, G)
+        grid *= root
+        grid = np.matmul(u, grid @ u.T, out=grid)
+        return grid.reshape(len(z), G * G), observed
+
+    return draw
+
+
+def design_pairs_map(problem: EllipticDesignProblem, predictor):
+    """``pairs(z, z_obs, noise)``, the posterior pair map of
+    ``pde._design_pairs``: ``prior_pairs_map`` over the predictor's
+    observations, then Matheron's rule as one expression."""
+    grid = problem.grid_points
+    cross, solved = predictor.cross_solve(grid, np.full(len(grid), POINT, dtype=np.int64))
+    draw = prior_pairs_map(problem, cross, predictor.points, predictor.codes)
+
+    def pairs(z, z_obs, noise):
+        prior, observed = draw(z, z_obs)
+        return prior - (observed + np.sqrt(2.0 * predictor.nugget) * noise) @ solved
+
+    return pairs
+
+
+def search_pool(problem: EllipticDesignProblem, candidates, cfg):
+    """(pairs, noise), the p = inf search pool of ``pde._search_prior``: the
+    candidate x grid and boundary x grid blocks stacked by ``np.vstack``
+    and drawn through ``prior_pairs_map`` with the normals of
+    ``pde._normal_blocks``."""
+    kernel, grid, bnd = problem.kernel, problem.grid_points, problem.boundary
+    grid_codes = np.full(len(grid), POINT, dtype=np.int64)
+    cand_codes = np.full(len(candidates), NEG_LAPLACIAN, dtype=np.int64)
+    bnd_codes = np.full(len(bnd), POINT, dtype=np.int64)
+    cross = np.vstack([kernel.cross_cov(candidates, cand_codes, grid, grid_codes),
+                       kernel.cross_cov(bnd, bnd_codes, grid, grid_codes)])
+    draw = prior_pairs_map(problem, cross.T, np.vstack([candidates, bnd]),
+                           np.concatenate([cand_codes, bnd_codes]))
+    n_grid, n_obs = len(grid), len(candidates) + len(bnd)
+    pairs = np.empty((cfg.n_outer, n_grid + n_obs))
+    noise = np.empty((cfg.n_outer, n_obs))
+    for rows, z, z_obs, eps in _normal_blocks(cfg, n_grid, n_obs):
+        pairs[rows, :n_grid], pairs[rows, n_grid:] = draw(z, z_obs)
+        noise[rows] = eps
+    return pairs, noise
 
 
 class Wiener:

@@ -33,7 +33,13 @@ from optinfo.pde import (
     design_criterion,
     greedy_design,
 )
-from reference_impls import dense_design_criterion, greedy_trace_design, joint_cov
+from reference_impls import (
+    dense_design_criterion,
+    design_pairs_map,
+    greedy_trace_design,
+    joint_cov,
+    search_pool,
+)
 
 
 # Property tests replay the same examples on every run and have no deadline,
@@ -201,25 +207,25 @@ class TestFixedDesignScoring:
 
     @staticmethod
     def prior_pairs_inputs():
-        """A p = inf problem and the cross block, points and codes of one
+        """A p = inf problem and the P_og blocks, points and codes of one
         -Laplacian observation, as ``_design_pairs`` passes them."""
         problem = small_problem(p=np.inf)
         grid = problem.grid_points
         points, codes = np.array([[0.5, 0.5]]), np.array([NEG_LAPLACIAN])
         cross = problem.kernel.cross_cov(grid, np.full(len(grid), POINT), points, codes)
-        return problem, cross, points, codes
+        return problem, (cross.T,), points, codes
 
     def test_non_finite_cross_block_rejected(self):
-        problem, cross, points, codes = self.prior_pairs_inputs()
-        cross[3, 0] = np.nan
+        problem, blocks, points, codes = self.prior_pairs_inputs()
+        blocks[0][0, 3] = np.nan
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-            pde._prior_pairs(problem, cross, points, codes)
+            pde._prior_pairs(problem, blocks, points, codes)
 
     def test_non_finite_grid_factor_rejected_and_not_cached(self, monkeypatch):
         # The one-axis factor is scanned when it is formed, and a map is
         # built from a new factor each time, so a good call after a bad one
         # finds nothing of it.
-        problem, cross, points, codes = self.prior_pairs_inputs()
+        problem, blocks, points, codes = self.prior_pairs_inputs()
         eigh = np.linalg.eigh
         G = problem.eval_grid
 
@@ -232,8 +238,8 @@ class TestFixedDesignScoring:
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", poisoned)
             with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-                pde._prior_pairs(problem, cross, points, codes)
-        draw = pde._prior_pairs(problem, cross, points, codes)
+                pde._prior_pairs(problem, blocks, points, codes)
+        draw = pde._prior_pairs(problem, blocks, points, codes)
         assert all(np.isfinite(x).all() for x in draw(np.ones((2, G * G)), np.ones((2, 1))))
 
 
@@ -263,7 +269,8 @@ class TestGridPairFactor:
         points = np.vstack([problem.boundary, problem.candidates[[6, 12]]])
         codes = np.repeat([POINT, NEG_LAPLACIAN], [problem.n_boundary, 2])
         cross = problem.kernel.cross_cov(grid, grid_codes, points, codes)
-        draw = pde._prior_pairs(problem, cross, points, codes)
+        n_bnd = problem.n_boundary
+        draw = pde._prior_pairs(problem, (cross.T[:n_bnd], cross.T[n_bnd:]), points, codes)
         z = derive_rng(seed).standard_normal((5, n_grid))
         dense = z @ factor.T
         got, _ = draw(z, np.zeros((5, len(codes))))
@@ -811,12 +818,58 @@ class TestPathwiseSampler:
             tracemalloc.stop()
 
     def test_search_prior_memory_peak(self):
-        # With the CLI's 128 pair samples the peak reads 27.7 MiB. It read
-        # 36.5 MiB (28.5 MiB once cached) when the 1024 x 1024 grid prior was
+        # With the CLI's 128 pair samples the peak reads 19.6 MiB. It read
+        # 27.7 MiB when L_og^T was formed from a stacked copy of the
+        # candidate and boundary blocks and mapped in one pass, 36.5 MiB
+        # (28.5 MiB once cached) when the 1024 x 1024 grid prior was
         # factored and kept, and 42.7 MiB when the search assembled and
         # factored the 1681 x 1681 prior over [grid; candidates; boundary]
         # in one buffer.
-        assert self.search_prior_peak(128) < 30 * 2**20
+        assert self.search_prior_peak(128) < 21 * 2**20
+
+    def test_search_prior_memory_at_the_schur_eigh(self, monkeypatch):
+        # At the factorisation of the 657 x 657 Schur complement the search
+        # holds its 4.9 MiB candidate x grid block and the 3.3 MiB
+        # complement, but no 657 x 1024 block: tracemalloc's current size
+        # reads 8.5 MiB there, against 18.6 MiB when L_og^T, a stacked copy
+        # of the blocks and the Gram were live.
+        problem = EllipticDesignProblem(p=np.inf)
+        n_obs = len(problem.candidates) + problem.n_boundary
+        current = []
+        eigh = np.linalg.eigh
+
+        def spying(mat, *args, **kwargs):
+            if np.shape(mat) == (n_obs, n_obs):
+                current.append(tracemalloc.get_traced_memory()[0])
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spying)
+        self.search_prior_peak(128)
+        assert len(current) == 1 and current[0] < 10 * 2**20
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_pool_equals_stacked_block_oracle(self, seed):
+        # The in-place build performs the oracle's operations: the pool and
+        # its noise are the same bits.
+        problem = small_problem(p=np.inf)
+        cfg = MonteCarloConfig(seed=seed, n_outer=48)
+        search = _search_prior(problem, problem.candidates, cfg)
+        pairs, noise = search_pool(problem, problem.candidates, cfg)
+        np.testing.assert_array_equal(search.pairs, pairs)
+        np.testing.assert_array_equal(search.noise, noise)
+
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_pool_equals_stacked_block_oracle_at_default_sizes(self, monkeypatch, block):
+        # 657 functionals: the map runs over many blocks of rows, and at 7
+        # rows a block over one that straddles the candidates and the
+        # boundary.
+        monkeypatch.setattr(pde, "_CAND_BLOCK", block)
+        problem = EllipticDesignProblem(p=np.inf)
+        cfg = MonteCarloConfig(seed=4, n_outer=16)
+        search = _search_prior(problem, problem.candidates, cfg)
+        pairs, noise = search_pool(problem, problem.candidates, cfg)
+        np.testing.assert_array_equal(search.pairs, pairs)
+        np.testing.assert_array_equal(search.noise, noise)
 
     def test_search_prior_memory_peak_at_default_draws(self):
         # At MonteCarloConfig()'s 10000 pair samples the pool and its noise
@@ -971,6 +1024,18 @@ class TestPathwiseDesignCriterion:
         monkeypatch.setattr(pde, "_DRAW_BLOCK", block)
         got = design_criterion(problem, DEFAULT_DESIGN, cfg)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n_outer", [16, 600])
+    def test_map_equals_stacked_block_oracle(self, n_outer):
+        # One default design: the map gives the oracle's bits, for a short
+        # block of draws and for a full one and its remainder.
+        problem = EllipticDesignProblem(p=np.inf)
+        predictor = _predictor(problem, DEFAULT_DESIGN)
+        got, want = _design_pairs(problem, predictor), design_pairs_map(problem, predictor)
+        cfg = MonteCarloConfig(seed=2, n_outer=n_outer)
+        for _, z, z_obs, noise in pde._normal_blocks(cfg, len(problem.grid_points),
+                                                     len(predictor.codes)):
+            np.testing.assert_array_equal(got(z.copy(), z_obs, noise), want(z, z_obs, noise))
 
     def test_memory_does_not_grow_with_the_draws(self):
         # numpy reports its buffers to tracemalloc. The draws are held one

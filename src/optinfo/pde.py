@@ -33,10 +33,10 @@ Its grid factor comes from the G x G kernel matrix over one axis of the
 tensor grid (``_grid_pair_factor``), so no sampler assembles or factors a
 matrix over grid x grid. The map reads the functionals' covariance with
 the grid as row blocks, the search's candidate and boundary blocks,
-unstacked, and builds its functional rows in one buffer, which it frees
-before ``eigh`` factors their Schur complement and rebuilds after: at the
-factorisation a search holds no functional x grid block beyond the two it
-reads.
+unstacked, builds its functional rows once in one buffer, and factors
+their Schur complement in its own buffer by LAPACK's pivoted Cholesky
+``dpstrf``, so its root has as many columns as the complement's numerical
+rank (123 of 657 in a default search).
 
 ``greedy_design`` and ``design_criterion`` run numpy's and scipy's
 OpenBLAS on one thread (``_blas.one_thread``), so their results do not
@@ -62,11 +62,11 @@ from .gaussian import derive_rng
 from .kernels import NEG_LAPLACIAN, POINT, ConditionedPredictor, SquaredExponential
 
 # Candidates per block of the p = inf scoring kernel, and functionals per
-# block of the prior map's functional rows (``_prior_pairs``): 512 KB at
-# 1024 grid points. The kernel of a default seed-0 search on 2 cores, at
-# blocks of 32 / 64 / 128, took a median 0.92 / 0.98 / 1.20 s with 1
-# thread (32 and 64 within each other's quartiles) and 1.00 / 0.70 /
-# 0.83 s with 2.
+# block of the prior map's functional rows and Schur complement
+# (``_prior_pairs``): 512 KB at 1024 grid points. The kernel of a default
+# seed-0 search on 2 cores, at blocks of 32 / 64 / 128, took a median
+# 0.92 / 0.98 / 1.20 s with 1 thread (32 and 64 within each other's
+# quartiles) and 1.00 / 0.70 / 0.83 s with 2.
 _CAND_BLOCK = 64
 # Draws per block of the pathwise prior sampler, for a fixed design and for
 # the search's pool: two 4 MB blocks at the default 1024 grid points.
@@ -108,12 +108,15 @@ class EllipticDesignProblem:
     p: loss exponent, 2 or inf.
 
     At the default lengthscale 1 the p = 2 greedy design clusters about the
-    centre, and this is the exact-arithmetic optimum: in 40-digit arithmetic
-    step 1 takes the centre and step 2 a lattice neighbour of it, while the
-    best candidate at least 0.15 from the centre scores 1.2 % worse.
-    Shorter lengthscales spread the design (min pairwise distance 0.207 at
-    lengthscale 0.3). From the sixth step on, the choices at lengthscale 1
-    depend on the conditioning jitter scale.
+    centre, and each of its steps is the exact-arithmetic optimum of that
+    step: in 40-digit arithmetic step 1 takes the centre and step 2 a
+    lattice neighbour of it, while the best candidate at least 0.15 from
+    the centre scores 1.2 % worse. The 9-point design as a whole is not
+    optimal: its criterion is 5.9 times that of a design that no exchange
+    of one point for a free candidate improves. Shorter lengthscales spread
+    the design (min pairwise distance 0.207 at lengthscale 0.3). From the
+    sixth step on, the choices at lengthscale 1 depend on the conditioning
+    jitter scale.
     """
 
     eval_grid: int = 32
@@ -271,10 +274,9 @@ def _search_prior(problem: EllipticDesignProblem, candidates,
     assembles besides only the boundary x grid block and the functionals'
     own block, and forms nothing of size (grid + candidates + boundary)^2.
     The map reads the candidate x grid and boundary x grid blocks as they
-    are, without stacking them, so while ``eigh`` factors the Schur
+    are, without stacking them, so while ``dpstrf`` factors the Schur
     complement the only functional x grid blocks live are these two (625
-    x 1024 and 32 x 1024 at default sizes); the map's own L_og^T is freed
-    before the factorisation and rebuilt from them after it.
+    x 1024 and 32 x 1024 at default sizes) and the map's own L_og^T.
     The pool, with the columns [grid; candidates; boundary], and the noise
     are preallocated and filled ``_DRAW_BLOCK`` rows at a time from
     ``_normal_blocks`` with the streams ``derive_rng(cfg.seed)`` and
@@ -452,59 +454,72 @@ def _prior_pairs(problem: EllipticDesignProblem, blocks, points, codes):
     block is F = (U kron U) diag(root) from ``_grid_pair_factor``. Its
     functional rows are L_og^T with L_og = F^-1 2 P_go: each row of 2 P_og,
     read row-major as a G x G block B, maps to (U^T B U) / root. The
-    n_obs x n_obs Schur complement 2 P_oo - L_og^T L_og is factored by
-    ``eigh`` with its eigenvalues clipped at 0; P_oo is one ``cross_cov``
-    call. So nothing larger than G x G and n_obs x n_obs is factored, and no
-    block over grid x grid is assembled.
+    n_obs x n_obs Schur complement S = 2 P_oo - L_og^T L_og is factored by
+    LAPACK's pivoted Cholesky ``dpstrf`` at its default tolerance
+    (Hammarling, Higham & Lucas 2007; Harbrecht, Peters & Schneider 2012):
+    P^T S P = U^T U, stopped at S's numerical rank r, gives the n_obs x r
+    root R = P U[:r]^T, and R R^T is within SAMPLING_JITTER max diag(2 P_oo)
+    of S in every entry. Once the pivot order is fixed the factor is
+    unique, where the eigenvectors of S are not. So nothing larger than
+    G x G and n_obs x n_obs is factored, and no block over grid x grid is
+    assembled.
 
-    L_og^T is one (n_obs, n_grid) buffer: 2 P_og is written into it block
-    by block, and the map runs in place, ``_CAND_BLOCK`` rows at a time.
-    2 P_oo is doubled in its own buffer before L_og^T exists, and the Gram
-    is subtracted into it; L_og^T and the Gram are then freed, so at the
-    Schur ``eigh`` only ``blocks``, 2 P_oo - L_og^T L_og and the G x G
-    factor are live, and the eigenvector buffer becomes the Schur root.
-    L_og^T is then rebuilt from ``blocks`` by the same operations, bit for
-    bit, for the draws. That costs one more pass of the map, but no
-    assembly, and keeps the n_obs x n_grid block out of the factorisation's
-    peak.
+    L_og^T is one (n_obs, n_grid) buffer, built once and kept for the
+    draws: 2 P_og is written into it block by block, and the map runs in
+    place, ``_CAND_BLOCK`` rows at a time. S is one n_obs x n_obs buffer
+    whose lower triangle, all that dpstrf reads, is filled ``_CAND_BLOCK``
+    rows at a time with 2 P_oo, from ``cross_cov``, less the Gram of those
+    rows, so no other n_obs x n_obs array is made (numpy would compute a
+    whole Gram into a new one). dpstrf factors S in place, through its
+    F-ordered transpose, with a workspace of 2 n_obs numbers, and R is
+    copied out of it.
 
     Each grid draw z F^T is U (root * Z) U^T, with the row of z read
     row-major as the G x G matrix Z, which matches the "ij" order of
     ``grid_points``. It is formed in the buffer of z when z is C-contiguous,
-    which is then overwritten; the functionals' draws z L_og + z_obs R^T
-    are taken first, into one new (n, n_obs) array.
+    which is then overwritten; the functionals' draws z L_og + z_obs[:, :r]
+    R^T are taken first, into one new (n, n_obs) array. z_obs keeps all
+    n_obs columns, so the normals follow one stream rule at any rank.
     """
+    # Imported on first use: only the p = inf paths factor a Schur complement.
+    from scipy.linalg import lapack
+
     G = problem.eval_grid
     n_obs = len(codes)
     u, root = _grid_pair_factor(problem)
+    # In the first block's memory layout (F-ordered for a fixed design):
+    # BLAS rounds the draws' products on a short block of rows differently
+    # for C- and F-ordered operands.
+    l_go = np.empty_like(blocks[0], shape=(n_obs, G * G))
+    start = 0
+    for block in blocks:
+        np.multiply(block, 2.0, out=l_go[start:start + len(block)])
+        start += len(block)
+    stack = np.asarray_chkfinite(l_go).reshape(-1, G, G)
+    for c0 in range(0, n_obs, _CAND_BLOCK):
+        b = stack[c0:c0 + _CAND_BLOCK]
+        np.divide(np.matmul(u.T @ b, u, out=b), root, out=b)
 
-    def functional_rows():
-        # In the first block's memory layout (F-ordered for a fixed design):
-        # BLAS rounds the draws' products on a short block of rows
-        # differently for C- and F-ordered operands.
-        l_go = np.empty_like(blocks[0], shape=(n_obs, G * G))
-        start = 0
-        for block in blocks:
-            np.multiply(block, 2.0, out=l_go[start:start + len(block)])
-            start += len(block)
-        stack = np.asarray_chkfinite(l_go).reshape(-1, G, G)
-        for c0 in range(0, n_obs, _CAND_BLOCK):
-            b = stack[c0:c0 + _CAND_BLOCK]
-            np.divide(np.matmul(u.T @ b, u, out=b), root, out=b)
-        return l_go
-
-    schur = problem.kernel.cross_cov(points, codes, points, codes)
-    schur *= 2.0
-    l_go = functional_rows()
-    schur -= l_go @ l_go.T
-    del l_go
-    w, obs_root = np.linalg.eigh(schur)
-    del schur
-    obs_root = np.multiply(obs_root, np.sqrt(np.clip(w, 0.0, None)), out=obs_root)
-    l_go = functional_rows()
+    # The lower triangle of 2 P_oo - L_og^T L_og, row block by row block;
+    # the strict upper triangle is never written, and dpstrf never reads it.
+    schur = np.empty((n_obs, n_obs))
+    for c0 in range(0, n_obs, _CAND_BLOCK):
+        stop = min(c0 + _CAND_BLOCK, n_obs)
+        block = schur[c0:stop, :stop]
+        np.multiply(problem.kernel.cross_cov(points[c0:stop], codes[c0:stop], points[:stop],
+                                             codes[:stop]), 2.0, out=block)
+        block -= l_go[c0:stop] @ l_go[:stop].T
+    obs_root = np.empty((n_obs, 0))
+    if n_obs:
+        # schur.T is F-contiguous, so LAPACK factors schur's own buffer:
+        # P^T S P = U^T U with U in the upper triangle of schur.T, that is
+        # U^T in the lower triangle of schur, and S = R R^T for R = P U^T.
+        _, piv, rank, _ = lapack.dpstrf(schur.T, lower=0, overwrite_a=1)
+        obs_root = np.empty((n_obs, rank))
+        obs_root[piv - 1] = np.tril(schur[:, :rank])
 
     def draw(z, z_obs):
-        observed = z @ l_go.T + z_obs @ obs_root.T
+        observed = z @ l_go.T + z_obs[:, :obs_root.shape[1]] @ obs_root.T
         grid = z.reshape(-1, G, G)
         grid *= root
         grid = np.matmul(u, grid @ u.T, out=grid)

@@ -45,13 +45,16 @@ def cho_factor_calls(monkeypatch):
 
 @pytest.fixture
 def factored_shapes(monkeypatch):
-    """List that grows by the shape of the matrix passed to every
-    ``cholesky``, ``cho_factor`` and ``eigh`` call of numpy and scipy."""
+    """List that grows by (function name, shape of the matrix passed) for
+    every ``cholesky``, ``cho_factor`` and ``eigh`` call of numpy and scipy
+    and every call of LAPACK's pivoted Cholesky ``dpstrf`` through
+    ``scipy.linalg.lapack``."""
     shapes = []
     for module, name in [(np.linalg, "cholesky"), (np.linalg, "eigh"), (scipy.linalg, "cholesky"),
-                         (scipy.linalg, "cho_factor"), (scipy.linalg, "eigh")]:
-        def recording(mat, *args, _f=getattr(module, name), **kwargs):
-            shapes.append(np.shape(mat))
+                         (scipy.linalg, "cho_factor"), (scipy.linalg, "eigh"),
+                         (scipy.linalg.lapack, "dpstrf")]:
+        def recording(mat, *args, _f=getattr(module, name), _name=name, **kwargs):
+            shapes.append((_name, np.shape(mat)))
             return _f(mat, *args, **kwargs)
 
         monkeypatch.setattr(module, name, recording)

@@ -15,7 +15,9 @@ against. None of them is called by the library or the CLI.
   pair map from a stacked P_og block, mapped and reduced to its Schur
   complement in whole-array expressions, and the fixed-design map and the
   p = inf search pool drawn through it; the bit-for-bit oracles of the
-  in-place ``pde._prior_pairs``.
+  in-place ``pde._prior_pairs``. They take the Schur root by the map's
+  row-block Gram and ``dpstrf`` call, so they check its layout, not its
+  factorisation, which ``TestSchurRoot`` in tests/test_pde.py checks.
 - ``Wiener``: the kernel min(t, t') on [0, 1], the 1-D kernel of the
   conditioning tests.
 - ``BrownianBridge``: the Wiener process pinned at both ends of an
@@ -30,7 +32,9 @@ imported under that name in the same pytest session.
 """
 
 import numpy as np
+from scipy.linalg import lapack
 
+from optinfo import pde
 from optinfo.criteria import mean_and_stderr
 from optinfo.decisions import posterior_table
 from optinfo.errors import DimensionMismatch, UnsupportedFunctional
@@ -116,19 +120,26 @@ def prior_pairs_map(problem: EllipticDesignProblem, cross, points, codes):
     functionals ``points`` and ``codes`` with their (n_grid, n_obs) prior
     covariance ``cross`` with the grid, by the same operations on whole
     arrays: L_og^T formed in the buffer of ``2 cross`` read as n_obs G x G
-    blocks, every block mapped by one matmul, the Schur complement as one
-    expression and its root as a new array."""
+    blocks, every block mapped by one matmul, and 2 P_oo assembled in one
+    ``cross_cov`` call. The Gram is subtracted from its lower triangle in
+    the map's ``pde._CAND_BLOCK`` row blocks, since a row-block product
+    rounds differently from a whole one, and the root is taken by the
+    map's ``dpstrf`` call on a copy of the complement, its rows put in
+    place by the inverse of the pivot order."""
     G = problem.eval_grid
     u, root = _grid_pair_factor(problem)
     l_go = np.asarray_chkfinite(2.0 * cross).T.reshape(-1, G, G)
     l_go = np.matmul(u.T @ l_go, u, out=l_go)
     l_go = np.divide(l_go, root, out=l_go).reshape(len(codes), G * G)
-    schur = 2.0 * problem.kernel.cross_cov(points, codes, points, codes) - l_go @ l_go.T
-    w, v = np.linalg.eigh(schur)
-    obs_root = v * np.sqrt(np.clip(w, 0.0, None))
+    schur = 2.0 * problem.kernel.cross_cov(points, codes, points, codes)
+    for c0 in range(0, len(codes), pde._CAND_BLOCK):
+        stop = min(c0 + pde._CAND_BLOCK, len(codes))
+        schur[c0:stop, :stop] -= l_go[c0:stop] @ l_go[:stop].T
+    factor, piv, rank, _ = lapack.dpstrf(schur.T, lower=0)
+    obs_root = np.triu(factor)[:rank].T[np.argsort(piv)]
 
     def draw(z, z_obs):
-        observed = z @ l_go.T + z_obs @ obs_root.T
+        observed = z @ l_go.T + z_obs[:, :rank] @ obs_root.T
         grid = z.reshape(-1, G, G)
         grid *= root
         grid = np.matmul(u, grid @ u.T, out=grid)

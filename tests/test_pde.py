@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.spatial.distance
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -170,7 +171,9 @@ class TestFixedDesignScoring:
         # Every p = inf call, the first of the process or a later one,
         # assembles no grid x grid block and factors the same three
         # matrices, none larger than max(G, n_obs): the one-axis grid
-        # kernel, the Gram and the Schur complement of the observations.
+        # kernel by eigh, the Gram by cho_factor and the Schur complement
+        # of the observations by the pivoted Cholesky dpstrf. No n_obs x
+        # n_obs matrix reaches eigh.
         problem = EllipticDesignProblem(p=np.inf)
         G, n_grid = problem.eval_grid, problem.grid_points.shape[0]
         n_obs = problem.n_boundary + len(DEFAULT_DESIGN)
@@ -181,7 +184,8 @@ class TestFixedDesignScoring:
             factored_shapes.clear()
             design_criterion(problem, DEFAULT_DESIGN, cfg)
             assert shapes and (n_grid, n_grid) not in shapes
-            assert sorted(factored_shapes) == [(G, G), (n_obs, n_obs), (n_obs, n_obs)]
+            assert sorted(factored_shapes) == [("cho_factor", (n_obs, n_obs)),
+                                               ("dpstrf", (n_obs, n_obs)), ("eigh", (G, G))]
 
     @PROPERTY
     @given(
@@ -280,6 +284,55 @@ class TestGridPairFactor:
         np.testing.assert_allclose(l_og, solved, rtol=0.0, atol=1e-7 * np.max(np.abs(solved)))
         np.testing.assert_allclose(factor @ l_og, 2.0 * cross, rtol=0.0,
                                    atol=1e-13 * np.max(np.abs(cross)))
+
+
+def schur_and_root(problem, points, codes):
+    """(S, R, d): the Schur complement S = 2 P_oo - L_og^T L_og of the
+    functionals ``points`` and ``codes``, with the map's L_og^T read off
+    ``pde._prior_pairs`` from unit grid normals; the map's root R of S,
+    read off from unit functional normals, so that R R^T is its term's
+    covariance; and d = max diag(2 P_oo)."""
+    grid = problem.grid_points
+    n_grid, n_obs = len(grid), len(codes)
+    cross = problem.kernel.cross_cov(points, codes, grid, np.full(n_grid, POINT))
+    draw = pde._prior_pairs(problem, (cross,), points, codes)
+    _, l_og = draw(np.eye(n_grid), np.zeros((n_grid, n_obs)))
+    _, root_t = draw(np.zeros((n_obs, n_grid)), np.eye(n_obs))
+    prior = 2.0 * problem.kernel.cross_cov(points, codes, points, codes)
+    return prior - l_og.T @ l_og, root_t.T, np.max(np.diagonal(prior), initial=0.0)
+
+
+class TestSchurRoot:
+    # The pivoted Cholesky root stops at LAPACK's default tolerance, so it
+    # leaves out the complement's tail, but within SAMPLING_JITTER of the
+    # largest prior variance: at default sizes |R R^T - S| reads 1.6e-11
+    # against a bound of 6.4e-11, at rank 123 of 657 (eigh with clipping:
+    # 6e-14).
+    @PROPERTY
+    @given(
+        eval_grid=st.integers(1, 9),
+        n_boundary=st.sampled_from([0, 5, 12]),
+        lengthscale=st.sampled_from([0.3, 0.6, 1.0]),
+        amplitude=st.sampled_from([0.5, 1.0, 2.0]),
+        idx=st.lists(st.integers(0, 24), max_size=6, unique=True),
+    )
+    @example(eval_grid=8, n_boundary=0, lengthscale=1.0, amplitude=1.0, idx=[])
+    @example(eval_grid=8, n_boundary=12, lengthscale=1.0, amplitude=1.0, idx=list(range(25)))
+    def test_root_reproduces_the_complement(self, eval_grid, n_boundary, lengthscale,
+                                            amplitude, idx):
+        problem = small_problem(p=np.inf, eval_grid=eval_grid, n_boundary=n_boundary,
+                                lengthscale=lengthscale, amplitude=amplitude)
+        points = np.vstack([problem.boundary, problem.candidates[idx]])
+        codes = np.repeat([POINT, NEG_LAPLACIAN], [n_boundary, len(idx)])
+        schur, root, top = schur_and_root(problem, points, codes)
+        assert np.all(np.abs(root @ root.T - schur) <= pde.SAMPLING_JITTER * top)
+
+    def test_root_reproduces_the_complement_at_default_sizes(self):
+        problem = EllipticDesignProblem(p=np.inf)
+        cands, bnd = problem.candidates, problem.boundary
+        codes = np.repeat([NEG_LAPLACIAN, POINT], [len(cands), len(bnd)])
+        schur, root, top = schur_and_root(problem, np.vstack([cands, bnd]), codes)
+        assert np.max(np.abs(root @ root.T - schur)) <= pde.SAMPLING_JITTER * top
 
 
 def step_value(problem, chosen, candidate, cfg=None):
@@ -786,8 +839,9 @@ class TestPathwiseSampler:
 
     def test_one_prior_factorisation_per_search(self, factored_shapes, monkeypatch):
         # The prior is factored once per search, through the G x G kernel
-        # over one grid axis and the Schur complement of [candidates;
-        # boundary]; besides, each step factors only its Gram. A second
+        # over one grid axis (eigh) and the Schur complement of [candidates;
+        # boundary] (dpstrf); besides, each step factors only its Gram
+        # (cho_factor). No n_obs x n_obs matrix reaches eigh. A second
         # search factors the same again: nothing is kept between searches.
         def never(*args, **kwargs):
             raise AssertionError("a p = inf step formed a query covariance")
@@ -797,7 +851,8 @@ class TestPathwiseSampler:
         G, n_bnd = problem.eval_grid, problem.n_boundary
         n_obs = len(problem.candidates) + n_bnd
         cfg = MonteCarloConfig(seed=1, n_outer=16)
-        want = sorted([(G, G), (n_obs, n_obs)] + [(n_bnd + k, n_bnd + k) for k in range(3)])
+        want = sorted([("eigh", (G, G)), ("dpstrf", (n_obs, n_obs))]
+                      + [("cho_factor", (n_bnd + k, n_bnd + k)) for k in range(3)])
         for _ in range(2):
             factored_shapes.clear()
             greedy_design(problem, 3, cfg)
@@ -818,34 +873,47 @@ class TestPathwiseSampler:
             tracemalloc.stop()
 
     def test_search_prior_memory_peak(self):
-        # With the CLI's 128 pair samples the peak reads 19.6 MiB. It read
-        # 27.7 MiB when L_og^T was formed from a stacked copy of the
-        # candidate and boundary blocks and mapped in one pass, 36.5 MiB
-        # (28.5 MiB once cached) when the 1024 x 1024 grid prior was
-        # factored and kept, and 42.7 MiB when the search assembled and
-        # factored the 1681 x 1681 prior over [grid; candidates; boundary]
-        # in one buffer.
-        assert self.search_prior_peak(128) < 21 * 2**20
+        # With the CLI's 128 pair samples the peak reads 17.0 MiB; the
+        # bound leaves 1 MiB over it. It read 19.6 MiB when the Schur
+        # complement went to eigh, 27.7 MiB when L_og^T was formed from a
+        # stacked copy of the candidate and boundary blocks and mapped in
+        # one pass, 36.5 MiB (28.5 MiB once cached) when the 1024 x 1024
+        # grid prior was factored and kept, and 42.7 MiB when the search
+        # assembled and factored the 1681 x 1681 prior over [grid;
+        # candidates; boundary] in one buffer. tracemalloc sees numpy's
+        # buffers only, not LAPACK's workspaces: eigh's, which it missed,
+        # raised a fresh process's ru_maxrss by 15 MB.
+        assert self.search_prior_peak(128) < 18 * 2**20
 
-    def test_search_prior_memory_at_the_schur_eigh(self, monkeypatch):
-        # At the factorisation of the 657 x 657 Schur complement the search
-        # holds its 4.9 MiB candidate x grid block and the 3.3 MiB
-        # complement, but no 657 x 1024 block: tracemalloc's current size
-        # reads 8.5 MiB there, against 18.6 MiB when L_og^T, a stacked copy
-        # of the blocks and the Gram were live.
+    def test_schur_complement_factored_in_its_own_buffer(self, monkeypatch):
+        # dpstrf factors, in place, the one n_obs x n_obs buffer it is
+        # given, and no second one is made. At the call tracemalloc's
+        # current size holds the candidate x grid and boundary x grid
+        # blocks, L_og^T (together 10.3 MiB) and the 3.3 MiB complement:
+        # it reads 13.7 MiB. During the call numpy allocates 13 KiB, where
+        # a copy of the complement would take 3.3 MiB. LAPACK's own
+        # workspace is not allocated through Python, so tracemalloc does
+        # not see it.
         problem = EllipticDesignProblem(p=np.inf)
-        n_obs = len(problem.candidates) + problem.n_boundary
-        current = []
-        eigh = np.linalg.eigh
+        n_obs, n_grid = len(problem.candidates) + problem.n_boundary, len(problem.grid_points)
+        seen = []
+        dpstrf = scipy.linalg.lapack.dpstrf
 
-        def spying(mat, *args, **kwargs):
-            if np.shape(mat) == (n_obs, n_obs):
-                current.append(tracemalloc.get_traced_memory()[0])
-            return eigh(mat, *args, **kwargs)
+        def spying(a, *args, **kwargs):
+            current = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = dpstrf(a, *args, **kwargs)
+            grown = tracemalloc.get_traced_memory()[1] - current
+            seen.append((np.shape(a), np.shares_memory(out[0], a), current, grown))
+            return out
 
-        monkeypatch.setattr(np.linalg, "eigh", spying)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpstrf", spying)
         self.search_prior_peak(128)
-        assert len(current) == 1 and current[0] < 10 * 2**20
+        shape, in_place, current, grown = seen[-1]
+        square = 8 * n_obs * n_obs
+        assert shape == (n_obs, n_obs) and in_place
+        assert current < 8 * 2 * n_obs * n_grid + square + 2**20
+        assert grown < square // 8
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_pool_equals_stacked_block_oracle(self, seed):
@@ -873,9 +941,10 @@ class TestPathwiseSampler:
 
     def test_search_prior_memory_peak_at_default_draws(self):
         # At MonteCarloConfig()'s 10000 pair samples the pool and its noise
-        # take 178 MiB; the peak reads 210.1 MiB. It read 218 MiB when the
-        # 1024 x 1024 grid prior was factored, and 283 MiB when the normals
-        # and their product z F^T were held at once.
+        # take 178 MiB; the peak reads 207.4 MiB. It read 210.1 MiB when the
+        # Schur complement went to eigh, 218 MiB when the 1024 x 1024 grid
+        # prior was factored, and 283 MiB when the normals and their
+        # product z F^T were held at once.
         assert self.search_prior_peak(MonteCarloConfig().n_outer) < 215 * 2**20
 
     @pytest.mark.parametrize("block", [7, 4096])

@@ -10,7 +10,7 @@ independent covariance, via the pair reduction Z ~ N(0, 2 Sigma_e).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from .decisions import (
 )
 from .errors import AllValuesNonFinite, NonPSDInput, SamplerFailure
 from .gaussian import _psd_factor, derive_rng
+
+# Values within this of the least are tied for optimal.
+TIE_TOL = 1e-9
 
 
 def _check_integer(name: str, value, low=None):
@@ -65,19 +68,14 @@ class CriterionReport:
     criterion: str
     values: dict
     optimal: list
-    tie_tol: float
-    stderrs: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "criterion": self.criterion,
             "values": {str(k): float(v) for k, v in self.values.items()},
             "optimal_set": [str(k) for k in self.optimal],
-            "tie_tolerance": self.tie_tol,
+            "tie_tolerance": TIE_TOL,
         }
-        if self.stderrs:
-            out["standard_errors"] = {str(k): float(v) for k, v in self.stderrs.items()}
-        return out
 
 
 def mean_and_stderr(vals):
@@ -193,8 +191,8 @@ def bpn_gaussian_pair_reduction(posterior_cov, loss, cfg: MonteCarloConfig):
     return float(estimate), float(stderr)
 
 
-def optimal_set(values: dict, tie_tol: float = 1e-9, stderrs: dict | None = None) -> list:
-    """Experiment ids within tie_tol + 3 * stderr of the minimum value."""
+def optimal_set(values: dict, stderrs: dict | None = None) -> list:
+    """Experiment ids within TIE_TOL + 3 * stderr of the minimum value."""
     finite = {k: v for k, v in values.items() if np.isfinite(v)}
     if not finite:
         raise AllValuesNonFinite("no finite criterion values")
@@ -203,17 +201,10 @@ def optimal_set(values: dict, tie_tol: float = 1e-9, stderrs: dict | None = None
     chosen = [
         k
         for k, v in finite.items()
-        if v <= vmin + tie_tol + 3.0 * float(stderrs.get(k, 0.0))
+        if v <= vmin + TIE_TOL + 3.0 * float(stderrs.get(k, 0.0))
     ]
     return sorted(chosen, key=str)
 
 
-def make_report(criterion: str, values: dict, tie_tol: float = 1e-9,
-                stderrs: dict | None = None) -> CriterionReport:
-    return CriterionReport(
-        criterion=criterion,
-        values=dict(values),
-        optimal=optimal_set(values, tie_tol, stderrs),
-        tie_tol=tie_tol,
-        stderrs=dict(stderrs or {}),
-    )
+def make_report(criterion: str, values: dict) -> CriterionReport:
+    return CriterionReport(criterion, dict(values), optimal_set(values))

@@ -292,8 +292,8 @@ class BayesActReport:
     message: str = ""
 
 
-def _gauss_hermite_nodes(posterior: GaussianDensity, order: int = 80):
-    nodes, weights = np.polynomial.hermite_e.hermegauss(order)
+def _gauss_hermite_nodes(posterior: GaussianDensity):
+    nodes, weights = np.polynomial.hermite_e.hermegauss(80)
     sd = np.sqrt(posterior.cov[0, 0])
     return posterior.mean[0] + sd * nodes, weights / weights.sum()
 

@@ -176,7 +176,6 @@ def criteria_report(problem: DiscreteProblem) -> dict:
             criterion="kl_gain",
             values=kl,
             optimal=criteria.optimal_set({e: -v for e, v in kl.items()}),
-            tie_tol=1e-9,
         ),
     }
     if problem.state_loss is not None:

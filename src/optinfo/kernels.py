@@ -3,15 +3,17 @@
 A linear functional is a location and a code: ``POINT`` observes x(t) and
 ``NEG_LAPLACIAN`` observes -Delta x(t). The kernel provided is the
 squared-exponential amp * exp(-||t - t'||^2 / lengthscale^2) in one or two
-dimensions, smooth enough to support Laplacian observations. It assembles
-covariances in blocks of one functional code per side, from r^2 and one
-multiplier for the code pair, and rejects a code it does not know and
-points of another dimension.
+dimensions, smooth enough to support Laplacian observations. Every entry
+point names its functionals the same way (``_functionals``): an (n, dim)
+location array, flat for dim 1, and a code per point or one code for all.
+The kernel assembles covariances in blocks of one functional code per
+side, from r^2 and one multiplier for the code pair, and rejects a code it
+does not know and points of another dimension.
 
 ``ConditionedPredictor(kernel, points, codes)`` is the one conditioning
-path: it alone knows its observations, an (n, dim) location array and an
-(n,) code array, checks their geometry (``_check_geometry``), factors the
-Gram once and assembles every block against its observations. Callers
+path: it alone knows its observations, checks their geometry
+(``_check_geometry``), factors the Gram once and assembles every block
+against its observations. Callers
 read posterior covariances and pathwise draws from the two blocks of
 ``cross_solve``. No observed value enters: for a linear problem with a
 Gaussian prior the posterior covariance depends on where and what is
@@ -44,25 +46,33 @@ MIN_SEPARATION = 1e-6
 
 
 def _functionals(pts, codes, dim):
-    """``pts`` as an (n, dim) float array, ``codes`` as (n,) int64 and the
-    codes' sorted distinct values. Points that are not one row of dimension
-    dim per code raise ValueError, and a code other than POINT and
-    NEG_LAPLACIAN, such as 2 or 1.5, raises UnsupportedFunctional."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    """``pts`` as an (n, dim) float array, ``codes`` as int64, and the
+    functionals' (code, rows) groups in sorted code order, rows indexing
+    ``pts``. ``codes`` is one code per point, or one code for all of them;
+    flat points of a dim-1 kernel are a column. A block of one code is one
+    group whose rows are every point, ``slice(None)``. Points that are not
+    one row of dimension dim per code raise ValueError, and a code other
+    than POINT and NEG_LAPLACIAN, such as 2 or 1.5, raises
+    UnsupportedFunctional."""
+    pts = np.asarray(pts, dtype=float)
+    pts = pts.reshape(-1, 1) if dim == 1 and pts.ndim < 2 else np.atleast_2d(pts)
     codes = np.asarray(codes)
-    if codes.ndim != 1 or pts.shape != (len(codes), dim):
+    if codes.ndim > 1 or pts.shape != (codes.size if codes.ndim else len(pts), dim):
         raise ValueError(
-            f"need one code per point of an (n, {dim}) array, got points "
-            f"of shape {pts.shape} and codes of shape {codes.shape}"
+            f"need one code per point of an (n, {dim}) array, or one code for "
+            f"all, got points of shape {pts.shape} and codes of shape {codes.shape}"
         )
-    groups = np.unique(codes)
+    kinds = np.unique(codes)
     # Checked before the cast, which would truncate 1.5 to NEG_LAPLACIAN.
-    if not all(g in (POINT, NEG_LAPLACIAN) for g in groups.tolist()):
+    if not all(g in (POINT, NEG_LAPLACIAN) for g in kinds.tolist()):
         raise UnsupportedFunctional(
             f"functional codes must be POINT ({POINT}) or NEG_LAPLACIAN "
-            f"({NEG_LAPLACIAN}), got {groups.tolist()}"
+            f"({NEG_LAPLACIAN}), got {kinds.tolist()}"
         )
-    return pts, codes.astype(np.int64, copy=False), groups.astype(np.int64, copy=False)
+    codes, kinds = codes.astype(np.int64, copy=False), kinds.astype(np.int64).tolist()
+    if len(kinds) == 1:
+        return pts, codes, [(kinds[0], slice(None))]
+    return pts, codes, [(kind, np.flatnonzero(codes == kind)) for kind in kinds]
 
 
 class SquaredExponential:
@@ -91,18 +101,18 @@ class SquaredExponential:
         """Cross-covariance matrix between two sets of linear functionals.
 
         pts_* have shape (n, dim); codes_* hold POINT or NEG_LAPLACIAN per
-        row, in any order (``_functionals``). Each pair of one-code row and
-        column groups is one ``_from_r2`` block, returned as it is when it
-        fills the matrix.
+        row, in any order, or one code for all rows (``_functionals``).
+        Each pair of one-code row and column groups is one ``_from_r2``
+        block, returned as it is when it fills the matrix.
         """
-        pts_a, codes_a, groups_a = _functionals(pts_a, codes_a, self.dim)
-        pts_b, codes_b, groups_b = _functionals(pts_b, codes_b, self.dim)
+        pts_a, _, groups_a = _functionals(pts_a, codes_a, self.dim)
+        pts_b, _, groups_b = _functionals(pts_b, codes_b, self.dim)
         one_block = len(groups_a) == len(groups_b) == 1
-        out = None if one_block else np.empty((len(codes_a), len(codes_b)))
-        for code_a in groups_a:
-            rows = np.flatnonzero(codes_a == code_a)
-            for code_b in groups_b:
-                cols = np.flatnonzero(codes_b == code_b)
+        if not one_block:
+            out = np.empty((len(pts_a), len(pts_b)))
+            ids_a, ids_b = np.arange(len(pts_a)), np.arange(len(pts_b))
+        for code_a, rows in groups_a:
+            for code_b, cols in groups_b:
                 # r^2 coordinate by coordinate, squared and summed in place:
                 # no (n_a, n_b, d) differences, at most two n_a x n_b buffers.
                 r2 = None
@@ -114,7 +124,7 @@ class SquaredExponential:
                 block = self._from_r2(r2, code_a + code_b)
                 if one_block:
                     return block
-                out[np.ix_(rows, cols)] = block
+                out[np.ix_(ids_a[rows], ids_b[cols])] = block
         return out
 
     def _from_r2(self, r2, s):
@@ -147,12 +157,11 @@ class SquaredExponential:
 
     def diag(self, pts, code=POINT):
         """Prior variances of one functional at each point: ``cross_cov``'s diagonal."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        _functionals(pts, np.full(len(pts), code), self.dim)
+        pts, _, ((code, _),) = _functionals(pts, code, self.dim)
         return self._from_r2(np.zeros(len(pts)), 2 * code)
 
 
-def _check_geometry(kernel, pts, codes, groups):
+def _check_geometry(kernel, pts, groups):
     """The one check of the observations' geometry: a non-finite location
     raises ValueError, -Laplacian observations on a kernel that is not
     twice differentiable raise UnsupportedFunctional, and two observations
@@ -160,12 +169,14 @@ def _check_geometry(kernel, pts, codes, groups):
     locations. Observations of different kinds may share a location."""
     if not np.all(np.isfinite(pts)):
         raise ValueError("observation locations must be finite")
-    if NEG_LAPLACIAN in groups and not kernel.smooth:
+    if any(kind == NEG_LAPLACIAN for kind, _ in groups) and not kernel.smooth:
         raise UnsupportedFunctional(
             "Laplacian observations require a twice-differentiable kernel"
         )
-    for kind in groups:
-        sub = pts[codes == kind]
+    for _, rows in groups:
+        sub = pts[rows]
+        if len(sub) < 2:  # a block of one code may hold no points
+            continue
         dists = np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=-1)
         np.fill_diagonal(dists, np.inf)
         i, j = np.unravel_index(np.argmin(dists), dists.shape)
@@ -180,12 +191,13 @@ class ConditionedPredictor:
     """GP posterior covariance over linear functionals, conditioned on
     observing the functionals ``codes`` at ``points``.
 
-    ``points`` (n_obs, kernel.dim) and ``codes`` (n_obs,) are the
-    observations' locations and functional codes, in conditioning order;
-    ``_functionals`` checks their shapes and codes, and ``_check_geometry``
-    their geometry: a non-finite location raises ValueError and same-kind
-    observations closer than MIN_SEPARATION raise SingularGram. No observed
-    value is needed: the posterior covariance does not depend on it.
+    ``points`` (n_obs, kernel.dim) are the observations' locations, in
+    conditioning order, and ``codes`` their functional codes, one per
+    point or one for all; ``_functionals`` checks their shapes and codes,
+    and ``_check_geometry`` their geometry: a non-finite location raises
+    ValueError and same-kind observations closer than MIN_SEPARATION raise
+    SingularGram. No observed value is needed: the posterior covariance
+    does not depend on it.
 
     The predictor is the only code that knows its observations: ``var``,
     ``cov_functionals`` and pathwise draws all read the query-by-observation
@@ -204,7 +216,7 @@ class ConditionedPredictor:
     def __init__(self, kernel, points, codes):
         self.kernel = kernel
         pts, codes, groups = _functionals(points, codes, kernel.dim)
-        _check_geometry(kernel, pts, codes, groups)
+        _check_geometry(kernel, pts, groups)
         self.points = pts
         self.codes = codes
         if pts.shape[0] == 0:
@@ -217,17 +229,9 @@ class ConditionedPredictor:
         self.nugget = self.jitter + float(_jitter(gram))
         self._factor = _spd_factor(_add_jitter(gram))
 
-    def _query(self, points):
-        pts = np.asarray(points, dtype=float)
-        if self.kernel.dim == 1:
-            pts = pts.reshape(-1, 1)
-        else:
-            pts = np.atleast_2d(pts)
-        return pts
-
     def cross_solve(self, points, codes):
-        """``(cross, K^-1 cross^T)`` for linear functionals (points with
-        per-point functional codes): their prior covariance with the
+        """``(cross, K^-1 cross^T)`` for linear functionals (points with a
+        functional code each, or one for all): their prior covariance with the
         observations, n x n_obs, one column per observation in conditioning
         order, and its solve against the factored Gram, n_obs x n.
         Posterior covariances and pathwise draws are read from these two
@@ -241,27 +245,25 @@ class ConditionedPredictor:
         # Imported on first use: scipy is slow to import and most runs never need it.
         import scipy.linalg
 
-        pts, codes, _ = _functionals(self._query(points), codes, self.kernel.dim)
+        pts, codes, _ = _functionals(points, codes, self.kernel.dim)
         if self._factor is None:
-            return np.zeros((len(codes), 0)), np.zeros((0, len(codes)))
+            return np.zeros((len(pts), 0)), np.zeros((0, len(pts)))
         cross = self.kernel.cross_cov(pts, codes, self.points, self.codes)
         return cross, scipy.linalg.cho_solve(self._factor, cross.T)
 
     def cov(self, points) -> np.ndarray:
-        pts = self._query(points)
-        return self.cov_functionals(pts, np.zeros(pts.shape[0], dtype=np.int64))
+        return self.cov_functionals(points, POINT)
 
     def cov_functionals(self, points, codes) -> np.ndarray:
         """Posterior covariance ``prior - cross K^-1 cross^T``, symmetrised,
-        between linear functionals (points with per-point functional codes).
-        The prior and cross blocks are both assembled here.
+        between linear functionals (points with a functional code each, or
+        one for all). The prior and cross blocks are both assembled here.
         """
-        pts = self._query(points)
-        prior = self.kernel.cross_cov(pts, codes, pts, codes)
+        prior = self.kernel.cross_cov(points, codes, points, codes)
         if self._factor is None:
             return 0.5 * (prior + prior.T)
         # The two blocks are freed before the n x n temporaries below.
-        reduction = np.matmul(*self.cross_solve(pts, codes))
+        reduction = np.matmul(*self.cross_solve(points, codes))
         out = prior - reduction
         return 0.5 * (out + out.T)
 
@@ -275,9 +277,8 @@ class ConditionedPredictor:
         order than the matrix product inside ``cov``, so the two agree to
         roundoff, not bit for bit.
         """
-        pts = self._query(points)
-        prior = self.kernel.diag(pts)
+        prior = self.kernel.diag(points)
         if self._factor is None:
             return prior
-        cross, solved = self.cross_solve(pts, np.zeros(pts.shape[0], dtype=np.int64))
+        cross, solved = self.cross_solve(points, POINT)
         return prior - np.einsum("ij,ji->i", cross, solved)

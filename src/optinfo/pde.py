@@ -182,10 +182,7 @@ def _predictor(problem: EllipticDesignProblem, points):
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"design points must form a (k, 2) array, got shape {pts.shape}")
     bnd = problem.boundary
-    codes = np.concatenate(
-        [np.full(bnd.shape[0], POINT, dtype=np.int64),
-         np.full(pts.shape[0], NEG_LAPLACIAN, dtype=np.int64)]
-    )
+    codes = np.repeat([POINT, NEG_LAPLACIAN], [len(bnd), len(pts)])
     return ConditionedPredictor(problem.kernel, np.vstack([bnd, pts]), codes)
 
 
@@ -205,9 +202,8 @@ def _grid_pair_factor(problem: EllipticDesignProblem):
     blows up there. So the only matrix factored is G x G. A factor with a
     non-finite entry raises ValueError.
     """
-    axis = _grid_axis(problem.eval_grid)[:, None]
-    codes = np.full(len(axis), POINT, dtype=np.int64)
-    k1 = SquaredExponential(problem.lengthscale, dim=1).cross_cov(axis, codes, axis, codes)
+    axis = _grid_axis(problem.eval_grid)
+    k1 = SquaredExponential(problem.lengthscale, dim=1).cross_cov(axis, POINT, axis, POINT)
     lam, u = np.linalg.eigh(k1)
     lam = np.clip(lam, 0.0, None)
     root = np.sqrt(2.0 * problem.amplitude * (np.outer(lam, lam) + SAMPLING_JITTER))
@@ -218,11 +214,7 @@ def _joint_functionals(problem: EllipticDesignProblem, extra_points):
     """Points and codes of [grid values; -Laplacian at extra points]."""
     grid = problem.grid_points
     extra = np.atleast_2d(np.asarray(extra_points, dtype=float))
-    codes = np.concatenate(
-        [np.full(grid.shape[0], POINT, dtype=np.int64),
-         np.full(extra.shape[0], NEG_LAPLACIAN, dtype=np.int64)]
-    )
-    return np.vstack([grid, extra]), codes
+    return np.vstack([grid, extra]), np.repeat([POINT, NEG_LAPLACIAN], [len(grid), len(extra)])
 
 
 def _check_design_size(problem: EllipticDesignProblem, m: int):
@@ -285,18 +277,15 @@ def _search_prior(problem: EllipticDesignProblem, candidates,
     kernel = problem.kernel
     grid = problem.grid_points
     points, codes = _joint_functionals(problem, candidates)
-    grid_codes = np.full(len(grid), POINT, dtype=np.int64)
-    cand_codes = np.full(len(candidates), NEG_LAPLACIAN, dtype=np.int64)
     diag = np.concatenate([kernel.diag(grid, POINT), kernel.diag(candidates, NEG_LAPLACIAN)])
     search = _SearchPrior(candidates, points, codes, diag,
-                          kernel.cross_cov(candidates, cand_codes, grid, grid_codes))
+                          kernel.cross_cov(candidates, NEG_LAPLACIAN, grid, POINT))
     if problem.p == 2.0:
         return search
     bnd = problem.boundary
-    bnd_codes = np.full(len(bnd), POINT, dtype=np.int64)
-    bnd_grid = kernel.cross_cov(bnd, bnd_codes, grid, grid_codes)
+    bnd_grid = kernel.cross_cov(bnd, POINT, grid, POINT)
     draw = _prior_pairs(problem, (search.cand_grid, bnd_grid), np.vstack([candidates, bnd]),
-                        np.concatenate([cand_codes, bnd_codes]))
+                        np.repeat([NEG_LAPLACIAN, POINT], [len(candidates), len(bnd)]))
     del bnd_grid  # freed before the pool is drawn
     n_grid, n_obs = len(grid), len(candidates) + len(bnd)
     search.pairs = np.empty((cfg.n_outer, n_grid + n_obs))
@@ -338,13 +327,14 @@ def _pathwise_pairs(search: _SearchPrior, predictor, chosen, solved) -> np.ndarr
                      search.noise[:, obs - n_grid], predictor.nugget, solved)
 
 
-def _candidate_values(problem, search: _SearchPrior, predictor, chosen, free, threads=1):
-    """Criterion value and stderr of each free candidate (indices into
-    ``search.candidates``) added to the predictor's observations, which are
-    the boundary and the ``chosen`` candidates.
+def _candidate_values(problem, search: _SearchPrior, chosen, free, threads=1):
+    """Criterion value and stderr of each free candidate added to the
+    observations of the step, the boundary and the ``chosen`` candidates;
+    ``chosen`` and ``free`` index ``search.candidates``.
 
-    Both criteria read the step from the search's prior diagonal and
-    candidate x grid block and the two blocks of ``predictor.cross_solve``:
+    The step conditions on its observations with one ``_predictor``. Both
+    criteria read the step from the search's prior diagonal and candidate x
+    grid block and the two blocks of that predictor's ``cross_solve``:
     the query variances, the grid x candidate posterior covariance and the
     candidate variances, which get a scoring jitter of 1e-12 (mean query
     variance + 1). No query x query covariance, prior or posterior, is
@@ -359,6 +349,7 @@ def _candidate_values(problem, search: _SearchPrior, predictor, chosen, free, th
     scores each candidate.
     """
     n_grid = search.n_grid
+    predictor = _predictor(problem, search.candidates[chosen])
     cross, solved = predictor.cross_solve(search.points, search.codes)
     var = search.diag - np.einsum("ij,ji->i", cross, solved)
     free = np.asarray(free, dtype=np.int64)
@@ -554,8 +545,7 @@ def _design_pairs(problem: EllipticDesignProblem, predictor):
     Beyond z a call allocates one (n, n_grid) array, Matheron's result,
     and a few (n, n_obs) arrays.
     """
-    grid = problem.grid_points
-    cross, solved = predictor.cross_solve(grid, np.full(grid.shape[0], POINT, dtype=np.int64))
+    cross, solved = predictor.cross_solve(problem.grid_points, POINT)
     draw = _prior_pairs(problem, (cross.T,), predictor.points, predictor.codes)
 
     def pairs(z, z_obs, noise):
@@ -615,17 +605,16 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
 
     Of the prior covariance over [grid; -Laplacian at every candidate],
     ``_search_prior`` assembles the diagonal and the candidate x grid block
-    once; at p = 2 nothing more. Each step conditions on the boundary plus
-    the chosen points with one ``ConditionedPredictor``, which assembles the
-    block against its own observations, and scores every free candidate,
-    the sorted candidate indices not yet picked, through one body,
-    ``_candidate_values``, from that predictor's ``cross_solve``; the two
-    criteria differ only in the final scoring. At p = inf one pool of prior
-    pair draws over [grid; candidates; boundary] is taken from cfg.seed
-    through the fixed-design sampler's map, which factors no matrix over
-    the grid larger than G x G, and each step maps that pool to posterior
-    pair draws (``_pathwise_pairs``). The draws are therefore deterministic
-    given cfg.seed alone, the same at every step.
+    once; at p = 2 nothing more. Each step scores every free candidate, the
+    sorted candidate indices not yet picked, through one body,
+    ``_candidate_values``, which conditions on the boundary plus the picked
+    candidates with one ``ConditionedPredictor`` and reads that predictor's
+    ``cross_solve``; the two criteria differ only in the final scoring. At
+    p = inf one pool of prior pair draws over [grid; candidates; boundary]
+    is taken from cfg.seed through the fixed-design sampler's map, which
+    factors no matrix over the grid larger than G x G, and each step maps
+    that pool to posterior pair draws (``_pathwise_pairs``). The draws are
+    therefore deterministic given cfg.seed alone, the same at every step.
 
     Each step takes the first minimum of the computed candidate values
     (``np.argmin``); there is no tie tolerance. Candidates that tie in exact
@@ -652,9 +641,7 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
         search = _search_prior(problem, cands, cfg)
         for _ in range(m):
             free = np.setdiff1d(np.arange(len(cands)), picked)
-            values = _candidate_values(
-                problem, search, _predictor(problem, cands[picked]), picked, free, threads
-            )[0]
+            values = _candidate_values(problem, search, picked, free, threads)[0]
             best = int(np.argmin(values))
             surface = np.full(len(cands), np.nan)
             surface[free] = values

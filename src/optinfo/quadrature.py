@@ -106,12 +106,13 @@ def bpn_monte_carlo(design: QuadratureDesign, cfg: MonteCarloConfig):
 
 
 def optimize_design(n: int, optimizer: str = "closed-form", seed: int = 0,
-                    tol: float = 1e-8, max_sweeps: int = 200000) -> QuadratureDesign:
+                    max_sweeps: int = 200000) -> QuadratureDesign:
     """Optimal n-interval design: equispaced nodes t_i = i / n.
 
     The closed-form route returns them exactly; coordinate descent minimises
     the interval-cube objective from a random start by exact coordinate
-    updates (each node moves to the midpoint of its neighbours).
+    updates (each node moves to the midpoint of its neighbours) until no
+    node moves by 1e-8 in a sweep.
     """
     _check_integer("n", n, 1)
     if optimizer == "closed-form":
@@ -129,7 +130,7 @@ def optimize_design(n: int, optimizer: str = "closed-form", seed: int = 0,
             target = 0.5 * (full[i - 1] + full[i + 1])
             biggest = max(biggest, abs(full[i] - target))
             full[i] = target
-        if biggest < tol:
+        if biggest < 1e-8:
             return QuadratureDesign(full[1:-1])
     raise OptimizerDiverged("coordinate descent did not converge")
 

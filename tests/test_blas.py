@@ -268,3 +268,8 @@ def test_pinf_design_does_not_depend_on_the_blas_kernel(tmp_path):
                        env=env, check=True, capture_output=True)
         points.append(json.loads((out / "design.json").read_text())["points"])
     assert all(p == points[0] for p in points[1:])
+
+
+def test_library_not_in_the_process_has_no_pool(tmp_path):
+    # RTLD_NOLOAD fails for a library the process has not loaded.
+    assert _blas._pool(str(tmp_path / "libscipy_openblas-absent.so"), "") is None

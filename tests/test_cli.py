@@ -59,6 +59,12 @@ class TestQuadratureCommand:
         assert out == ""
         assert "--n requires --optimize" in err
 
+    def test_optimize_without_n_exits_2(self, capsys):
+        code, out, err = run(["quadrature", "--optimize"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--optimize requires --n" in err
+
     def test_nan_node_exits_2(self, capsys):
         code, out, err = run(["quadrature", "--nodes", "nan", "0.5"], capsys)
         assert code == EXIT_USAGE

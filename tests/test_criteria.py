@@ -345,6 +345,19 @@ class TestBPNEstimators:
         bdt = np.sum(weights * np.diag(cov))  # posterior expected loss at the mean
         assert bpn == pytest.approx(2.0 * bdt, rel=1e-10)
 
+    def test_nested_weighted_quadratic_bpn_is_twice_bdt(self):
+        # The same identity through the nested estimator, which scores every
+        # inner draw by WeightedQuadratic.pairwise, against the closed-form
+        # Bayes risk tr(Lambda Sigma_e) with a full weight matrix.
+        rng = np.random.default_rng(1)
+        L, lam_root = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+        prior = GaussianDensity(rng.standard_normal(3), L @ L.T + np.eye(3))
+        problem = GaussianLinearProblem(
+            prior, {"e": (rng.standard_normal((2, 3)), np.eye(2))},
+            WeightedQuadratic(lam_root @ lam_root.T))
+        bpn, stderr = bpn_mc(problem, "e", MonteCarloConfig(seed=1, n_outer=4000, n_inner=4))
+        assert abs(bpn - 2.0 * bdt_criterion(problem, "e")) <= 5.0 * stderr
+
 
 class TestOptimalSet:
     def test_single_experiment(self):
@@ -368,3 +381,16 @@ class TestOptimalSet:
         assert doc["optimal_set"] == ["e2"]
         assert doc["values"]["e1"] == 0.5
         assert doc["criterion"] == "bdt"
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, error", [
+        (lambda: alphabet(np.eye(2), np.eye(3), "A"), NonPSDInput),
+        (lambda: alphabet(np.eye(2), np.eye(2), "Z"), ValueError),
+        (lambda: bdt_criterion(GaussianLinearProblem(
+            GaussianDensity([0.0], [[1.0]]), {"e": ([[1.0]], [[1.0]])},
+            PNormOnGrid(2.0, [1.0], squared=True)), "e"), TypeError),
+    ], ids=["alphabet-shape-mismatch", "alphabet-unknown-criterion", "bdt-not-quadratic-loss"])
+    def test_rejected(self, call, error):
+        with pytest.raises(error):
+            call()

@@ -270,3 +270,21 @@ class TestMeanStationarity:
         report = verify_mean_is_bayes_act(post, lambda x: x**3, tol=1e-6)
         assert not report.precondition_ok
         assert report.message
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call", [
+        lambda: PNormOnGrid(0.5, [1.0]),
+        lambda: ZeroOne(0.0),
+        lambda: verify_mean_is_bayes_act(GaussianDensity([0.0, 0.0], np.eye(2)), lambda t: t, 1e-6),
+    ], ids=["pnorm-p-below-1", "zero-one-eps-0", "bayes-act-2d-posterior"])
+    def test_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_weighted_zero_one_measures_the_weighted_norm(self):
+        # ||(0.3, 0)||_Lambda is 0.6 for Lambda = diag(4, 1), past eps = 0.5,
+        # while the same step along the second axis stays within it.
+        loss = ZeroOne(0.5, np.diag([4.0, 1.0]))
+        assert loss([0.3, 0.0], [0.0, 0.0]) == 1.0
+        assert loss([0.0, 0.3], [0.0, 0.0]) == 0.0

@@ -277,3 +277,24 @@ class TestJsonIngestion:
         target.write_text(json.dumps(self.valid_doc()))
         problem = load_problem(str(target))
         assert problem.experiment_ids() == ["e"]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call", [
+        lambda: DiscreteProblem(["a", "b"], [1.0], {"e": np.eye(2)}, ["u"], [[0.0], [1.0]]),
+        lambda: DiscreteProblem(["a", "b"], [0.5, 0.5], {"e": [[1.0, 0.0]]}, ["u"], [[0.0], [1.0]]),
+        lambda: DiscreteProblem(["a", "b"], [0.5, 0.5], {"e": [[1.5, -0.5], [0.0, 1.0]]}, ["u"],
+                                [[0.0], [1.0]]),
+        lambda: DiscreteProblem(["a", "b"], [0.5, 0.5], {"e": np.eye(2)}, ["u"], [[0.0], [1.0]],
+                                state_loss=[[0.0]]),
+        lambda: problem_from_dict({
+            "states": [{"name": "a", "prior": 0.5}, {"name": "b", "prior": 0.6}],
+            "experiments": {"e": [[1.0, 0.0], [0.0, 1.0]]},
+            "actions": ["u"],
+            "loss": [[0.0], [1.0]],
+        }),
+    ], ids=["prior-length", "likelihood-rows", "likelihood-negative", "state-loss-shape",
+            "document-prior-sum"])
+    def test_rejected(self, call):
+        with pytest.raises(InvalidSpec):
+            call()

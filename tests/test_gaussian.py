@@ -13,6 +13,7 @@ from optinfo.gaussian import (
     _spd_factor,
     conjugate_posterior,
     derive_rng,
+    linear_gaussian_update,
 )
 from optinfo.kernels import NEG_LAPLACIAN, POINT, ConditionedPredictor, SquaredExponential
 
@@ -253,3 +254,17 @@ class TestSeedSplitting:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, root)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, error", [
+        (lambda: GaussianDensity([0.0, 0.0], np.ones((2, 3))), DimensionMismatch),
+        (lambda: _psd_factor(-np.eye(2)), FactorizationFailure),
+        (lambda: linear_gaussian_update(GaussianDensity([0.0, 0.0], np.eye(2)), np.ones((1, 3)),
+                                        np.eye(1)), DimensionMismatch),
+        (lambda: linear_gaussian_update(GaussianDensity([0.0, 0.0], np.eye(2)), np.ones((2, 2)),
+                                        np.eye(1)), DimensionMismatch),
+    ], ids=["non-square-cov", "negative-definite-factor", "design-columns", "noise-rows"])
+    def test_rejected(self, call, error):
+        with pytest.raises(error):
+            call()

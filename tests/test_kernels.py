@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -388,6 +388,65 @@ class TestObservationOrder:
             permuted.cov_functionals(ORDER_QUERY, ORDER_QUERY_CODES),
             pred.cov_functionals(ORDER_QUERY, ORDER_QUERY_CODES), rtol=0, atol=atol)
         assert permuted.nugget == pytest.approx(pred.nugget, rel=1e-14)
+
+
+@st.composite
+def one_code_blocks(draw):
+    """A kernel of dim 1 or 2; 0 to 5 distinct observation sites, spaced
+    0.2 apart, with one code; 0 to 6 query points in [0, 1]^dim with one
+    code; and a code the kernel does not know."""
+    d = draw(st.sampled_from([1, 2]))
+    kernel = SquaredExponential(lengthscale=draw(st.floats(0.3, 0.5)),
+                                amplitude=draw(st.floats(0.5, 2.0)), dim=d)
+    lattice = LATTICE if d == 2 else LATTICE[::5, :1]
+    sites = draw(st.lists(st.integers(0, len(lattice) - 1), max_size=5, unique=True))
+    query = draw(arrays(float, (draw(st.integers(0, 6)), d), elements=st.floats(0.0, 1.0)))
+    codes = st.sampled_from([POINT, NEG_LAPLACIAN])
+    return (kernel, lattice[sites], draw(codes), query, draw(codes),
+            draw(st.sampled_from([2, 1.5])))
+
+
+def as_given(kernel, pts):
+    """``pts`` flat for a dim-1 kernel, as a caller may pass them."""
+    return pts.ravel() if kernel.dim == 1 else pts
+
+
+class TestOneCodeForABlock:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(one_code_blocks())
+    @example((SquaredExponential(dim=1), np.zeros((0, 1)), POINT, np.zeros((0, 1)),
+              NEG_LAPLACIAN, 2))
+    def test_equals_a_code_per_point(self, case):
+        # One code for a block gives the bits of the same code repeated per
+        # point, through the kernel and through conditioning, for flat dim-1
+        # points and for blocks of no points.
+        kernel, obs, obs_code, query, query_code, bad = case
+        obs_codes, query_codes = np.full(len(obs), obs_code), np.full(len(query), query_code)
+        mixed = np.arange(len(obs)) % 2
+        obs_in, query_in = as_given(kernel, obs), as_given(kernel, query)
+        same = np.testing.assert_array_equal
+        same(kernel.cross_cov(query_in, query_code, obs_in, obs_code),
+             kernel.cross_cov(query, query_codes, obs, obs_codes))
+        same(kernel.cross_cov(query_in, query_code, obs, mixed),
+             kernel.cross_cov(query, query_codes, obs, mixed))
+        same(kernel.diag(query_in, query_code),
+             np.diagonal(kernel.cross_cov(query, query_codes, query, query_codes)))
+        one, each = (ConditionedPredictor(kernel, obs_in, obs_code),
+                     ConditionedPredictor(kernel, obs, obs_codes))
+        assert (one.jitter, one.nugget) == (each.jitter, each.nugget)
+        for got, want in zip(one.cross_solve(query_in, query_code),
+                             each.cross_solve(query, query_codes)):
+            same(got, want)
+        same(one.cov_functionals(query_in, query_code), each.cov_functionals(query, query_codes))
+        same(one.var(query_in), each.var(query))
+        for call in (lambda: kernel.cross_cov(query_in, bad, obs_in, obs_code),
+                     lambda: kernel.cross_cov(query_in, query_code, obs_in, bad),
+                     lambda: kernel.diag(query_in, bad),
+                     lambda: ConditionedPredictor(kernel, obs_in, bad),
+                     lambda: one.cross_solve(query_in, bad),
+                     lambda: one.cov_functionals(query_in, bad)):
+            with pytest.raises(UnsupportedFunctional):
+                call()
 
 
 class TestCrossCovBatch:

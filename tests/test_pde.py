@@ -342,8 +342,7 @@ def step_value(problem, chosen, candidate, cfg=None):
     cands = np.vstack([np.reshape(chosen, (-1, 2)), candidate])
     search = _search_prior(problem, cands, cfg or MonteCarloConfig())
     k = len(cands) - 1
-    values, _ = _candidate_values(problem, search, _predictor(problem, cands[:k]),
-                                  np.arange(k), np.array([k]))
+    values, _ = _candidate_values(problem, search, np.arange(k), np.array([k]))
     return float(values[0])
 
 
@@ -372,8 +371,7 @@ class TestCriterionSurface:
         est, se = design_criterion(problem, [[0.5, 0.5]], cfg)
         assert np.isfinite(est) and se == 0.0
         search = _search_prior(problem, problem.candidates, cfg)
-        values, stderrs = _candidate_values(problem, search, _predictor(problem, []), [],
-                                            np.arange(3))
+        values, stderrs = _candidate_values(problem, search, [], np.arange(3))
         assert np.all(np.isfinite(values))
         np.testing.assert_array_equal(stderrs, np.zeros(3))
 
@@ -462,7 +460,7 @@ class TestGreedy:
             chosen = [int(np.argmin(np.linalg.norm(cands - q, axis=1))) for q in prefix]
             free = np.array([c for c in range(len(cands)) if c not in chosen])
             values, _ = _candidate_values(problem, _search_prior(problem, cands, cfg),
-                                          _predictor(problem, prefix), chosen, free)
+                                          chosen, free)
             surface = np.full(len(cands), np.nan)
             surface[free] = values
             np.testing.assert_array_equal(contour.ravel(), surface)
@@ -832,7 +830,7 @@ class TestPathwiseSampler:
         free = np.array([c for c in range(len(cands)) if c not in chosen])
         cfg = MonteCarloConfig(seed=8, n_outer=4096)
         values, stderrs = _candidate_values(problem, _search_prior(problem, cands, cfg),
-                                            _predictor(problem, cands[chosen]), chosen, free)
+                                            chosen, free)
         joint = joint_cov(problem, cands[chosen], cands)
         dense, dense_se = per_candidate_pinf(*dense_pinf_inputs(joint, n_grid, free, cfg))
         assert np.all(np.abs(values - dense) <= 4.0 * np.hypot(stderrs, dense_se))

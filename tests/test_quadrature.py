@@ -168,3 +168,7 @@ class TestReport:
         assert report["bpn"] == pytest.approx(2.0 * report["posterior_variance"])
         assert report["bdt"] == report["posterior_variance"]
         assert report["bpn_monte_carlo"] == {"estimate": 0.02, "stderr": 0.001}
+
+
+def test_coordinate_descent_with_one_interval_has_no_interior():
+    assert optimize_design(1, optimizer="coordinate-descent").interior == ()

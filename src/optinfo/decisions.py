@@ -278,17 +278,16 @@ class BayesActReport:
     the strong form is unattainable and only the first-order condition
     ||Dphi(a*)^T (E[phi(X)] - phi(a*))|| = 0 characterises the minimiser;
     ``stationarity_residual`` reports it and drives the pass/fail decision in
-    that case.
+    that case. Coercivity is not checked: a pass certifies global optimality
+    only if phi is coercive and the stationary point is unique.
     """
 
     minimizer: np.ndarray
     residual: float
     stationarity_residual: float
-    expected_phi: np.ndarray
     passed: bool
     precondition_ok: bool
     full_row_rank: bool
-    coercivity_note: str
     message: str = ""
 
 
@@ -343,8 +342,6 @@ def verify_mean_is_bayes_act(posterior: GaussianDensity, phi: Callable,
     gap = expected_phi - np.atleast_1d(np.asarray(phi(a_star), dtype=float))
     residual = float(np.linalg.norm(gap))
     stationarity_residual = float(abs(deriv @ gap))
-    note = ("coercivity not verified numerically; global optimality holds only "
-            "if phi is coercive and the stationary point is unique")
     if not precondition_ok:
         message = ("derivative of phi is rank-deficient at the found minimiser; "
                    "the stationarity characterisation does not apply")
@@ -361,10 +358,8 @@ def verify_mean_is_bayes_act(posterior: GaussianDensity, phi: Callable,
         minimizer=np.array([a_star]),
         residual=residual,
         stationarity_residual=stationarity_residual,
-        expected_phi=np.atleast_1d(expected_phi),
         passed=passed,
         precondition_ok=precondition_ok,
         full_row_rank=full_row_rank,
-        coercivity_note=note,
         message=message,
     )

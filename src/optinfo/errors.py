@@ -20,7 +20,8 @@ class FactorizationFailure(OptinfoError):
 
 
 class UnsupportedFunctional(OptinfoError):
-    """A linear functional was requested that the kernel cannot support."""
+    """A linear functional was requested that the kernel cannot represent;
+    the kernel's ``cross_cov`` raises it."""
 
 
 class SingularGram(OptinfoError):

@@ -89,8 +89,6 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
     or, if that fails, V sqrt(max(w, 0)) from its eigendecomposition. No
     jitter is added, so a draw through F has the variances of ``cov``
     however small they are."""
-    if cov.size == 0:
-        return cov
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:

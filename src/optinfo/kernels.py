@@ -1,31 +1,36 @@
 """Covariance kernel, linear observation functionals and GP conditioning.
 
 A linear functional is a location and a code: ``POINT`` observes x(t) and
-``NEG_LAPLACIAN`` observes -Delta x(t). The kernel provided is the
-squared-exponential amp * exp(-||t - t'||^2 / lengthscale^2) in one or two
-dimensions, smooth enough to support Laplacian observations. Every entry
-point names its functionals the same way (``_functionals``): an (n, dim)
-location array, flat for dim 1, and a code per point or one code for all.
-The kernel assembles covariances in blocks of one functional code per
-side, from r^2 and one multiplier for the code pair, and rejects a code it
-does not know and points of another dimension.
+``NEG_LAPLACIAN`` observes -Delta x(t). Every entry point names its
+functionals the same way (``_functionals``): an (n, dim) location array,
+flat for dim 1, and a code per point or one code for all.
+
+A kernel is any object with three members: ``dim``, the dimension of its
+locations; ``cross_cov(pts_a, codes_a, pts_b, codes_b)``, the prior
+covariance between two sets of functionals; and ``diag(pts)``, the prior
+variances of point values, equal bit for bit to the diagonal of
+``cross_cov``. ``cross_cov`` is the one place that rejects a functional
+the kernel cannot represent, by raising UnsupportedFunctional; a kernel
+that is not twice differentiable rejects NEG_LAPLACIAN there.
+
+The kernel provided is the squared-exponential amp * exp(-||t - t'||^2 /
+lengthscale^2) in one or two dimensions, twice differentiable, so it
+supports Laplacian observations. It assembles covariances in blocks of one
+functional code per side, from r^2 and one multiplier for the code pair,
+and rejects a code it does not know and points of another dimension. Its
+``diag(pts, code)`` takes either functional.
 
 ``ConditionedPredictor(kernel, points, codes)`` is the one conditioning
 path: it alone knows its observations, checks their geometry
 (``_check_geometry``), factors the Gram once and assembles every block
-against its observations. Callers
-read posterior covariances and pathwise draws from the two blocks of
-``cross_solve``. No observed value enters: for a linear problem with a
-Gaussian prior the posterior covariance depends on where and what is
-observed, not on what is seen.
-
-A kernel's ``diag(pts)`` gives the prior variances of point values (SE:
-``diag(pts, code)``, of either functional), equal bit for bit to the
-diagonal of ``cross_cov``.
-``ConditionedPredictor.var`` reads only that diagonal and the query-by-
-observation block, so a posterior variance costs O(n_query * n_obs) kernel
-entries and never assembles the n_query x n_query covariance that ``cov``
-returns.
+against its observations. Callers read posterior covariances and pathwise
+draws from the two blocks of ``cross_solve``. No observed value enters:
+for a linear problem with a Gaussian prior the posterior covariance
+depends on where and what is observed, not on what is seen.
+``ConditionedPredictor.var`` reads only the kernel's diagonal and the
+query-by-observation block, so a posterior variance costs O(n_query *
+n_obs) kernel entries and never assembles the n_query x n_query
+covariance that ``cov`` returns.
 """
 
 from __future__ import annotations
@@ -80,8 +85,6 @@ class SquaredExponential:
 
     The defaults reproduce the literal exp(-||t - t'||^2).
     """
-
-    smooth = True
 
     def __init__(self, lengthscale: float = 1.0, amplitude: float = 1.0, dim: int = 2):
         for name, value in (("lengthscale", lengthscale), ("amplitude", amplitude)):
@@ -161,18 +164,15 @@ class SquaredExponential:
         return self._from_r2(np.zeros(len(pts)), 2 * code)
 
 
-def _check_geometry(kernel, pts, groups):
+def _check_geometry(pts, groups):
     """The one check of the observations' geometry: a non-finite location
-    raises ValueError, -Laplacian observations on a kernel that is not
-    twice differentiable raise UnsupportedFunctional, and two observations
-    of one kind closer than MIN_SEPARATION raise SingularGram naming both
-    locations. Observations of different kinds may share a location."""
+    raises ValueError, and two observations of one kind closer than
+    MIN_SEPARATION raise SingularGram naming both locations. Observations
+    of different kinds may share a location. Whether the kernel can
+    represent the functionals is not checked here: its ``cross_cov``
+    rejects those it cannot."""
     if not np.all(np.isfinite(pts)):
         raise ValueError("observation locations must be finite")
-    if any(kind == NEG_LAPLACIAN for kind, _ in groups) and not kernel.smooth:
-        raise UnsupportedFunctional(
-            "Laplacian observations require a twice-differentiable kernel"
-        )
     for _, rows in groups:
         sub = pts[rows]
         if len(sub) < 2:  # a block of one code may hold no points
@@ -194,10 +194,12 @@ class ConditionedPredictor:
     ``points`` (n_obs, kernel.dim) are the observations' locations, in
     conditioning order, and ``codes`` their functional codes, one per
     point or one for all; ``_functionals`` checks their shapes and codes,
-    and ``_check_geometry`` their geometry: a non-finite location raises
+    ``_check_geometry`` their geometry (a non-finite location raises
     ValueError and same-kind observations closer than MIN_SEPARATION raise
-    SingularGram. No observed value is needed: the posterior covariance
-    does not depend on it.
+    SingularGram), and the kernel's ``cross_cov``, which assembles the
+    Gram, rejects a functional it cannot represent with
+    UnsupportedFunctional. No observed value is needed: the posterior
+    covariance does not depend on it.
 
     The predictor is the only code that knows its observations: ``var``,
     ``cov_functionals`` and pathwise draws all read the query-by-observation
@@ -216,7 +218,7 @@ class ConditionedPredictor:
     def __init__(self, kernel, points, codes):
         self.kernel = kernel
         pts, codes, groups = _functionals(points, codes, kernel.dim)
-        _check_geometry(kernel, pts, groups)
+        _check_geometry(pts, groups)
         self.points = pts
         self.codes = codes
         if pts.shape[0] == 0:

@@ -210,13 +210,6 @@ def _grid_pair_factor(problem: EllipticDesignProblem):
     return np.asarray_chkfinite(u), np.asarray_chkfinite(root)
 
 
-def _joint_functionals(problem: EllipticDesignProblem, extra_points):
-    """Points and codes of [grid values; -Laplacian at extra points]."""
-    grid = problem.grid_points
-    extra = np.atleast_2d(np.asarray(extra_points, dtype=float))
-    return np.vstack([grid, extra]), np.repeat([POINT, NEG_LAPLACIAN], [len(grid), len(extra)])
-
-
 def _check_design_size(problem: EllipticDesignProblem, m: int):
     """ValueError unless a greedy search can pick m distinct candidates."""
     _check_integer("m", m)
@@ -276,7 +269,8 @@ def _search_prior(problem: EllipticDesignProblem, candidates,
     """
     kernel = problem.kernel
     grid = problem.grid_points
-    points, codes = _joint_functionals(problem, candidates)
+    points = np.vstack([grid, candidates])
+    codes = np.repeat([POINT, NEG_LAPLACIAN], [len(grid), len(candidates)])
     diag = np.concatenate([kernel.diag(grid, POINT), kernel.diag(candidates, NEG_LAPLACIAN)])
     search = _SearchPrior(candidates, points, codes, diag,
                           kernel.cross_cov(candidates, NEG_LAPLACIAN, grid, POINT))
@@ -455,12 +449,14 @@ def _prior_pairs(problem: EllipticDesignProblem, blocks, points, codes):
     G x G and n_obs x n_obs is factored, and no block over grid x grid is
     assembled.
 
-    L_og^T is one (n_obs, n_grid) buffer, built once and kept for the
-    draws: 2 P_og is written into it block by block, and the map runs in
-    place, ``_CAND_BLOCK`` rows at a time. S is one n_obs x n_obs buffer
-    whose lower triangle, all that dpstrf reads, is filled ``_CAND_BLOCK``
-    rows at a time with 2 P_oo, from ``cross_cov``, less the Gram of those
-    rows, so no other n_obs x n_obs array is made (numpy would compute a
+    L_og^T is one C-ordered (n_obs, n_grid) buffer, built once and kept
+    for the draws, whatever the layout of ``blocks``, so the draws of a
+    design do not depend on how its caller holds P_og: 2 P_og is written
+    into it block by block. S is one n_obs x n_obs buffer whose lower
+    triangle is all that dpstrf reads. One pass, ``_CAND_BLOCK`` rows at a
+    time, maps those rows of L_og^T in place and fills the same rows of S
+    with 2 P_oo, from ``cross_cov``, less their Gram with the rows mapped
+    so far, so no other n_obs x n_obs array is made (numpy would compute a
     whole Gram into a new one). dpstrf factors S in place, through its
     F-ordered transpose, with a workspace of 2 n_obs numbers, and R is
     copied out of it.
@@ -478,24 +474,21 @@ def _prior_pairs(problem: EllipticDesignProblem, blocks, points, codes):
     G = problem.eval_grid
     n_obs = len(codes)
     u, root = _grid_pair_factor(problem)
-    # In the first block's memory layout (F-ordered for a fixed design):
-    # BLAS rounds the draws' products on a short block of rows differently
-    # for C- and F-ordered operands.
-    l_go = np.empty_like(blocks[0], shape=(n_obs, G * G))
+    l_go = np.empty((n_obs, G * G))
     start = 0
     for block in blocks:
         np.multiply(block, 2.0, out=l_go[start:start + len(block)])
         start += len(block)
     stack = np.asarray_chkfinite(l_go).reshape(-1, G, G)
-    for c0 in range(0, n_obs, _CAND_BLOCK):
-        b = stack[c0:c0 + _CAND_BLOCK]
-        np.divide(np.matmul(u.T @ b, u, out=b), root, out=b)
-
-    # The lower triangle of 2 P_oo - L_og^T L_og, row block by row block;
-    # the strict upper triangle is never written, and dpstrf never reads it.
+    # One pass of row blocks: map rows c0:stop of L_og^T in place, then fill
+    # the same rows of the lower triangle of 2 P_oo - L_og^T L_og, whose Gram
+    # reads only rows already mapped. The strict upper triangle is never
+    # written, and dpstrf never reads it.
     schur = np.empty((n_obs, n_obs))
     for c0 in range(0, n_obs, _CAND_BLOCK):
         stop = min(c0 + _CAND_BLOCK, n_obs)
+        b = stack[c0:stop]
+        np.divide(np.matmul(u.T @ b, u, out=b), root, out=b)
         block = schur[c0:stop, :stop]
         np.multiply(problem.kernel.cross_cov(points[c0:stop], codes[c0:stop], points[:stop],
                                              codes[:stop]), 2.0, out=block)
@@ -572,11 +565,9 @@ def design_criterion(problem: EllipticDesignProblem, points,
     The normals follow ``_normal_blocks`` with the streams
     ``derive_rng(cfg.seed, 10**6)`` and ``derive_rng(cfg.seed, 10**6, 1)``.
 
-    The dense sampler that this replaced, which factors each grid posterior
-    ``_predictor(problem, points).cov(problem.grid_points)``, shares no
-    sampling code with it or with the greedy search; it is kept in the
-    tests (``dense_design_criterion`` in tests/reference_impls.py) as the
-    independent oracle of this estimator.
+    The independent oracle of this estimator is ``dense_design_criterion``
+    in tests/reference_impls.py, which factors each dense grid posterior
+    and shares no sampling code with it or with the greedy search.
     """
     # Loaded before the pin, so that scipy's OpenBLAS pool is pinned too.
     import scipy.linalg  # noqa: F401

@@ -18,6 +18,9 @@ from .criteria import MonteCarloConfig, _check_integer, mean_and_stderr
 from .errors import LengthMismatch, OptimizerDiverged
 from .gaussian import derive_rng
 
+# Sweeps of coordinate descent before ``optimize_design`` gives up.
+MAX_SWEEPS = 200000
+
 
 @dataclass(frozen=True)
 class QuadratureDesign:
@@ -105,14 +108,14 @@ def bpn_monte_carlo(design: QuadratureDesign, cfg: MonteCarloConfig):
     return float(estimate), float(stderr)
 
 
-def optimize_design(n: int, optimizer: str = "closed-form", seed: int = 0,
-                    max_sweeps: int = 200000) -> QuadratureDesign:
+def optimize_design(n: int, optimizer: str = "closed-form", seed: int = 0) -> QuadratureDesign:
     """Optimal n-interval design: equispaced nodes t_i = i / n.
 
     The closed-form route returns them exactly; coordinate descent minimises
     the interval-cube objective from a random start by exact coordinate
     updates (each node moves to the midpoint of its neighbours) until no
-    node moves by 1e-8 in a sweep.
+    node moves by 1e-8 in a sweep, and raises OptimizerDiverged if that
+    takes more than MAX_SWEEPS sweeps.
     """
     _check_integer("n", n, 1)
     if optimizer == "closed-form":
@@ -124,7 +127,7 @@ def optimize_design(n: int, optimizer: str = "closed-form", seed: int = 0,
     rng = derive_rng(seed)
     t = np.sort(rng.uniform(0.0, 1.0, size=n - 1))
     full = np.concatenate(([0.0], t, [1.0]))
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         biggest = 0.0
         for i in range(1, n):
             target = 0.5 * (full[i - 1] + full[i + 1])

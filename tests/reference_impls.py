@@ -44,7 +44,6 @@ from optinfo.pde import (
     EllipticDesignProblem,
     _check_design_size,
     _grid_pair_factor,
-    _joint_functionals,
     _normal_blocks,
     _predictor,
 )
@@ -73,7 +72,10 @@ def se_functional_covariances(lengthscale: float, t, t_prime):
 
 def joint_cov(problem: EllipticDesignProblem, chosen, extra_points):
     """Posterior covariance over [grid values; -Laplacian at extra points]."""
-    return _predictor(problem, chosen).cov_functionals(*_joint_functionals(problem, extra_points))
+    grid = problem.grid_points
+    extra = np.atleast_2d(np.asarray(extra_points, dtype=float))
+    codes = np.repeat([POINT, NEG_LAPLACIAN], [len(grid), len(extra)])
+    return _predictor(problem, chosen).cov_functionals(np.vstack([grid, extra]), codes)
 
 
 def greedy_trace_design(problem: EllipticDesignProblem, m: int) -> list:
@@ -119,16 +121,16 @@ def prior_pairs_map(problem: EllipticDesignProblem, cross, points, codes):
     """``draw(z, z_obs)``, the prior pair map of ``pde._prior_pairs`` for the
     functionals ``points`` and ``codes`` with their (n_grid, n_obs) prior
     covariance ``cross`` with the grid, by the same operations on whole
-    arrays: L_og^T formed in the buffer of ``2 cross`` read as n_obs G x G
-    blocks, every block mapped by one matmul, and 2 P_oo assembled in one
-    ``cross_cov`` call. The Gram is subtracted from its lower triangle in
+    arrays: L_og^T formed in one C-ordered copy of ``2 cross`` transposed,
+    the map's layout, read as n_obs G x G blocks, every block mapped by one
+    matmul, and 2 P_oo assembled in one ``cross_cov`` call. The Gram is subtracted from its lower triangle in
     the map's ``pde._CAND_BLOCK`` row blocks, since a row-block product
     rounds differently from a whole one, and the root is taken by the
     map's ``dpstrf`` call on a copy of the complement, its rows put in
     place by the inverse of the pivot order."""
     G = problem.eval_grid
     u, root = _grid_pair_factor(problem)
-    l_go = np.asarray_chkfinite(2.0 * cross).T.reshape(-1, G, G)
+    l_go = np.ascontiguousarray(np.asarray_chkfinite(2.0 * cross).T).reshape(-1, G, G)
     l_go = np.matmul(u.T @ l_go, u, out=l_go)
     l_go = np.divide(l_go, root, out=l_go).reshape(len(codes), G * G)
     schur = 2.0 * problem.kernel.cross_cov(points, codes, points, codes)
@@ -189,7 +191,6 @@ class Wiener:
     """Standard Wiener kernel k(t, t') = min(t, t') on [0, 1]."""
 
     dim = 1
-    smooth = False
 
     def cross_cov(self, pts_a, codes_a, pts_b, codes_b):
         if np.any(np.asarray(codes_a)) or np.any(np.asarray(codes_b)):
@@ -211,7 +212,6 @@ class BrownianBridge:
     """
 
     dim = 1
-    smooth = False
 
     def __init__(self, left: float, right: float, left_value: float = 0.0, right_value: float = 0.0):
         if not right > left:

@@ -1104,6 +1104,25 @@ class TestPathwiseDesignCriterion:
                                                      len(predictor.codes)):
             np.testing.assert_array_equal(got(z.copy(), z_obs, noise), want(z, z_obs, noise))
 
+    @pytest.mark.parametrize("rows", [1, 16, 128])
+    def test_draws_do_not_depend_on_the_block_layout(self, rows):
+        # L_og^T is one C-ordered buffer whatever the layout of P_og, so a
+        # design's F-ordered block and its C-ordered copy give the same bits
+        # on short blocks of draws too, where BLAS rounds the two layouts'
+        # products differently.
+        problem = EllipticDesignProblem(p=np.inf)
+        predictor = _predictor(problem, [[0.3, 0.4], [0.6, 0.5], [0.5, 0.8]])
+        cross, _ = predictor.cross_solve(problem.grid_points, POINT)
+        rng = derive_rng(5)
+        z = rng.standard_normal((rows, len(problem.grid_points)))
+        z_obs = rng.standard_normal((rows, len(predictor.codes)))
+        draws = []
+        for block in (cross.T, np.ascontiguousarray(cross.T)):
+            draw = pde._prior_pairs(problem, (block,), predictor.points, predictor.codes)
+            draws.append(draw(z.copy(), z_obs))
+        for got, want in zip(*draws):
+            np.testing.assert_array_equal(got, want)
+
     def test_memory_does_not_grow_with_the_draws(self):
         # numpy reports its buffers to tracemalloc. The draws are held one
         # block at a time: both peaks read 9.2 MiB, where 4096 draws held at

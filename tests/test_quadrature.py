@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from optinfo import quadrature
 from optinfo.criteria import MonteCarloConfig
 from optinfo.errors import LengthMismatch, OptimizerDiverged
 from optinfo.gaussian import derive_rng
@@ -144,11 +145,12 @@ class TestOptimizeDesign:
             design = optimize_design(3, optimizer="coordinate-descent", seed=seed)
             assert design.interior == pytest.approx([1 / 3, 2 / 3], abs=1e-3)
 
-    def test_sweep_budget_exhausted_raises(self):
+    def test_sweep_budget_exhausted_raises(self, monkeypatch):
         # One sweep moves each node to its neighbours' midpoint once, far
         # more than tol from a random start.
+        monkeypatch.setattr(quadrature, "MAX_SWEEPS", 1)
         with pytest.raises(OptimizerDiverged):
-            optimize_design(4, optimizer="coordinate-descent", seed=0, max_sweeps=1)
+            optimize_design(4, optimizer="coordinate-descent", seed=0)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -146,7 +146,7 @@ class GaussianLinearProblem:
         random numbers come in the order of a per-draw loop: the prior
         block of ``sample_prior``, then one standard-normal block whose
         row i holds draw i's observation noise (no columns when the noise
-        matrix is zero) followed by its n_inner posterior normals. The
+        matrix is zero or empty) followed by its n_inner posterior normals. The
         posterior mean is affine in y, so every draw reuses the cached
         gain and factor of ``_posterior_pieces``.
         """
@@ -154,7 +154,7 @@ class GaussianLinearProblem:
         A, noise = self.experiments[e]
         A = np.atleast_2d(np.asarray(A, dtype=float))
         noise = np.atleast_2d(np.asarray(noise, dtype=float))
-        n_noise = 0 if np.max(np.abs(noise)) == 0.0 else A.shape[0]
+        n_noise = 0 if np.max(np.abs(noise), initial=0.0) == 0.0 else A.shape[0]
         d = self.prior.dim
         z = rng.standard_normal((n, n_noise + n_inner * d))
         # Stacked matmuls make one BLAS call per draw with that draw's shapes,

@@ -100,21 +100,23 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
 
 
 def _spd_factor(mat: np.ndarray):
-    """``cho_factor`` of the symmetric part of ``mat``, adding no jitter.
+    """``cho_factor`` of the symmetric ``mat``, adding no jitter.
 
-    Raises SingularSystem if the condition number exceeds MAX_CONDITION or
-    the factorisation fails. A caller that needs a jitter adds it first
+    ``mat`` must be symmetric: it is factored as it is, from its upper
+    triangle, and no symmetrised copy is made. Raises SingularSystem if the
+    condition number exceeds MAX_CONDITION or the factorisation fails; a
+    0 x 0 matrix, whose condition number is undefined, skips the gate and
+    has a 0 x 0 factor. A caller that needs a jitter adds it first
     (``_add_jitter``); every solve then goes through
     ``scipy.linalg.cho_solve`` on the returned factor.
     """
     # Imported on first use: scipy is slow to import and most runs never need it.
     import scipy.linalg
 
-    sym = 0.5 * (mat + mat.T)
-    if np.linalg.cond(sym) > MAX_CONDITION:
+    if mat.size and np.linalg.cond(mat) > MAX_CONDITION:
         raise SingularSystem("system condition number exceeds 1e12; degenerate design")
     try:
-        return scipy.linalg.cho_factor(sym)
+        return scipy.linalg.cho_factor(mat)
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystem(f"symmetric factorisation failed: {exc}") from exc
 
@@ -124,10 +126,12 @@ def linear_gaussian_update(prior: GaussianDensity, design_matrix, noise_cov):
 
     The posterior given y is N(prior.mean + gain (y - A prior.mean), cov),
     with cov = prior.cov - gain A prior.cov. The joint form factors the
-    innovation A prior.cov A^T + S once. It is jittered (``_add_jitter``)
-    only when S is numerically singular (an eigenvalue at most 1e-13 *
-    max(max|S|, 1)) or when ``_spd_factor`` rejects it as it is, so a
-    well-conditioned experiment is conditioned exactly.
+    symmetrised innovation A prior.cov A^T + S once. It is jittered
+    (``_add_jitter``) only when S is numerically singular (an eigenvalue at
+    most 1e-13 * max(max|S|, 1)) or when ``_spd_factor`` rejects it as it
+    is, so a well-conditioned experiment is conditioned exactly. An A of
+    no rows observes nothing: the gain is d x 0 and cov is the prior
+    covariance bit for bit.
     """
     # Imported on first use: scipy is slow to import and most runs never need it.
     import scipy.linalg
@@ -141,9 +145,11 @@ def linear_gaussian_update(prior: GaussianDensity, design_matrix, noise_cov):
         raise DimensionMismatch(f"noise dimension {S.shape[0]} != {n} rows")
     cross = prior.cov @ A.T
     innovation = A @ prior.cov @ A.T + S
-    noise_nonsingular = (
-        S.size > 0
-        and np.all(np.linalg.eigvalsh(0.5 * (S + S.T)) > 1e-13 * max(np.max(np.abs(S)), 1.0))
+    innovation = 0.5 * (innovation + innovation.T)
+    # Without rows S is vacuously nonsingular, and the 0 x 0 innovation is
+    # factored as it is.
+    noise_nonsingular = np.all(
+        np.linalg.eigvalsh(0.5 * (S + S.T)) > 1e-13 * max(np.max(np.abs(S), initial=0.0), 1.0)
     )
     factor = None
     if noise_nonsingular:
@@ -152,7 +158,7 @@ def linear_gaussian_update(prior: GaussianDensity, design_matrix, noise_cov):
         except SingularSystem:
             pass
     if factor is None:
-        factor = _spd_factor(_add_jitter(0.5 * (innovation + innovation.T)))
+        factor = _spd_factor(_add_jitter(innovation))
     gain = scipy.linalg.cho_solve(factor, cross.T).T
     cov = prior.cov - gain @ cross.T
     return gain, 0.5 * (cov + cov.T)

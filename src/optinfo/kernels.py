@@ -26,11 +26,14 @@ path: it alone knows its observations, checks their geometry
 against its observations. Callers read posterior covariances and pathwise
 draws from the two blocks of ``cross_solve``. No observed value enters:
 for a linear problem with a Gaussian prior the posterior covariance
-depends on where and what is observed, not on what is seen.
-``ConditionedPredictor.var`` reads only the kernel's diagonal and the
-query-by-observation block, so a posterior variance costs O(n_query *
-n_obs) kernel entries and never assembles the n_query x n_query
-covariance that ``cov`` returns.
+depends on where and what is observed, not on what is seen. No
+observations is the ordinary case of the same path: the Gram is 0 x 0,
+every query-by-observation block has zero width, and every posterior
+quantity is the prior bit for bit, with queries checked by ``cross_cov``
+as ever. ``ConditionedPredictor.var`` reads only the kernel's diagonal
+and the query-by-observation block, so a posterior variance costs
+O(n_query * n_obs) kernel entries and never assembles the n_query x
+n_query covariance that ``cov_functionals`` returns.
 """
 
 from __future__ import annotations
@@ -203,16 +206,19 @@ class ConditionedPredictor:
 
     The predictor is the only code that knows its observations: ``var``,
     ``cov_functionals`` and pathwise draws all read the query-by-observation
-    block from ``cross_solve``. The Gram matrix gets its nugget here, in
-    two stages: ``jitter`` = DEFAULT_JITTER_SCALE * mean(diag Gram), then
-    ``_add_jitter``'s DEFAULT_JITTER_SCALE * (mean diagonal + 1).
-    ``nugget`` is the total of both stages, the variance that the factored
-    matrix adds to every observation (0 without observations); a pathwise
-    draw that conditions through this factor adds noise of that variance
-    to its observed values. The Gram is factored once, at construction, by
+    block from ``cross_solve``, whose ``cross_cov`` checks every query, with
+    or without observations. Only the constructor tells the two cases
+    apart: the Gram of observations gets its nugget here, in two stages,
+    DEFAULT_JITTER_SCALE * mean(diag Gram), then ``_add_jitter``'s
+    DEFAULT_JITTER_SCALE * (mean diagonal + 1). ``nugget`` is the total of
+    both stages, the variance that the factored matrix adds to every
+    observation (0 without observations); a pathwise draw that conditions
+    through this factor adds noise of that variance to its observed
+    values. The Gram is factored once, at construction, by
     ``_spd_factor``, whose 1e12 condition gate on that matrix is the one
     gate; a Gram that fails the gate or its Cholesky factorisation raises
-    SingularSystem (numerics).
+    SingularSystem (numerics). Without observations the 0 x 0 Gram is
+    factored as it is, and every block against it has zero width.
     """
 
     def __init__(self, kernel, points, codes):
@@ -221,15 +227,14 @@ class ConditionedPredictor:
         _check_geometry(pts, groups)
         self.points = pts
         self.codes = codes
-        if pts.shape[0] == 0:
-            self._factor = None
-            self.jitter = self.nugget = 0.0
-            return
         gram = kernel.cross_cov(pts, codes, pts, codes)
-        self.jitter = float(DEFAULT_JITTER_SCALE * np.trace(gram) / gram.shape[0])
-        np.fill_diagonal(gram, np.diagonal(gram) + self.jitter)
-        self.nugget = self.jitter + float(_jitter(gram))
-        self._factor = _spd_factor(_add_jitter(gram))
+        self.nugget = 0.0
+        if len(pts):
+            jitter = float(DEFAULT_JITTER_SCALE * np.trace(gram) / len(pts))
+            np.fill_diagonal(gram, np.diagonal(gram) + jitter)
+            self.nugget = jitter + float(_jitter(gram))
+            _add_jitter(gram)
+        self._factor = _spd_factor(gram)
 
     def cross_solve(self, points, codes):
         """``(cross, K^-1 cross^T)`` for linear functionals (points with a
@@ -241,46 +246,40 @@ class ConditionedPredictor:
         pathwise draw is ``prior draw - (observed draw + noise) @ solved``
         with noise of variance ``nugget``, and the posterior mean given
         observed values y is ``y @ solved``. Without observations both have
-        zero width. Queries are checked as ``cross_cov`` checks them, with
-        or without observations.
+        zero width. ``cross_cov`` assembles ``cross`` with or without
+        observations, so it checks every query.
         """
         # Imported on first use: scipy is slow to import and most runs never need it.
         import scipy.linalg
 
         pts, codes, _ = _functionals(points, codes, self.kernel.dim)
-        if self._factor is None:
-            return np.zeros((len(pts), 0)), np.zeros((0, len(pts)))
         cross = self.kernel.cross_cov(pts, codes, self.points, self.codes)
         return cross, scipy.linalg.cho_solve(self._factor, cross.T)
-
-    def cov(self, points) -> np.ndarray:
-        return self.cov_functionals(points, POINT)
 
     def cov_functionals(self, points, codes) -> np.ndarray:
         """Posterior covariance ``prior - cross K^-1 cross^T``, symmetrised,
         between linear functionals (points with a functional code each, or
         one for all). The prior and cross blocks are both assembled here.
+        Without observations the reduction is zero and the prior is
+        returned symmetrised.
         """
         prior = self.kernel.cross_cov(points, codes, points, codes)
-        if self._factor is None:
-            return 0.5 * (prior + prior.T)
         # The two blocks are freed before the n x n temporaries below.
         reduction = np.matmul(*self.cross_solve(points, codes))
         out = prior - reduction
         return 0.5 * (out + out.T)
 
     def var(self, points) -> np.ndarray:
-        """Posterior variances at points: ``diag(cov(points))`` without the
-        n x n covariance.
+        """Posterior variances at points: the diagonal of
+        ``cov_functionals(points, POINT)`` without the n x n covariance.
 
         Reads the kernel's prior diagonal and the two blocks of
         ``cross_solve``, and takes ``prior_diag - rowsum(cross *
-        solved^T)``. The rowsum adds in another
-        order than the matrix product inside ``cov``, so the two agree to
-        roundoff, not bit for bit.
+        solved^T)``. The rowsum adds in another order than the matrix
+        product inside ``cov_functionals``, so the two agree to roundoff,
+        not bit for bit; without observations both are the prior bit for
+        bit.
         """
         prior = self.kernel.diag(points)
-        if self._factor is None:
-            return prior
         cross, solved = self.cross_solve(points, POINT)
         return prior - np.einsum("ij,ji->i", cross, solved)

@@ -84,19 +84,14 @@ def _grid_axis(eval_grid: int) -> np.ndarray:
 
 
 def boundary_points(n_boundary: int) -> np.ndarray:
-    """n equispaced points on the boundary of the unit square."""
+    """n equispaced points on the boundary of the unit square, counter-
+    clockwise from the origin: the point at perimeter length s in [0, 4)
+    lies on edge floor(s)."""
     s = 4.0 * np.arange(n_boundary) / n_boundary
-    pts = np.empty((n_boundary, 2))
-    for i, v in enumerate(s):
-        if v < 1.0:
-            pts[i] = (v, 0.0)
-        elif v < 2.0:
-            pts[i] = (1.0, v - 1.0)
-        elif v < 3.0:
-            pts[i] = (3.0 - v, 1.0)
-        else:
-            pts[i] = (0.0, 4.0 - v)
-    return pts
+    edges = [s < 1.0, s < 2.0, s < 3.0]
+    x = np.select(edges, [s, 1.0, 3.0 - s], 0.0)
+    y = np.select(edges, [0.0, s - 1.0, 1.0], 4.0 - s)
+    return np.column_stack([x, y])
 
 
 @dataclass(frozen=True)

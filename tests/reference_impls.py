@@ -109,7 +109,7 @@ def dense_design_criterion(problem: EllipticDesignProblem, points, cfg):
     differences drawn from ``_psd_factor`` of twice the dense grid
     posterior, factored for every design. It shares no sampling code with
     the pathwise estimator."""
-    cov = _predictor(problem, points).cov(problem.grid_points)
+    cov = _predictor(problem, points).cov_functionals(problem.grid_points, POINT)
     rng = derive_rng(cfg.seed, 10**6)
     factor = _psd_factor(2.0 * cov)
     z = rng.standard_normal((cfg.n_outer, cov.shape[0])) @ factor.T

@@ -34,6 +34,7 @@ from optinfo.discrete import (
     criteria_report,
 )
 from optinfo.gaussian import GaussianDensity, derive_rng
+from optinfo.kernels import POINT
 from optinfo.pde import EllipticDesignProblem, _predictor, design_criterion, greedy_design
 from optinfo.quadrature import (
     QuadratureDesign,
@@ -208,7 +209,8 @@ def test_criterion_08_pde_design_properties():
     p2 = EllipticDesignProblem(p=2.0)
     state2, _, _ = greedy_design(p2, 9, cfg)
 
-    traces = [np.trace(_predictor(p2, state2.points[:k]).cov(p2.grid_points)) for k in range(10)]
+    traces = [np.trace(_predictor(p2, state2.points[:k]).cov_functionals(p2.grid_points, POINT))
+              for k in range(10)]
     monotone = all(traces[k + 1] < traces[k] - 1e-9 for k in range(9))
 
     reference = greedy_trace_design(p2, 9)

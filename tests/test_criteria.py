@@ -359,6 +359,37 @@ class TestBPNEstimators:
         assert abs(bpn - 2.0 * bdt_criterion(problem, "e")) <= 5.0 * stderr
 
 
+class TestNullExperiment:
+    """The experiment that observes nothing scores the prior: Bayes risk
+    tr(Lambda Sigma_prior) and BPN twice that."""
+
+    @staticmethod
+    def problem():
+        rng = np.random.default_rng(12)
+        L = rng.standard_normal((3, 3))
+        prior = GaussianDensity(rng.standard_normal(3), L @ L.T + np.eye(3))
+        weights = rng.uniform(0.2, 1.0, 3)
+        problem = GaussianLinearProblem(prior, {"null": (np.zeros((0, 3)), np.zeros((0, 0)))},
+                                        WeightedQuadratic(np.diag(weights)))
+        return problem, weights, float(np.trace(np.diag(weights) @ prior.cov))
+
+    def test_bdt_is_the_prior_risk(self):
+        problem, _, prior_risk = self.problem()
+        assert bdt_criterion(problem, "null") == prior_risk
+
+    def test_pair_reduction_is_twice_the_prior_risk(self):
+        problem, weights, prior_risk = self.problem()
+        loss = PNormOnGrid(2.0, weights, squared=True)
+        est, se = bpn_gaussian_pair_reduction(problem.posterior_cov("null"), loss,
+                                              MonteCarloConfig())
+        assert se == 0.0 and est == pytest.approx(2.0 * prior_risk, rel=1e-14)
+
+    def test_nested_mc_is_twice_the_prior_risk(self):
+        problem, _, prior_risk = self.problem()
+        bpn, stderr = bpn_mc(problem, "null", MonteCarloConfig(seed=3, n_outer=4000, n_inner=4))
+        assert abs(bpn - 2.0 * prior_risk) <= 5.0 * stderr
+
+
 class TestOptimalSet:
     def test_single_experiment(self):
         assert optimal_set({"a": 1.0}) == ["a"]

@@ -170,6 +170,22 @@ class TestBayesRules:
                          integrator="monte-carlo", seed=0, n=40000)
         assert est == pytest.approx(0.5, abs=0.02)
 
+    def test_monte_carlo_integrator_scores_the_null_experiment(self):
+        # Observing nothing, the rule that acts at the prior mean has risk
+        # tr(Lambda Sigma), with standard deviation sqrt(2 tr((Lambda Sigma)^2)).
+        rng = np.random.default_rng(43)
+        L = rng.standard_normal((3, 3))
+        prior = GaussianDensity(rng.standard_normal(3), L @ L.T + np.eye(3))
+        lam = np.diag([1.0, 0.5, 2.0])
+        problem = GaussianLinearProblem(prior, {"null": (np.zeros((0, 3)), np.zeros((0, 0)))},
+                                        WeightedQuadratic(lam))
+        n = 4000
+        est = bayes_risk(problem, "null", lambda y: prior.mean, integrator="monte-carlo",
+                         seed=2, n=n)
+        weighted = lam @ prior.cov
+        stderr = np.sqrt(2.0 * np.trace(weighted @ weighted) / n)
+        assert abs(est - np.trace(weighted)) <= 5.0 * stderr
+
     @pytest.mark.parametrize("noise_kind", ["zero", "dense"])
     def test_monte_carlo_integrator_equals_per_draw_loop(self, noise_kind):
         rng = np.random.default_rng(41)

@@ -69,6 +69,21 @@ class TestConjugatePosterior:
         assert post.mean == pytest.approx(prior.mean, abs=1e-12)
         assert post.cov == pytest.approx(prior.cov, abs=1e-9)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_null_experiment_returns_prior_bit_for_bit(self, d):
+        # An A of no rows observes nothing: the gain is d x 0, and the
+        # posterior is the prior in every bit.
+        rng = np.random.default_rng(d)
+        L = rng.standard_normal((d, d))
+        prior = GaussianDensity(rng.standard_normal(d), L @ L.T + np.eye(d))
+        A, noise = np.zeros((0, d)), np.zeros((0, 0))
+        gain, cov = linear_gaussian_update(prior, A, noise)
+        assert gain.shape == (d, 0)
+        assert cov.tobytes() == prior.cov.tobytes()
+        post = conjugate_posterior(prior, A, noise, np.zeros(0))
+        assert post.mean.tobytes() == prior.mean.tobytes()
+        assert post.cov.tobytes() == prior.cov.tobytes()
+
     def test_scalar_unit_example(self):
         # Hand evaluation of the conjugate formulas: prior N(0,1), one unit
         # observation y=1 with unit noise gives N(1/2, 1/2).

@@ -31,6 +31,19 @@ def points_1d(ts):
     return ts, np.full(len(ts), POINT)
 
 
+def first_nugget_stage(kernel, pts, codes):
+    """The first of a predictor's two nugget stages, DEFAULT_JITTER_SCALE *
+    mean(diag Gram), computed from the Gram as the predictor computes it
+    (0 without observations)."""
+    gram = kernel.cross_cov(pts, codes, pts, codes)
+    return gaussian.DEFAULT_JITTER_SCALE * np.trace(gram) / max(len(gram), 1)
+
+
+def same_bits(got, want):
+    """``got`` equals ``want`` in shape and in every bit, signed zeros too."""
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def mixed_design():
     """SE kernel, boundary values and two -Laplacian observations."""
     kernel = SquaredExponential(lengthscale=0.5, dim=2)
@@ -81,14 +94,15 @@ class TestWienerConditioning:
         nodes = [0.2, 0.6]
         pred = ConditionedPredictor(Wiener(), *points_1d(nodes))
         query = np.array([0.3, 0.45, 0.55])
-        cov = pred.cov(query)
+        cov = pred.cov_functionals(query, POINT)
         bridge = BrownianBridge(0.2, 0.6)
         expected = bridge.cross_cov(query, np.zeros(3, dtype=int), query, np.zeros(3, dtype=int))
         assert cov == pytest.approx(expected, abs=1e-7)
 
     def test_point_conditioning_pins_variance(self):
-        pred = ConditionedPredictor(Wiener(), *points_1d([0.5]))
-        assert pred.var([0.5])[0] <= pred.jitter * 10
+        obs = points_1d([0.5])
+        pred = ConditionedPredictor(Wiener(), *obs)
+        assert pred.var([0.5])[0] <= first_nugget_stage(Wiener(), *obs) * 10
         # The posterior mean given the observed value 1.0 interpolates it.
         _, solved = pred.cross_solve([0.5], [POINT])
         assert (np.array([1.0]) @ solved)[0] == pytest.approx(1.0, abs=1e-6)
@@ -96,11 +110,20 @@ class TestWienerConditioning:
     def test_zero_observations_returns_prior(self):
         pred = ConditionedPredictor(Wiener(), *points_1d([]))
         t = np.array([0.1, 0.9])
-        assert pred.cov(t) == pytest.approx(np.minimum.outer(t, t), abs=1e-15)
+        assert pred.cov_functionals(t, POINT) == pytest.approx(np.minimum.outer(t, t), abs=1e-15)
 
     def test_duplicate_locations_rejected(self):
         with pytest.raises(SingularGram):
             ConditionedPredictor(Wiener(), *points_1d([0.5, 0.5]))
+
+    @pytest.mark.parametrize("kernel", [Wiener(), BrownianBridge(0.25, 0.75)],
+                             ids=["wiener", "bridge"])
+    def test_zero_observations_reject_laplacian_query(self, kernel):
+        # The kernel's cross_cov checks every query, with or without
+        # observations, as it does for a predictor with one.
+        pred = ConditionedPredictor(kernel, *points_1d([]))
+        with pytest.raises(UnsupportedFunctional):
+            pred.cross_solve([0.5], NEG_LAPLACIAN)
 
 
 class TestObservationGeometry:
@@ -416,10 +439,15 @@ class TestOneCodeForABlock:
     @given(one_code_blocks())
     @example((SquaredExponential(dim=1), np.zeros((0, 1)), POINT, np.zeros((0, 1)),
               NEG_LAPLACIAN, 2))
+    @example((SquaredExponential(lengthscale=0.4, dim=1), np.zeros((0, 1)), POINT,
+              np.linspace(0.0, 1.0, 5)[:, None], NEG_LAPLACIAN, 2))
+    @example((SquaredExponential(amplitude=1.3, dim=2), np.zeros((0, 2)), NEG_LAPLACIAN,
+              LATTICE[::4], POINT, 1.5))
     def test_equals_a_code_per_point(self, case):
         # One code for a block gives the bits of the same code repeated per
         # point, through the kernel and through conditioning, for flat dim-1
-        # points and for blocks of no points.
+        # points and for blocks of no points. Without observations every
+        # posterior quantity is the prior bit for bit.
         kernel, obs, obs_code, query, query_code, bad = case
         obs_codes, query_codes = np.full(len(obs), obs_code), np.full(len(query), query_code)
         mixed = np.arange(len(obs)) % 2
@@ -433,12 +461,20 @@ class TestOneCodeForABlock:
              np.diagonal(kernel.cross_cov(query, query_codes, query, query_codes)))
         one, each = (ConditionedPredictor(kernel, obs_in, obs_code),
                      ConditionedPredictor(kernel, obs, obs_codes))
-        assert (one.jitter, one.nugget) == (each.jitter, each.nugget)
+        assert ((first_nugget_stage(kernel, obs_in, obs_code), one.nugget)
+                == (first_nugget_stage(kernel, obs, obs_codes), each.nugget))
         for got, want in zip(one.cross_solve(query_in, query_code),
                              each.cross_solve(query, query_codes)):
             same(got, want)
         same(one.cov_functionals(query_in, query_code), each.cov_functionals(query, query_codes))
         same(one.var(query_in), each.var(query))
+        if not len(obs):
+            prior = kernel.cross_cov(query, query_codes, query, query_codes)
+            same_bits(one.var(query_in), kernel.diag(query))
+            same_bits(one.cov_functionals(query_in, query_code), prior)
+            cross, solved = one.cross_solve(query_in, query_code)
+            same_bits(cross, kernel.cross_cov(query, query_codes, obs, obs_codes))
+            same_bits(solved, np.zeros((0, len(query))))
         for call in (lambda: kernel.cross_cov(query_in, bad, obs_in, obs_code),
                      lambda: kernel.cross_cov(query_in, query_code, obs_in, bad),
                      lambda: kernel.diag(query_in, bad),
@@ -474,7 +510,7 @@ class TestFactorOnce:
     def test_conditioning_factors_gram_once(self, cho_factor_calls):
         pred = ConditionedPredictor(*mixed_design())
         query = np.array([[0.2, 0.2], [0.5, 0.5], [0.8, 0.3]])
-        pred.cov(query)
+        pred.cov_functionals(query, POINT)
         pred.cov_functionals(query, [POINT, NEG_LAPLACIAN, POINT])
         pred.cov_functionals(query, [NEG_LAPLACIAN] * 3)
         assert len(cho_factor_calls) == 1
@@ -515,7 +551,7 @@ class TestNugget:
         # The diagonal reaches 512, whose ulp is 1.1e-13, and the nugget is
         # 4.1e-8, so two roundings move each excess by up to 3e-6 relative.
         np.testing.assert_allclose(excess, pred.nugget, rtol=1e-5)
-        assert pred.nugget > pred.jitter > 0.0
+        assert pred.nugget > first_nugget_stage(kernel, pts, codes) > 0.0
         assert ConditionedPredictor(kernel, np.zeros((0, 2)), []).nugget == 0.0
 
 
@@ -541,7 +577,7 @@ class TestConditioningProperties:
         rng = np.random.default_rng(6)
         pred = ConditionedPredictor(kernel, rng.uniform(0, 1, (5, 2)), [POINT] * 5)
         query = rng.uniform(0, 1, (12, 2))
-        cov = pred.cov(query)
+        cov = pred.cov_functionals(query, POINT)
         assert cov == pytest.approx(cov.T, abs=1e-12)
         assert np.linalg.eigvalsh(cov)[0] >= -1e-9
 
@@ -577,7 +613,7 @@ class TestPosteriorVariance:
         points, codes = obs
         n = len(codes) if observed else 0
         pred = ConditionedPredictor(kernel, points[:n], codes[:n])
-        want = np.diag(pred.cov(query))
+        want = np.diag(pred.cov_functionals(query, POINT))
         np.testing.assert_allclose(pred.var(query), want, rtol=1e-12, atol=1e-13)
         if not observed:
             np.testing.assert_array_equal(pred.var(query), want)

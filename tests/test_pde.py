@@ -62,6 +62,21 @@ class TestGeometry:
         assert on_edge.all()
         # Corners appear once each.
         assert len({tuple(p) for p in np.round(pts, 12)}) == 16
+        # Oracle: the edge of each point chosen one point at a time. The
+        # points equal it bit for bit, signed zeros too.
+        for n in range(400):
+            want = np.empty((n, 2))
+            for i, v in enumerate(4.0 * np.arange(n) / n):
+                if v < 1.0:
+                    want[i] = (v, 0.0)
+                elif v < 2.0:
+                    want[i] = (1.0, v - 1.0)
+                elif v < 3.0:
+                    want[i] = (3.0 - v, 1.0)
+                else:
+                    want[i] = (0.0, 4.0 - v)
+            got = boundary_points(n)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_candidates_strictly_interior_lexicographic(self):
         problem = small_problem()
@@ -92,7 +107,7 @@ class TestGeometry:
 class TestPosteriorOnGrid:
     def test_no_observations_returns_prior_gram(self):
         problem = small_problem(n_boundary=0)
-        cov = _predictor(problem, []).cov(problem.grid_points)
+        cov = _predictor(problem, []).cov_functionals(problem.grid_points, POINT)
         grid = problem.grid_points
         codes = np.zeros(grid.shape[0], dtype=np.int64)
         prior = problem.kernel.cross_cov(grid, codes, grid, codes)
@@ -108,8 +123,9 @@ class TestPosteriorOnGrid:
     def test_one_point_accepted_flat_or_as_row(self, points):
         problem = small_problem()
         grid = problem.grid_points
-        np.testing.assert_array_equal(_predictor(problem, points).cov(grid),
-                                      _predictor(problem, np.array([[0.5, 0.5]])).cov(grid))
+        np.testing.assert_array_equal(
+            _predictor(problem, points).cov_functionals(grid, POINT),
+            _predictor(problem, np.array([[0.5, 0.5]])).cov_functionals(grid, POINT))
 
     @pytest.mark.parametrize("points", [[0.5], [[0.5, 0.5, 0.5]], np.zeros((1, 2, 2)), 0.5])
     def test_bad_point_shape_names_k_by_2(self, points):
@@ -126,13 +142,14 @@ class TestPosteriorOnGrid:
 
     def test_one_interior_point_reduces_trace(self):
         problem = small_problem()
-        base = np.trace(_predictor(problem, []).cov(problem.grid_points))
-        conditioned = np.trace(_predictor(problem, [[0.5, 0.5]]).cov(problem.grid_points))
+        grid = problem.grid_points
+        base = np.trace(_predictor(problem, []).cov_functionals(grid, POINT))
+        conditioned = np.trace(_predictor(problem, [[0.5, 0.5]]).cov_functionals(grid, POINT))
         assert conditioned < base - 1e-9
 
     def test_symmetric_psd(self):
         problem = small_problem()
-        cov = _predictor(problem, [[0.3, 0.7]]).cov(problem.grid_points)
+        cov = _predictor(problem, [[0.3, 0.7]]).cov_functionals(problem.grid_points, POINT)
         assert cov == pytest.approx(cov.T, abs=1e-12)
         assert np.linalg.eigvalsh(cov)[0] >= -1e-8
 
@@ -204,7 +221,7 @@ class TestFixedDesignScoring:
         problem = small_problem(eval_grid=eval_grid, n_boundary=n_boundary,
                                 lengthscale=lengthscale, amplitude=amplitude)
         points = problem.candidates[idx]
-        cov = _predictor(problem, points).cov(problem.grid_points)
+        cov = _predictor(problem, points).cov_functionals(problem.grid_points, POINT)
         want = 2.0 * float(problem.grid_weights @ np.diag(cov))
         got, stderr = design_criterion(problem, points)
         assert got == pytest.approx(want, rel=1e-9) and stderr == 0.0
@@ -352,7 +369,7 @@ class TestCriterionSurface:
         problem = small_problem()
         chosen, candidate = np.array([0.3, 0.3]), np.array([0.7, 0.7])
         via_surface = step_value(problem, [chosen], candidate)
-        cov = _predictor(problem, [chosen, candidate]).cov(problem.grid_points)
+        cov = _predictor(problem, [chosen, candidate]).cov_functionals(problem.grid_points, POINT)
         direct = 2.0 * float(problem.grid_weights @ np.diag(cov))
         # The two routes stabilise different Gram matrices, so agreement is
         # limited by the jitter scale rather than machine precision.
@@ -417,7 +434,7 @@ class TestGreedy:
         traces = []
         state, _, _ = greedy_design(problem, 3)
         for k in range(4):
-            cov = _predictor(problem, state.points[:k]).cov(problem.grid_points)
+            cov = _predictor(problem, state.points[:k]).cov_functionals(problem.grid_points, POINT)
             traces.append(np.trace(cov))
         assert all(traces[i + 1] < traces[i] - 1e-9 for i in range(3))
 
@@ -1026,7 +1043,8 @@ class TestPathwiseDesignCriterion:
         # Deterministic oracle at default sizes: the exact variances of the
         # pathwise map against twice the dense grid posterior.
         problem = EllipticDesignProblem(p=np.inf)
-        want = 2.0 * np.diagonal(_predictor(problem, points).cov(problem.grid_points))
+        grid = problem.grid_points
+        want = 2.0 * np.diagonal(_predictor(problem, points).cov_functionals(grid, POINT))
         got = design_map_variances(problem, points)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-2
 
@@ -1038,7 +1056,8 @@ class TestPathwiseDesignCriterion:
         # variances 21 % (2.1 %) off; with it they agree to 6e-11 (3e-9).
         problem = small_problem(p=np.inf, lengthscale=lengthscale)
         points = criterion8_design(0)
-        want = 2.0 * np.diagonal(_predictor(problem, points).cov(problem.grid_points))
+        grid = problem.grid_points
+        want = 2.0 * np.diagonal(_predictor(problem, points).cov_functionals(grid, POINT))
         got = design_map_variances(problem, points)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-6
 

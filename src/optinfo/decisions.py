@@ -3,11 +3,16 @@
 The decision-theoretic layer: a loss pairs a latent state with an action,
 a Bayes act minimises posterior expected loss, a Bayes rule selects a Bayes
 act at every observation, and the Bayes risk is the prior expected loss of
-a rule. For finite problems acts, rules and risk are exact contractions of
-one posterior table. For linear-Gaussian problems the Bayes risk of a given
-rule is a seeded Monte Carlo average, and ``verify_mean_is_bayes_act``
-checks in one dimension that the Bayes act a* of the squared pushforward
-loss ||phi(x) - phi(a)||^2 satisfies phi(a*) = E[phi(X)].
+a rule. For finite problems the loss is a states x actions table, and
+acts, rules and risk are exact contractions of one posterior table. For
+linear-Gaussian problems the loss is an object with one formula,
+``pairwise(X, A)``, which scores a batch of (state, action) rows at once;
+``loss(x, a)`` is its one-row case. Every estimator scores through
+``pairwise``: the Bayes risk of a given rule is a seeded Monte Carlo
+average over one batch of draws, as are the BPN estimators of
+``criteria``. ``verify_mean_is_bayes_act`` checks in one dimension that
+the Bayes act a* of the squared pushforward loss ||phi(x) - phi(a)||^2
+satisfies phi(a*) = E[phi(X)].
 """
 
 from __future__ import annotations
@@ -28,24 +33,28 @@ EXACT_TIE_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
-class WeightedQuadratic:
+class _Loss:
+    """A loss with one formula, ``pairwise(X, A)``: the loss of each row
+    x_i of X against the matching row a_i of A, one value per row (a
+    single row on either side is broadcast). ``loss(x, a)`` is its one-row
+    case, so the scalar and the batch value are the same formula."""
+
+    def __call__(self, x, a) -> float:
+        return float(self.pairwise(np.atleast_2d(x), np.atleast_2d(a))[0])
+
+
+class WeightedQuadratic(_Loss):
     """l(x, a) = (x - a)^T Lambda (x - a) with PSD Lambda."""
 
     def __init__(self, weight_matrix):
         self.weight_matrix = np.atleast_2d(np.asarray(weight_matrix, dtype=float))
-
-    def __call__(self, x, a) -> float:
-        diff = np.atleast_1d(np.asarray(x, dtype=float)) - np.atleast_1d(
-            np.asarray(a, dtype=float)
-        )
-        return float(diff @ self.weight_matrix @ diff)
 
     def pairwise(self, X, A) -> np.ndarray:
         diff = np.atleast_2d(X) - np.atleast_2d(A)
         return np.einsum("ij,jk,ik->i", diff, self.weight_matrix, diff)
 
 
-class PNormOnGrid:
+class PNormOnGrid(_Loss):
     """Weighted l^p norm of x - a over a grid; p = inf is the grid maximum.
 
     With ``squared=True`` and p = 2 this is the squared weighted l2 norm,
@@ -61,9 +70,6 @@ class PNormOnGrid:
         self.weights = np.atleast_1d(np.asarray(weights, dtype=float))
         self.squared = squared
 
-    def __call__(self, x, a) -> float:
-        return float(self.pairwise(np.atleast_2d(x), np.atleast_2d(a))[0])
-
     def pairwise(self, X, A) -> np.ndarray:
         diff = np.abs(np.atleast_2d(X) - np.atleast_2d(A))
         if self.p == np.inf:
@@ -74,8 +80,9 @@ class PNormOnGrid:
         return vals ** (1.0 / self.p)
 
 
-class ZeroOne:
-    """l(x, a) = 0 if ||x - a||_Lambda <= eps, else 1."""
+class ZeroOne(_Loss):
+    """l(x, a) = 0 if ||x - a||_Lambda <= eps, else 1; Lambda defaults to
+    the identity. A NaN distance is not within eps, so it scores 1."""
 
     def __init__(self, eps: float, weight_matrix=None):
         if eps <= 0:
@@ -85,15 +92,11 @@ class ZeroOne:
             None if weight_matrix is None else np.atleast_2d(np.asarray(weight_matrix, dtype=float))
         )
 
-    def __call__(self, x, a) -> float:
-        diff = np.atleast_1d(np.asarray(x, dtype=float)) - np.atleast_1d(
-            np.asarray(a, dtype=float)
-        )
-        if self.weight_matrix is None:
-            sq = diff @ diff
-        else:
-            sq = diff @ self.weight_matrix @ diff
-        return 0.0 if np.sqrt(sq) <= self.eps else 1.0
+    def pairwise(self, X, A) -> np.ndarray:
+        diff = np.atleast_2d(X) - np.atleast_2d(A)
+        weight = np.eye(diff.shape[1]) if self.weight_matrix is None else self.weight_matrix
+        sq = np.einsum("ij,jk,ik->i", diff, weight, diff)
+        return np.where(np.sqrt(sq) <= self.eps, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +107,16 @@ class ZeroOne:
 class GaussianLinearProblem:
     """Gaussian prior, linear-Gaussian experiments and a shared loss.
 
-    Each experiment is a pair (design_matrix, noise_cov); the posterior
-    covariance is observation-independent, which the BPN pair reduction
-    exploits.
+    Each experiment is a pair (design_matrix, noise_cov), kept as 2-D
+    float arrays; the posterior covariance is observation-independent,
+    which the BPN pair reduction exploits. The loss is scored through its
+    ``pairwise``.
     """
 
     def __init__(self, prior: GaussianDensity, experiments: dict, loss):
         self.prior = prior
-        self.experiments = dict(experiments)
+        self.experiments = {e: tuple(np.atleast_2d(np.asarray(m, dtype=float)) for m in pair)
+                            for e, pair in experiments.items()}
         self.loss = loss
         self._posterior_cache: dict = {}
 
@@ -131,7 +136,6 @@ class GaussianLinearProblem:
         the posterior at y = 0, and factor F has F F^T = base.cov."""
         if e not in self._posterior_cache:
             A, noise = self.experiments[e]
-            A = np.atleast_2d(np.asarray(A, dtype=float))
             gain, cov = linear_gaussian_update(self.prior, A, noise)
             base = GaussianDensity(self.prior.mean - gain @ (A @ self.prior.mean), cov)
             self._posterior_cache[e] = (gain, base, _psd_factor(cov))
@@ -152,8 +156,6 @@ class GaussianLinearProblem:
         """
         xs = self.sample_prior(rng, n)
         A, noise = self.experiments[e]
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        noise = np.atleast_2d(np.asarray(noise, dtype=float))
         n_noise = 0 if np.max(np.abs(noise), initial=0.0) == 0.0 else A.shape[0]
         d = self.prior.dim
         z = rng.standard_normal((n, n_noise + n_inner * d))
@@ -242,19 +244,25 @@ def bayes_risk(problem, e, rule, integrator="exact-enumeration",
     ``integrator`` is "exact-enumeration" (finite problems) or
     "monte-carlo" (any problem exposing ``sample_nested``). The Monte Carlo
     pairs (x, y) come from one batched ``sample_nested`` call with no inner
-    draws. A callable loss (``GaussianLinearProblem``) is evaluated draw by
-    draw with ``rule`` a callable y -> action. A loss table
-    (``DiscreteProblem``, states x actions) is indexed at once over the
-    draws; ``rule`` is then a table observation index -> action index, as
-    for exact enumeration, or a callable returning an action index.
+    draws; ``n``, their number, must be an integer >= 1. A loss object
+    (``GaussianLinearProblem``) scores every draw in one ``pairwise`` call,
+    with ``rule`` a callable y -> action whose actions are stacked one row
+    per draw. A loss table (``DiscreteProblem``, states x actions) is
+    indexed at once over the draws; ``rule`` is then a table observation
+    index -> action index, as for exact enumeration, or a callable
+    returning an action index.
     """
+    # Imported here: criteria imports this module.
+    from .criteria import _check_integer
+
     if integrator == "exact-enumeration":
         return bayes_risk_discrete(problem, e, rule)
     if integrator != "monte-carlo":
         raise ValueError(f"unknown integrator {integrator!r}")
+    _check_integer("n", n, 1)
     xs, ys, _ = problem.sample_nested(derive_rng(seed), e, n, 0)
-    if callable(problem.loss):
-        vals = np.array([problem.loss(x, rule(y)) for x, y in zip(xs, ys)], dtype=float)
+    if hasattr(problem.loss, "pairwise"):
+        vals = problem.loss.pairwise(xs, np.reshape([rule(y) for y in ys], (n, -1)))
     else:
         actions = [rule(y) for y in ys] if callable(rule) else np.asarray(rule)[ys]
         vals = np.asarray(problem.loss, dtype=float)[xs, actions]

@@ -57,13 +57,15 @@ def _functionals(pts, codes, dim):
     """``pts`` as an (n, dim) float array, ``codes`` as int64, and the
     functionals' (code, rows) groups in sorted code order, rows indexing
     ``pts``. ``codes`` is one code per point, or one code for all of them;
-    flat points of a dim-1 kernel are a column. A block of one code is one
-    group whose rows are every point, ``slice(None)``. Points that are not
-    one row of dimension dim per code raise ValueError, and a code other
-    than POINT and NEG_LAPLACIAN, such as 2 or 1.5, raises
-    UnsupportedFunctional."""
+    flat points of a dim-1 kernel are a column, a flat point of a higher
+    dim is one row, and an empty flat input is no points for every dim. A
+    block of one code is one group whose rows are every point,
+    ``slice(None)``. Points that are not one row of dimension dim per code
+    raise ValueError, and a code other than POINT and NEG_LAPLACIAN, such
+    as 2 or 1.5, raises UnsupportedFunctional."""
     pts = np.asarray(pts, dtype=float)
-    pts = pts.reshape(-1, 1) if dim == 1 and pts.ndim < 2 else np.atleast_2d(pts)
+    flat = pts.ndim < 2 and (dim == 1 or pts.size == 0)
+    pts = pts.reshape(-1, dim) if flat else np.atleast_2d(pts)
     codes = np.asarray(codes)
     if codes.ndim > 1 or pts.shape != (codes.size if codes.ndim else len(pts), dim):
         raise ValueError(

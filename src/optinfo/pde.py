@@ -59,7 +59,7 @@ from ._blas import one_thread
 from .criteria import MonteCarloConfig, _check_integer, _check_integers, mean_and_stderr
 from .errors import SamplerFailure
 from .gaussian import derive_rng
-from .kernels import NEG_LAPLACIAN, POINT, ConditionedPredictor, SquaredExponential
+from .kernels import NEG_LAPLACIAN, POINT, ConditionedPredictor, SquaredExponential, _functionals
 
 # Candidates per block of the p = inf scoring kernel, and functionals per
 # block of the prior map's functional rows and Schur complement
@@ -167,15 +167,12 @@ def _predictor(problem: EllipticDesignProblem, points):
     """GP conditioned on the boundary values, then -Laplacian at ``points``.
 
     ``points`` is an empty list, one flat point or a (k, 2) array; any other
-    shape raises ValueError. ``ConditionedPredictor`` checks the geometry:
-    a non-finite point raises ValueError, and two points closer than
-    ``kernels.MIN_SEPARATION`` raise SingularGram.
+    shape raises ValueError (``kernels._functionals``).
+    ``ConditionedPredictor`` checks the geometry: a non-finite point raises
+    ValueError, and two points closer than ``kernels.MIN_SEPARATION`` raise
+    SingularGram.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.shape in ((0,), (2,)):
-        pts = pts.reshape(-1, 2)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"design points must form a (k, 2) array, got shape {pts.shape}")
+    pts, _, _ = _functionals(points, NEG_LAPLACIAN, 2)
     bnd = problem.boundary
     codes = np.repeat([POINT, NEG_LAPLACIAN], [len(bnd), len(pts)])
     return ConditionedPredictor(problem.kernel, np.vstack([bnd, pts]), codes)

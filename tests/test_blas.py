@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -273,3 +274,11 @@ def test_pinf_design_does_not_depend_on_the_blas_kernel(tmp_path):
 def test_library_not_in_the_process_has_no_pool(tmp_path):
     # RTLD_NOLOAD fails for a library the process has not loaded.
     assert _blas._pool(str(tmp_path / "libscipy_openblas-absent.so"), "") is None
+
+
+def test_package_without_a_file_has_no_pool(monkeypatch):
+    # A module with no __file__, such as a stub, names no directory to
+    # look for a bundled library in, so only numpy's pool is found.
+    monkeypatch.setitem(sys.modules, "scipy", types.ModuleType("scipy"))
+    names = [path for path, _, _ in _blas._loaded_pools()]
+    assert len(names) == 1 and "numpy.libs" in names[0]

@@ -1,5 +1,7 @@
 """Experiment-scoring criteria and optimal-set extraction."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,13 @@ from optinfo.criteria import (
     make_report,
     optimal_set,
 )
-from optinfo.decisions import GaussianLinearProblem, PNormOnGrid, WeightedQuadratic
+from optinfo.decisions import (
+    GaussianLinearProblem,
+    PNormOnGrid,
+    WeightedQuadratic,
+    ZeroOne,
+    bayes_risk,
+)
 from optinfo.discrete import (
     CounterexampleSpec,
     DiscreteProblem,
@@ -388,6 +396,35 @@ class TestNullExperiment:
         problem, _, prior_risk = self.problem()
         bpn, stderr = bpn_mc(problem, "null", MonteCarloConfig(seed=3, n_outer=4000, n_inner=4))
         assert abs(bpn - 2.0 * prior_risk) <= 5.0 * stderr
+
+
+class TestZeroOneClosedForms:
+    """Prior N(0, 1), y = x + N(0, 1) and the eps-ball 0-1 loss, eps = 0.5.
+    The posterior is N(y / 2, 1 / 2) for every y, so the posterior-mean rule
+    misses by X - mu ~ N(0, 1 / 2) and a pair of posterior draws differs by
+    X - X' ~ N(0, 1): one law, two thresholds. BR = P(|X - mu| > eps) =
+    erfc(eps) = 0.479500 and BPN = P(|X - X'| > eps) = erfc(eps / sqrt(2))
+    = 0.617075."""
+
+    EPS = 0.5
+
+    def problem(self):
+        return GaussianLinearProblem(GaussianDensity([0.0], [[1.0]]), {"e": ([[1.0]], [[1.0]])},
+                                     ZeroOne(self.EPS))
+
+    def test_nested_mc_and_bayes_risk_of_the_mean(self):
+        problem = self.problem()
+        bpn, stderr = bpn_mc(problem, "e", MonteCarloConfig(seed=0, n_outer=20000, n_inner=4))
+        assert abs(bpn - math.erfc(self.EPS / math.sqrt(2.0))) <= 5.0 * stderr
+        n, exact = 40000, math.erfc(self.EPS)
+        risk = bayes_risk(problem, "e", lambda y: y / 2.0, integrator="monte-carlo", seed=0, n=n)
+        assert abs(risk - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / n)
+
+    def test_pair_reduction(self):
+        problem = self.problem()
+        bpn, stderr = bpn_gaussian_pair_reduction(problem.posterior_cov("e"), problem.loss,
+                                                  MonteCarloConfig(seed=0, n_outer=20000))
+        assert abs(bpn - math.erfc(self.EPS / math.sqrt(2.0))) <= 5.0 * stderr
 
 
 class TestOptimalSet:

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optinfo.decisions import (
     GaussianLinearProblem,
@@ -20,6 +22,10 @@ from optinfo.discrete import CounterexampleSpec, build_counterexample
 from optinfo.errors import IntegratorFailure, UnboundedObjective
 from optinfo.gaussian import GaussianDensity, _psd_factor, derive_rng
 
+# Property tests replay the same examples on every run and have no deadline,
+# so Tier-1 stays deterministic and free of timing failures.
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+
 
 class SmallProblem:
     """Bare discrete container with the attributes the rule engine needs."""
@@ -29,6 +35,12 @@ class SmallProblem:
         self.experiments = {"e": np.asarray(likelihood, dtype=float)}
         self.actions = list(range(np.asarray(loss).shape[1]))
         self.loss = np.asarray(loss, dtype=float)
+
+
+def unit_problem():
+    """Prior N(0, 1) observed once through unit noise, y = x + N(0, 1)."""
+    return GaussianLinearProblem(GaussianDensity([0.0], [[1.0]]), {"e": ([[1.0]], [[1.0]])},
+                                 WeightedQuadratic([[1.0]]))
 
 
 def random_instance(rng):
@@ -79,6 +91,32 @@ class TestLosses:
         loss = ZeroOne(0.5)
         assert loss([0.0], [0.4]) == 0.0
         assert loss([0.0], [0.6]) == 1.0
+
+    def test_zero_one_ball_is_closed_and_nan_misses(self):
+        # A distance of exactly eps is inside the ball; a NaN distance is not.
+        loss = ZeroOne(0.5)
+        np.testing.assert_array_equal(
+            loss.pairwise([[0.0], [np.nan], [0.0]], [[0.5], [0.0], [0.6]]), [0.0, 1.0, 1.0])
+        assert loss([0.0], [0.5]) == 0.0 and loss([np.nan], [0.0]) == 1.0
+        # ||(0.25, 0)||_Lambda = 0.5 exactly for Lambda = diag(4, 1).
+        assert ZeroOne(0.5, np.diag([4.0, 1.0]))([0.25, 0.0], [0.0, 0.0]) == 0.0
+
+    @PROPERTY
+    @given(d=st.integers(1, 4), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           eps=st.floats(0.05, 5.0))
+    def test_call_is_the_one_row_case_of_pairwise(self, d, n, seed, eps):
+        rng = np.random.default_rng(seed)
+        X, A = rng.standard_normal((2, n, d))
+        root = rng.standard_normal((d, d))
+        weight, grid_weights = root @ root.T, rng.uniform(0.1, 1.0, d)
+        losses = [WeightedQuadratic(weight), PNormOnGrid(2.0, grid_weights, squared=True),
+                  ZeroOne(eps), ZeroOne(eps, weight)]
+        losses += [PNormOnGrid(p, grid_weights) for p in (1.0, 2.0, 3.5, np.inf)]
+        for loss in losses:
+            batch = loss.pairwise(X, A)
+            assert batch.shape == (n,)
+            for x, a, value in zip(X, A, batch):
+                assert loss(x, a) == pytest.approx(value, rel=1e-12, abs=1e-15)
 
 
 class TestBayesRules:
@@ -293,7 +331,11 @@ class TestInputChecks:
         lambda: PNormOnGrid(0.5, [1.0]),
         lambda: ZeroOne(0.0),
         lambda: verify_mean_is_bayes_act(GaussianDensity([0.0, 0.0], np.eye(2)), lambda t: t, 1e-6),
-    ], ids=["pnorm-p-below-1", "zero-one-eps-0", "bayes-act-2d-posterior"])
+        lambda: bayes_risk(unit_problem(), "e", lambda y: y, integrator="monte-carlo", n=0),
+        lambda: bayes_risk(unit_problem(), "e", lambda y: y, integrator="monte-carlo", n=2.5),
+        lambda: bayes_risk(unit_problem(), "e", lambda y: y, integrator="monte-carlo", n=True),
+    ], ids=["pnorm-p-below-1", "zero-one-eps-0", "bayes-act-2d-posterior",
+            "bayes-risk-n-0", "bayes-risk-n-fraction", "bayes-risk-n-bool"])
     def test_rejected(self, call):
         with pytest.raises(ValueError):
             call()

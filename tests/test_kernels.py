@@ -353,6 +353,8 @@ class TestMalformedFunctionals:
         (lambda: SE2.diag(PT_3D), ValueError),
         (lambda: ConditionedPredictor(*mixed_design()).var(PT_3D), ValueError),
         (lambda: ConditionedPredictor(SE2, PT_3D, [POINT]), ValueError),
+        (lambda: SE2.diag(np.zeros((0, 3))), ValueError),
+        (lambda: ConditionedPredictor(SE2, np.zeros((0, 3)), POINT), ValueError),
         (lambda: SE2.cross_cov(PT, [1.5], [[0.6, 0.1]], [POINT]), UnsupportedFunctional),
         (lambda: ConditionedPredictor(SE2, np.zeros((0, 2)), []).cross_solve(
             THREE_PTS, [7] * 3), UnsupportedFunctional),
@@ -365,7 +367,8 @@ class TestMalformedFunctionals:
             [[0.5, 0.5]], [1.5]), UnsupportedFunctional),
     ], ids=["code-2", "code-minus-1", "diag-code-5", "3-points-2-codes",
             "cross-solve-3-points-2-codes", "condition-3-points-2-codes", "3d-point",
-            "diag-3d-point", "var-3d-point", "condition-3d-point", "code-1.5",
+            "diag-3d-point", "var-3d-point", "condition-3d-point", "diag-no-3d-points",
+            "condition-no-3d-points", "code-1.5",
             "unconditioned-cross-solve-code-7", "unconditioned-cross-solve-3-points-2-codes",
             "cov-functionals-code-1.5", "unconditioned-cov-functionals-code-1.5"])
     def test_rejected(self, call, error):
@@ -483,6 +486,26 @@ class TestOneCodeForABlock:
                      lambda: one.cov_functionals(query_in, bad)):
             with pytest.raises(UnsupportedFunctional):
                 call()
+
+
+class TestEmptyList:
+    def test_is_no_points_for_every_dim(self):
+        # [] is no points, as a (0, dim) array is, not one point of width 0.
+        for dim in (1, 2):
+            kernel, none = SquaredExponential(lengthscale=0.4, dim=dim), np.zeros((0, dim))
+            query = LATTICE[:5, :dim]
+            for code in (POINT, NEG_LAPLACIAN):
+                same_bits(kernel.diag([], code), kernel.diag(none, code))
+                same_bits(kernel.cross_cov([], code, query, POINT),
+                          kernel.cross_cov(none, code, query, POINT))
+                same_bits(kernel.cross_cov(query, POINT, [], code),
+                          kernel.cross_cov(query, POINT, none, code))
+                empty, zeros = (ConditionedPredictor(kernel, [], code),
+                                ConditionedPredictor(kernel, none, code))
+                for got, want in zip(empty.cross_solve(query, NEG_LAPLACIAN),
+                                     zeros.cross_solve(query, NEG_LAPLACIAN)):
+                    same_bits(got, want)
+                same_bits(empty.var(query), zeros.var(query))
 
 
 class TestCrossCovBatch:

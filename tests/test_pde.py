@@ -129,7 +129,7 @@ class TestPosteriorOnGrid:
 
     @pytest.mark.parametrize("points", [[0.5], [[0.5, 0.5, 0.5]], np.zeros((1, 2, 2)), 0.5])
     def test_bad_point_shape_names_k_by_2(self, points):
-        with pytest.raises(ValueError, match=r"\(k, 2\)"):
+        with pytest.raises(ValueError, match=r"an \(n, 2\) array"):
             _predictor(small_problem(), points)
 
     def test_nan_point_rejected_as_bad_input(self):

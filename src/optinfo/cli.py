@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--eval-grid", type=int, default=32)
     g.add_argument("--candidate-grid", type=int, default=25)
     g.add_argument("--n-boundary", type=int, default=32)
-    g.add_argument("--samples", type=int, default=128, help="pair samples per candidate (p=inf)")
+    g.add_argument("--samples", type=int, default=pde.SEARCH_PAIRS, help="pair samples per candidate (p=inf)")
     g.add_argument("--seed", type=_seed, default=None)
     g.add_argument("--threads", type=int, default=1,
                    help="parallel candidate evaluation; never changes results")

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IntegratorFailure, UnboundedObjective
+from .errors import DimensionMismatch, IntegratorFailure, UnboundedObjective
 from .gaussian import GaussianDensity, _psd_factor, derive_rng, linear_gaussian_update
 
 EXACT_TIE_TOL = 1e-12
@@ -244,13 +244,14 @@ def bayes_risk(problem, e, rule, integrator="exact-enumeration",
     ``integrator`` is "exact-enumeration" (finite problems) or
     "monte-carlo" (any problem exposing ``sample_nested``). The Monte Carlo
     pairs (x, y) come from one batched ``sample_nested`` call with no inner
-    draws; ``n``, their number, must be an integer >= 1. A loss object
-    (``GaussianLinearProblem``) scores every draw in one ``pairwise`` call,
-    with ``rule`` a callable y -> action whose actions are stacked one row
-    per draw. A loss table (``DiscreteProblem``, states x actions) is
-    indexed at once over the draws; ``rule`` is then a table observation
-    index -> action index, as for exact enumeration, or a callable
-    returning an action index.
+    draws; ``n``, their number, must be an integer >= 1, and ``seed`` an
+    integer >= 0. A loss object (``GaussianLinearProblem``) scores every
+    draw in one ``pairwise`` call, with ``rule`` a callable y -> action
+    whose actions are stacked one row per draw; DimensionMismatch is raised
+    unless they stack to the states' shape (n, d). A loss table
+    (``DiscreteProblem``, states x actions) is indexed at once over the
+    draws; ``rule`` is then a table observation index -> action index, as
+    for exact enumeration, or a callable returning an action index.
     """
     # Imported here: criteria imports this module.
     from .criteria import _check_integer
@@ -260,9 +261,13 @@ def bayes_risk(problem, e, rule, integrator="exact-enumeration",
     if integrator != "monte-carlo":
         raise ValueError(f"unknown integrator {integrator!r}")
     _check_integer("n", n, 1)
+    _check_integer("seed", seed, 0)
     xs, ys, _ = problem.sample_nested(derive_rng(seed), e, n, 0)
     if hasattr(problem.loss, "pairwise"):
-        vals = problem.loss.pairwise(xs, np.reshape([rule(y) for y in ys], (n, -1)))
+        actions = np.reshape([rule(y) for y in ys], (n, -1))
+        if actions.shape != xs.shape:
+            raise DimensionMismatch(f"rule actions stack to {actions.shape}, states to {xs.shape}")
+        vals = problem.loss.pairwise(xs, actions)
     else:
         actions = [rule(y) for y in ys] if callable(rule) else np.asarray(rule)[ys]
         vals = np.asarray(problem.loss, dtype=float)[xs, actions]

@@ -51,7 +51,7 @@ the dense sampler of the grid posterior, live in tests/reference_impls.py.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,6 +76,11 @@ _DRAW_BLOCK = 512
 # of the mean Gram diagonal), so pathwise draws of observed functionals
 # carry almost no extra variance for K^-1 to amplify.
 SAMPLING_JITTER = 1e-12
+# Pair samples of a p = inf search's pool when ``greedy_design`` gets no
+# cfg, and the default of the CLI's --samples: one budget, one default.
+# At default sizes one step on MonteCarloConfig's 10 000 draws peaked at
+# 572 MiB under tracemalloc, and at 37 MiB on these 128.
+SEARCH_PAIRS = 128
 
 
 def _grid_axis(eval_grid: int) -> np.ndarray:
@@ -158,9 +163,17 @@ class EllipticDesignProblem:
 
 @dataclass
 class DesignState:
-    """Chosen interior points."""
+    """The step record of a greedy search, one entry per step k in each
+    list: ``points[k]``, the chosen interior point; ``indices[k]``, its
+    index into ``problem.candidates``; ``stderrs[k]``, the stderr of its
+    value (0.0 at p = 2); and ``gaps[k]``, the relative runner-up gap
+    (v2 - v1) / |v1| of the step's two least values, inf when one candidate
+    is free."""
 
-    points: list = field(default_factory=list)
+    points: list
+    indices: list
+    stderrs: list
+    gaps: list
 
 
 def _predictor(problem: EllipticDesignProblem, points):
@@ -598,16 +611,21 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
     factors no matrix over the grid larger than G x G, and each step maps
     that pool to posterior pair draws (``_pathwise_pairs``). The draws are
     therefore deterministic given cfg.seed alone, the same at every step.
+    Without a cfg the pool holds ``SEARCH_PAIRS`` pairs from seed 0, the
+    CLI's default --samples.
 
     Each step takes the first minimum of the computed candidate values
     (``np.argmin``); there is no tie tolerance. Candidates that tie in exact
     arithmetic, such as mirror images under a symmetry of the square, differ
     by roundoff, so the choice among them follows summation order, not
-    candidate order.
+    candidate order. The record's ``gaps`` show such ties: at default sizes
+    and p = 2, steps 2, 3 and 5 of a 9-point search are below 1e-9.
 
-    Returns (DesignState, contour_grids, criterion_trace) where
+    Returns (DesignState, contour_grids, criterion_trace). The DesignState
+    records each step from the values the step computed: the chosen point,
+    its candidate index, its stderr and the relative runner-up gap.
     contour_grids[k] is the C x C candidate-value matrix at step k (NaN at
-    the candidates already picked).
+    the candidates already picked), and criterion_trace[k] the chosen value.
     """
     _check_design_size(problem, m)
     _check_integer("threads", threads, 1)
@@ -615,20 +633,21 @@ def greedy_design(problem: EllipticDesignProblem, m: int,
     import scipy.linalg  # noqa: F401
 
     C = problem.candidate_grid
-    cfg = cfg or MonteCarloConfig()
+    cfg = cfg or MonteCarloConfig(n_outer=SEARCH_PAIRS)
     cands = problem.candidates
-    picked: list = []
-    contours = []
-    trace = []
+    picked, stderrs, gaps, contours, trace = [], [], [], [], []
     with one_thread():
         search = _search_prior(problem, cands, cfg)
         for _ in range(m):
             free = np.setdiff1d(np.arange(len(cands)), picked)
-            values = _candidate_values(problem, search, picked, free, threads)[0]
+            values, errs = _candidate_values(problem, search, picked, free, threads)
             best = int(np.argmin(values))
             surface = np.full(len(cands), np.nan)
             surface[free] = values
             contours.append(surface.reshape(C, C))
             picked.append(int(free[best]))
+            stderrs.append(float(errs[best]))
+            v1, v2 = np.partition(values, 1)[:2] if len(free) > 1 else (values[best], np.inf)
+            gaps.append(float((v2 - v1) / abs(v1)))
             trace.append(float(values[best]))
-    return DesignState(points=list(cands[picked])), contours, trace
+    return DesignState(list(cands[picked]), picked, stderrs, gaps), contours, trace

@@ -206,6 +206,19 @@ class TestPdeDesignCommand:
         doc = json.loads((tmp_path / "design.json").read_text())
         assert np.isfinite(doc["bpn_trace"][0])
 
+    def test_samples_default_is_the_library_pool(self, tmp_path, capsys):
+        # Without --samples the CLI draws the pool that greedy_design draws
+        # without a cfg: pde.SEARCH_PAIRS pairs from seed 0.
+        argv = ["pde-design", "--m", "2", "--eval-grid", "8", "--candidate-grid", "5",
+                "--n-boundary", "12", "--p", "inf", "--seed", "0", "--outdir", str(tmp_path)]
+        assert cli.build_parser().parse_args(argv).samples == pde.SEARCH_PAIRS
+        code, _, _ = run(argv, capsys)
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "design.json").read_text())
+        assert doc["config"]["samples"] == pde.SEARCH_PAIRS
+        problem = pde.EllipticDesignProblem(eval_grid=8, candidate_grid=5, n_boundary=12, p=np.inf)
+        assert doc["bpn_trace"] == pde.greedy_design(problem, 2)[2]
+
     def test_m1_outputs(self, tmp_path, capsys):
         code, _, _ = run(self.BASE + ["--p", "2", "--outdir", str(tmp_path)], capsys)
         assert code == EXIT_OK

@@ -19,7 +19,7 @@ from optinfo.decisions import (
     verify_mean_is_bayes_act,
 )
 from optinfo.discrete import CounterexampleSpec, build_counterexample
-from optinfo.errors import IntegratorFailure, UnboundedObjective
+from optinfo.errors import DimensionMismatch, IntegratorFailure, UnboundedObjective
 from optinfo.gaussian import GaussianDensity, _psd_factor, derive_rng
 
 # Property tests replay the same examples on every run and have no deadline,
@@ -327,17 +327,35 @@ class TestMeanStationarity:
 
 
 class TestInputChecks:
-    @pytest.mark.parametrize("call", [
-        lambda: PNormOnGrid(0.5, [1.0]),
-        lambda: ZeroOne(0.0),
-        lambda: verify_mean_is_bayes_act(GaussianDensity([0.0, 0.0], np.eye(2)), lambda t: t, 1e-6),
-        lambda: bayes_risk(unit_problem(), "e", lambda y: y, integrator="monte-carlo", n=0),
-        lambda: bayes_risk(unit_problem(), "e", lambda y: y, integrator="monte-carlo", n=2.5),
-        lambda: bayes_risk(unit_problem(), "e", lambda y: y, integrator="monte-carlo", n=True),
+    @pytest.mark.parametrize("call, error", [
+        (lambda: PNormOnGrid(0.5, [1.0]), ValueError),
+        (lambda: ZeroOne(0.0), ValueError),
+        (lambda: verify_mean_is_bayes_act(GaussianDensity([0.0, 0.0], np.eye(2)), lambda t: t, 1e-6),
+         ValueError),
+        (lambda: bayes_risk(unit_problem(), "e", lambda y: y, integrator="monte-carlo", n=0),
+         ValueError),
+        (lambda: bayes_risk(unit_problem(), "e", lambda y: y, integrator="monte-carlo", n=2.5),
+         ValueError),
+        (lambda: bayes_risk(unit_problem(), "e", lambda y: y, integrator="monte-carlo", n=True),
+         ValueError),
+        (lambda: bayes_risk(unit_problem(), "e", lambda y: y, integrator="monte-carlo", seed=1.5),
+         ValueError),
+        (lambda: bayes_risk(unit_problem(), "e", lambda y: y, integrator="monte-carlo", seed=-1),
+         ValueError),
+        (lambda: bayes_risk(unit_problem(), "e", lambda y: y, integrator="monte-carlo", seed=True),
+         ValueError),
+        # Two actions per draw against one-dimensional states: ZeroOne's
+        # pairwise would broadcast them and score 0.7.
+        (lambda: bayes_risk(GaussianLinearProblem(GaussianDensity([0.0], [[1.0]]),
+                                                  {"e": ([[1.0]], [[1.0]])}, ZeroOne(0.5)),
+                            "e", lambda y: np.zeros(2), integrator="monte-carlo", n=10),
+         DimensionMismatch),
     ], ids=["pnorm-p-below-1", "zero-one-eps-0", "bayes-act-2d-posterior",
-            "bayes-risk-n-0", "bayes-risk-n-fraction", "bayes-risk-n-bool"])
-    def test_rejected(self, call):
-        with pytest.raises(ValueError):
+            "bayes-risk-n-0", "bayes-risk-n-fraction", "bayes-risk-n-bool",
+            "bayes-risk-seed-fraction", "bayes-risk-seed-negative", "bayes-risk-seed-bool",
+            "bayes-risk-action-dim"])
+    def test_rejected(self, call, error):
+        with pytest.raises(error):
             call()
 
     def test_weighted_zero_one_measures_the_weighted_norm(self):

@@ -446,12 +446,68 @@ class TestGreedy:
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_chosen_points_masked_in_later_contours(self):
-        problem = small_problem()
-        state, contours, _ = greedy_design(problem, 2)
-        first = state.points[0]
-        cands = problem.candidates
-        idx = int(np.argmin(np.linalg.norm(cands - first, axis=1)))
-        assert np.isnan(contours[1].ravel()[idx])
+        state, contours, _ = greedy_design(small_problem(), 2)
+        assert np.isnan(contours[1].ravel()[state.indices[0]])
+
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    def test_indices_give_back_the_points(self, p):
+        problem = small_problem(p=p)
+        state, _, _ = greedy_design(problem, 4, MonteCarloConfig(seed=1, n_outer=32))
+        assert all(type(k) is int for k in state.indices)
+        assert len(set(state.indices)) == 4
+        np.testing.assert_array_equal(problem.candidates[state.indices], state.points)
+
+    def test_gaps_reproduce_the_default_tie_table(self):
+        # The exact D4 ties of the default p = 2 search, steps 2, 3 and 5,
+        # which roundoff decides, measured at 1.9e-13, 5.7e-12 and 2.5e-10;
+        # the other steps are separated by 6.0e-2 to 2.9e-4.
+        state, _, _ = greedy_design(EllipticDesignProblem(), 9)
+        ties = [k for k, gap in enumerate(state.gaps, start=1) if gap < 1e-9]
+        assert ties == [2, 3, 5]
+        assert all(gap > 1e-5 for k, gap in enumerate(state.gaps, start=1) if k not in ties)
+
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    def test_gaps_and_stderrs_are_the_step_values(self, p):
+        # Oracle: every step scored afresh on the search's pool; the record
+        # reads its chosen candidate's stderr bit for bit, and its gap from
+        # the two least values of the step's contour.
+        problem = small_problem(p=p)
+        cfg = MonteCarloConfig(seed=3, n_outer=64)
+        state, contours, trace = greedy_design(problem, 3, cfg)
+        search = _search_prior(problem, problem.candidates, cfg)
+        for step, contour in enumerate(contours):
+            free = np.flatnonzero(np.isfinite(contour.ravel()))
+            _, stderrs = _candidate_values(problem, search, state.indices[:step], free)
+            assert state.stderrs[step] == stderrs[free.tolist().index(state.indices[step])]
+            v1, v2 = np.sort(contour.ravel()[free])[:2]
+            assert v1 == trace[step]
+            assert state.gaps[step] == (v2 - v1) / abs(v1)
+        if p == 2.0:
+            assert state.stderrs == [0.0, 0.0, 0.0]
+        else:
+            assert all(se > 0.0 for se in state.stderrs)
+
+    def test_default_pool_is_search_pairs(self, monkeypatch):
+        # Without a cfg a p = inf search draws SEARCH_PAIRS pairs, not
+        # MonteCarloConfig()'s 10 000. At default sizes one step peaked at
+        # 36.9 MiB, against 572 MiB on 10 000 pairs.
+        pools = []
+        search_prior = pde._search_prior
+
+        def recording(*args):
+            search = search_prior(*args)
+            pools.append(search.pairs.shape[0])
+            return search
+
+        monkeypatch.setattr(pde, "_search_prior", recording)
+        tracemalloc.start()
+        try:
+            greedy_design(EllipticDesignProblem(p=np.inf), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pools == [pde.SEARCH_PAIRS]
+        assert peak < 64 * 2**20
 
     def test_threads_do_not_change_results(self):
         problem = small_problem(p=np.inf)
@@ -473,8 +529,7 @@ class TestGreedy:
         state, contours, _ = greedy_design(problem, 3, cfg)
         cands = problem.candidates
         for step, contour in enumerate(contours):
-            prefix = state.points[:step]
-            chosen = [int(np.argmin(np.linalg.norm(cands - q, axis=1))) for q in prefix]
+            chosen = state.indices[:step]
             free = np.array([c for c in range(len(cands)) if c not in chosen])
             values, _ = _candidate_values(problem, _search_prior(problem, cands, cfg),
                                           chosen, free)
@@ -560,6 +615,8 @@ class TestGreedy:
         state, contours, _ = greedy_design(problem, 4)
         assert sorted(map(tuple, state.points)) == sorted(map(tuple, problem.candidates))
         assert np.isfinite(contours[-1]).sum() == 1
+        assert sorted(state.indices) == [0, 1, 2, 3]
+        assert state.gaps[-1] == np.inf and all(np.isfinite(state.gaps[:-1]))
 
     def test_nonpositive_threads_rejected(self):
         with pytest.raises(ValueError):

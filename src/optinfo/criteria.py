@@ -191,19 +191,14 @@ def bpn_gaussian_pair_reduction(posterior_cov, loss, cfg: MonteCarloConfig):
     return float(estimate), float(stderr)
 
 
-def optimal_set(values: dict, stderrs: dict | None = None) -> list:
-    """Experiment ids within TIE_TOL + 3 * stderr of the minimum value."""
+def optimal_set(values: dict) -> list:
+    """Experiment ids whose finite value is within TIE_TOL of the least,
+    sorted by their string form."""
     finite = {k: v for k, v in values.items() if np.isfinite(v)}
     if not finite:
         raise AllValuesNonFinite("no finite criterion values")
     vmin = min(finite.values())
-    stderrs = stderrs or {}
-    chosen = [
-        k
-        for k, v in finite.items()
-        if v <= vmin + TIE_TOL + 3.0 * float(stderrs.get(k, 0.0))
-    ]
-    return sorted(chosen, key=str)
+    return sorted([k for k, v in finite.items() if v <= vmin + TIE_TOL], key=str)
 
 
 def make_report(criterion: str, values: dict) -> CriterionReport:

@@ -9,10 +9,11 @@ linear-Gaussian problems the loss is an object with one formula,
 ``pairwise(X, A)``, which scores a batch of (state, action) rows at once;
 ``loss(x, a)`` is its one-row case. Every estimator scores through
 ``pairwise``: the Bayes risk of a given rule is a seeded Monte Carlo
-average over one batch of draws, as are the BPN estimators of
-``criteria``. ``verify_mean_is_bayes_act`` checks in one dimension that
-the Bayes act a* of the squared pushforward loss ||phi(x) - phi(a)||^2
-satisfies phi(a*) = E[phi(X)].
+average over one batch of draws, budgeted by the same
+``criteria.MonteCarloConfig`` as the BPN estimators of ``criteria``. An
+unknown experiment id raises InvalidSpec. ``verify_mean_is_bayes_act``
+checks in one dimension that the Bayes act a* of the squared pushforward
+loss ||phi(x) - phi(a)||^2 satisfies phi(a*) = E[phi(X)].
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, IntegratorFailure, UnboundedObjective
+from .errors import DimensionMismatch, IntegratorFailure, InvalidSpec, UnboundedObjective
 from .gaussian import GaussianDensity, _psd_factor, derive_rng, linear_gaussian_update
 
 EXACT_TIE_TOL = 1e-12
@@ -104,6 +105,14 @@ class ZeroOne(_Loss):
 # ---------------------------------------------------------------------------
 
 
+class _Experiments(dict):
+    """A problem's experiments by id, shared by both problem classes: an
+    unknown id raises InvalidSpec naming it and the known ids."""
+
+    def __missing__(self, e):
+        raise InvalidSpec(f"unknown experiment {e!r}; known: {', '.join(map(repr, self))}")
+
+
 class GaussianLinearProblem:
     """Gaussian prior, linear-Gaussian experiments and a shared loss.
 
@@ -115,8 +124,9 @@ class GaussianLinearProblem:
 
     def __init__(self, prior: GaussianDensity, experiments: dict, loss):
         self.prior = prior
-        self.experiments = {e: tuple(np.atleast_2d(np.asarray(m, dtype=float)) for m in pair)
-                            for e, pair in experiments.items()}
+        self.experiments = _Experiments(
+            {e: tuple(np.atleast_2d(np.asarray(m, dtype=float)) for m in pair)
+             for e, pair in experiments.items()})
         self.loss = loss
         self._posterior_cache: dict = {}
 
@@ -237,32 +247,24 @@ def bayes_risk_discrete(problem, e, rule) -> float:
     return float(np.sum(joint * np.asarray(problem.loss, dtype=float)[:, rule].T))
 
 
-def bayes_risk(problem, e, rule, integrator="exact-enumeration",
-               seed: int = 0, n: int = 10000) -> float:
-    """Bayes risk BR(e, rule): prior expected loss of a decision rule.
+def bayes_risk(problem, e, rule, cfg) -> float:
+    """Monte Carlo Bayes risk BR(e, rule): prior expected loss of a
+    decision rule, on any problem exposing ``sample_nested``.
 
-    ``integrator`` is "exact-enumeration" (finite problems) or
-    "monte-carlo" (any problem exposing ``sample_nested``). The Monte Carlo
-    pairs (x, y) come from one batched ``sample_nested`` call with no inner
-    draws; ``n``, their number, must be an integer >= 1, and ``seed`` an
-    integer >= 0. A loss object (``GaussianLinearProblem``) scores every
-    draw in one ``pairwise`` call, with ``rule`` a callable y -> action
-    whose actions are stacked one row per draw; DimensionMismatch is raised
-    unless they stack to the states' shape (n, d). A loss table
-    (``DiscreteProblem``, states x actions) is indexed at once over the
-    draws; ``rule`` is then a table observation index -> action index, as
-    for exact enumeration, or a callable returning an action index.
+    ``cfg`` is the ``criteria.MonteCarloConfig`` that the BPN estimators
+    take, and it has checked its values: the cfg.n_outer pairs (x, y) come
+    from one batched ``sample_nested`` call on ``derive_rng(cfg.seed)``
+    with no inner draws, and cfg.n_inner is not read. A loss object
+    (``GaussianLinearProblem``) scores every draw in one ``pairwise`` call,
+    with ``rule`` a callable y -> action whose actions are stacked one row
+    per draw; DimensionMismatch is raised unless they stack to the states'
+    shape (n, d). A loss table (``DiscreteProblem``, states x actions) is
+    indexed at once over the draws; ``rule`` is then a table observation
+    index -> action index, as for ``bayes_risk_discrete``, which gives the
+    exact value, or a callable returning an action index.
     """
-    # Imported here: criteria imports this module.
-    from .criteria import _check_integer
-
-    if integrator == "exact-enumeration":
-        return bayes_risk_discrete(problem, e, rule)
-    if integrator != "monte-carlo":
-        raise ValueError(f"unknown integrator {integrator!r}")
-    _check_integer("n", n, 1)
-    _check_integer("seed", seed, 0)
-    xs, ys, _ = problem.sample_nested(derive_rng(seed), e, n, 0)
+    n = cfg.n_outer
+    xs, ys, _ = problem.sample_nested(derive_rng(cfg.seed), e, n, 0)
     if hasattr(problem.loss, "pairwise"):
         actions = np.reshape([rule(y) for y in ys], (n, -1))
         if actions.shape != xs.shape:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria
-from .decisions import posterior_table
+from .decisions import _Experiments, posterior_table
 from .errors import InvalidSpec, MissingLossTable
 
 PROB_TOL = 1e-12
@@ -27,7 +27,8 @@ class DiscreteProblem:
     def __init__(self, states, prior, experiments, actions, loss, state_loss=None):
         self.states = list(states)
         self.prior = np.asarray(prior, dtype=float)
-        self.experiments = {k: np.asarray(v, dtype=float) for k, v in experiments.items()}
+        self.experiments = _Experiments(
+            {k: np.asarray(v, dtype=float) for k, v in experiments.items()})
         self.actions = list(actions)
         self.loss = np.asarray(loss, dtype=float)
         self.state_loss = None if state_loss is None else np.asarray(state_loss, dtype=float)
@@ -63,9 +64,10 @@ class DiscreteProblem:
         return list(self.experiments)
 
     # Sampling interface shared with GaussianLinearProblem: criteria.bpn_mc
-    # and the Monte Carlo bayes_risk draw through sample_prior and
-    # sample_nested, and take the generator's numbers in the order of a
-    # per-draw loop of rng.choice calls, so they return that loop's values.
+    # and decisions.bayes_risk draw through sample_nested alone, whose first
+    # block is sample_prior (the tests' per-draw oracles also call it), and
+    # take the generator's numbers in the order of a per-draw loop of
+    # rng.choice calls, so they return that loop's values.
     def sample_prior(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.choice(len(self.states), size=n, p=self.prior)
 

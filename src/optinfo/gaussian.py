@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, FactorizationFailure, SingularSystem
 
-# Scale of the diagonal jitter that ``_add_jitter`` applies.
+# Scale of the diagonal jitter that ``_add_jitter`` and ``_add_nugget`` apply.
 DEFAULT_JITTER_SCALE = 1e-10
 # Condition-number ceiling beyond which a solve is declared degenerate.
 MAX_CONDITION = 1e12
@@ -71,17 +71,24 @@ class GaussianDensity:
         return self.mean.shape[0]
 
 
-def _jitter(mat: np.ndarray) -> float:
-    """``DEFAULT_JITTER_SCALE * (mean diagonal + 1)`` of the square ``mat``:
-    the amount ``_add_jitter`` adds."""
-    return DEFAULT_JITTER_SCALE * (np.trace(mat) / mat.shape[0] + 1.0)
+def _add_jitter(mat: np.ndarray) -> float:
+    """Add ``DEFAULT_JITTER_SCALE * (mean diagonal + 1)`` to the diagonal of
+    the square ``mat`` in place; return that amount."""
+    jitter = float(DEFAULT_JITTER_SCALE * (np.trace(mat) / mat.shape[0] + 1.0))
+    np.fill_diagonal(mat, np.diagonal(mat) + jitter)
+    return jitter
 
 
-def _add_jitter(mat: np.ndarray) -> np.ndarray:
-    """Add ``_jitter(mat)`` to the diagonal of the square ``mat`` in place;
-    return ``mat``."""
-    np.fill_diagonal(mat, np.diagonal(mat) + _jitter(mat))
-    return mat
+def _add_nugget(gram: np.ndarray) -> float:
+    """Give the noise-free Gram of a GP's observations its nugget in place,
+    in two stages, and return their total: first
+    ``DEFAULT_JITTER_SCALE * mean(diag gram)``, then ``_add_jitter``'s
+    ``DEFAULT_JITTER_SCALE * (mean diagonal + 1)`` of the result. The total
+    is the variance that the jittered Gram adds to every observation.
+    ``gram`` must have at least one row."""
+    first = float(DEFAULT_JITTER_SCALE * np.trace(gram) / gram.shape[0])
+    np.fill_diagonal(gram, np.diagonal(gram) + first)
+    return first + _add_jitter(gram)
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -107,8 +114,8 @@ def _spd_factor(mat: np.ndarray):
     condition number exceeds MAX_CONDITION or the factorisation fails; a
     0 x 0 matrix, whose condition number is undefined, skips the gate and
     has a 0 x 0 factor. A caller that needs a jitter adds it first
-    (``_add_jitter``); every solve then goes through
-    ``scipy.linalg.cho_solve`` on the returned factor.
+    (``_add_jitter``, or ``_add_nugget`` for a GP Gram); every solve then
+    goes through ``scipy.linalg.cho_solve`` on the returned factor.
     """
     # Imported on first use: scipy is slow to import and most runs never need it.
     import scipy.linalg
@@ -158,7 +165,8 @@ def linear_gaussian_update(prior: GaussianDensity, design_matrix, noise_cov):
         except SingularSystem:
             pass
     if factor is None:
-        factor = _spd_factor(_add_jitter(innovation))
+        _add_jitter(innovation)
+        factor = _spd_factor(innovation)
     gain = scipy.linalg.cho_solve(factor, cross.T).T
     cov = prior.cov - gain @ cross.T
     return gain, 0.5 * (cov + cov.T)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularGram, UnsupportedFunctional
-from .gaussian import DEFAULT_JITTER_SCALE, _add_jitter, _jitter, _spd_factor
+from .gaussian import _add_nugget, _spd_factor
 
 # Name of the SE assembly implementation; recorded in benchmark environments.
 BACKEND = "numpy"
@@ -210,13 +210,12 @@ class ConditionedPredictor:
     ``cov_functionals`` and pathwise draws all read the query-by-observation
     block from ``cross_solve``, whose ``cross_cov`` checks every query, with
     or without observations. Only the constructor tells the two cases
-    apart: the Gram of observations gets its nugget here, in two stages,
-    DEFAULT_JITTER_SCALE * mean(diag Gram), then ``_add_jitter``'s
-    DEFAULT_JITTER_SCALE * (mean diagonal + 1). ``nugget`` is the total of
-    both stages, the variance that the factored matrix adds to every
-    observation (0 without observations); a pathwise draw that conditions
-    through this factor adds noise of that variance to its observed
-    values. The Gram is factored once, at construction, by
+    apart: the Gram of observations gets its nugget here, from
+    ``gaussian._add_nugget``, the one place that forms it. ``nugget`` is
+    the total it returns, the variance that the factored matrix adds to
+    every observation (0 without observations); a pathwise draw that
+    conditions through this factor adds noise of that variance to its
+    observed values. The Gram is factored once, at construction, by
     ``_spd_factor``, whose 1e12 condition gate on that matrix is the one
     gate; a Gram that fails the gate or its Cholesky factorisation raises
     SingularSystem (numerics). Without observations the 0 x 0 Gram is
@@ -230,12 +229,7 @@ class ConditionedPredictor:
         self.points = pts
         self.codes = codes
         gram = kernel.cross_cov(pts, codes, pts, codes)
-        self.nugget = 0.0
-        if len(pts):
-            jitter = float(DEFAULT_JITTER_SCALE * np.trace(gram) / len(pts))
-            np.fill_diagonal(gram, np.diagonal(gram) + jitter)
-            self.nugget = jitter + float(_jitter(gram))
-            _add_jitter(gram)
+        self.nugget = _add_nugget(gram) if len(pts) else 0.0
         self._factor = _spd_factor(gram)
 
     def cross_solve(self, points, codes):

@@ -23,6 +23,7 @@ from optinfo.decisions import (
     WeightedQuadratic,
     ZeroOne,
     bayes_risk,
+    bayes_risk_discrete,
 )
 from optinfo.discrete import (
     CounterexampleSpec,
@@ -30,7 +31,13 @@ from optinfo.discrete import (
     bpn_exact,
     build_counterexample,
 )
-from optinfo.errors import AllValuesNonFinite, MissingLossTable, NonPSDInput, SamplerFailure
+from optinfo.errors import (
+    AllValuesNonFinite,
+    InvalidSpec,
+    MissingLossTable,
+    NonPSDInput,
+    SamplerFailure,
+)
 from optinfo.gaussian import GaussianDensity, _psd_factor, conjugate_posterior, derive_rng
 from reference_impls import discrete_posterior, gaussian_posterior
 
@@ -224,8 +231,8 @@ class TestBDTCriterion:
 
 class TestMonteCarloConfig:
     @pytest.mark.parametrize("field, value", [
-        ("seed", -1), ("seed", 1.5), ("n_outer", 0), ("n_outer", 2.5), ("n_inner", 0),
-        ("n_inner", 4.0), ("n_outer", True),
+        ("seed", -1), ("seed", 1.5), ("seed", True), ("n_outer", 0), ("n_outer", 2.5),
+        ("n_inner", 0), ("n_inner", 4.0), ("n_outer", True),
     ])
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -417,7 +424,7 @@ class TestZeroOneClosedForms:
         bpn, stderr = bpn_mc(problem, "e", MonteCarloConfig(seed=0, n_outer=20000, n_inner=4))
         assert abs(bpn - math.erfc(self.EPS / math.sqrt(2.0))) <= 5.0 * stderr
         n, exact = 40000, math.erfc(self.EPS)
-        risk = bayes_risk(problem, "e", lambda y: y / 2.0, integrator="monte-carlo", seed=0, n=n)
+        risk = bayes_risk(problem, "e", lambda y: y / 2.0, MonteCarloConfig(seed=0, n_outer=n))
         assert abs(risk - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / n)
 
     def test_pair_reduction(self):
@@ -434,10 +441,8 @@ class TestOptimalSet:
     def test_tie_tolerance(self):
         assert optimal_set({"a": 1.0, "b": 1.0 + 1e-12, "c": 2.0}) == ["a", "b"]
 
-    def test_stderr_widens_band(self):
-        values = {"a": 1.0, "b": 1.05}
-        assert optimal_set(values) == ["a"]
-        assert optimal_set(values, stderrs={"b": 0.02}) == ["a", "b"]
+    def test_value_beyond_the_tolerance_is_excluded(self):
+        assert optimal_set({"a": 1.0, "b": 1.0 + 1e-8}) == ["a"]
 
     def test_all_nonfinite_rejected(self):
         with pytest.raises(AllValuesNonFinite):
@@ -461,4 +466,40 @@ class TestInputChecks:
     ], ids=["alphabet-shape-mismatch", "alphabet-unknown-criterion", "bdt-not-quadratic-loss"])
     def test_rejected(self, call, error):
         with pytest.raises(error):
+            call()
+
+
+class TestUnknownExperiment:
+    """An experiment id a problem does not have raises InvalidSpec naming
+    it and the known ids, through every estimator and on both problem
+    kinds."""
+
+    @staticmethod
+    def gaussian():
+        return GaussianLinearProblem(GaussianDensity([0.0], [[1.0]]),
+                                     {"e1": ([[1.0]], [[1.0]]), "e2": ([[2.0]], [[1.0]])},
+                                     WeightedQuadratic([[1.0]]))
+
+    @staticmethod
+    def finite():
+        return build_counterexample(CounterexampleSpec(0.2, 0.3, 0.5))
+
+    @pytest.mark.parametrize("call", [
+        lambda: bayes_risk(TestUnknownExperiment.gaussian(), "zz", lambda y: y,
+                           MonteCarloConfig(n_outer=10)),
+        lambda: bayes_risk(TestUnknownExperiment.finite(), "zz", [0, 0],
+                           MonteCarloConfig(n_outer=10)),
+        lambda: bayes_risk_discrete(TestUnknownExperiment.finite(), "zz", [0, 0]),
+        lambda: bpn_mc(TestUnknownExperiment.gaussian(), "zz", MonteCarloConfig(n_outer=10)),
+        lambda: bpn_mc(TestUnknownExperiment.finite(), "zz", MonteCarloConfig(n_outer=10)),
+        lambda: TestUnknownExperiment.gaussian().posterior_cov("zz"),
+        lambda: bdt_criterion(TestUnknownExperiment.gaussian(), "zz"),
+        lambda: bdt_criterion(TestUnknownExperiment.finite(), "zz"),
+        lambda: kl_gain_discrete(TestUnknownExperiment.finite(), "zz"),
+        lambda: bpn_exact(TestUnknownExperiment.finite(), "zz"),
+    ], ids=["bayes-risk-gaussian", "bayes-risk-finite", "bayes-risk-discrete",
+            "bpn-mc-gaussian", "bpn-mc-finite", "posterior-cov", "bdt-gaussian",
+            "bdt-finite", "kl-gain", "bpn-exact"])
+    def test_raises_invalid_spec(self, call):
+        with pytest.raises(InvalidSpec, match="unknown experiment 'zz'; known: 'e1', 'e2'"):
             call()

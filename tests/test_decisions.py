@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optinfo.criteria import MonteCarloConfig
 from optinfo.decisions import (
     GaussianLinearProblem,
     PNormOnGrid,
@@ -186,7 +187,7 @@ class TestBayesRules:
         for _ in range(25):
             problem = random_instance(rng)
             rule = bayes_rule_discrete(problem, "e")
-            xy_order = bayes_risk(problem, "e", rule, integrator="exact-enumeration")
+            xy_order = bayes_risk_discrete(problem, "e", rule)
             # y -> x|y order.
             lik = problem.experiments["e"]
             total = 0.0
@@ -205,7 +206,7 @@ class TestBayesRules:
         )
         # Bayes rule: posterior mean y/2; its risk is the posterior variance 1/2.
         est = bayes_risk(problem, "e", lambda y: np.atleast_1d(y) / 2.0,
-                         integrator="monte-carlo", seed=0, n=40000)
+                         MonteCarloConfig(seed=0, n_outer=40000))
         assert est == pytest.approx(0.5, abs=0.02)
 
     def test_monte_carlo_integrator_scores_the_null_experiment(self):
@@ -218,8 +219,8 @@ class TestBayesRules:
         problem = GaussianLinearProblem(prior, {"null": (np.zeros((0, 3)), np.zeros((0, 0)))},
                                         WeightedQuadratic(lam))
         n = 4000
-        est = bayes_risk(problem, "null", lambda y: prior.mean, integrator="monte-carlo",
-                         seed=2, n=n)
+        est = bayes_risk(problem, "null", lambda y: prior.mean,
+                         MonteCarloConfig(seed=2, n_outer=n))
         weighted = lam @ prior.cov
         stderr = np.sqrt(2.0 * np.trace(weighted @ weighted) / n)
         assert abs(est - np.trace(weighted)) <= 5.0 * stderr
@@ -246,7 +247,7 @@ class TestBayesRules:
             if noise_kind == "dense":
                 y = y + _psd_factor(noise) @ sampler.standard_normal(2)
             vals.append(loss(x, rule(y)))
-        est = bayes_risk(problem, "e", rule, integrator="monte-carlo", seed=5, n=300)
+        est = bayes_risk(problem, "e", rule, MonteCarloConfig(seed=5, n_outer=300))
         assert est == pytest.approx(np.mean(vals), rel=1e-12)
 
     @pytest.mark.parametrize("probs", [(0.2, 0.3, 0.5), (0.1, 0.1, 0.8), (0.3, 0.33, 0.37)])
@@ -258,25 +259,21 @@ class TestBayesRules:
         for e in problem.experiment_ids():
             rule = bayes_rule_discrete(problem, e)
             exact = bayes_risk_discrete(problem, e, rule)
-            est = bayes_risk(problem, e, rule, integrator="monte-carlo", seed=3, n=n)
+            est = bayes_risk(problem, e, rule, MonteCarloConfig(seed=3, n_outer=n))
             assert abs(est - exact) <= 5.0 * 0.5 / np.sqrt(n)
-            assert bayes_risk(problem, e, lambda y: rule[y], integrator="monte-carlo",
-                              seed=3, n=n) == est
+            assert bayes_risk(problem, e, lambda y: rule[y],
+                              MonteCarloConfig(seed=3, n_outer=n)) == est
         # e1 reveals the indicator the loss scores: every draw has loss 0.
         assert bayes_risk_discrete(problem, "e1", bayes_rule_discrete(problem, "e1")) == 0.0
         assert bayes_risk(problem, "e1", bayes_rule_discrete(problem, "e1"),
-                          integrator="monte-carlo", seed=3, n=n) == 0.0
+                          MonteCarloConfig(seed=3, n_outer=n)) == 0.0
 
     def test_monte_carlo_integrator_rejects_non_finite_losses(self):
         problem = build_counterexample(CounterexampleSpec(0.2, 0.3, 0.5))
         rule = bayes_rule_discrete(problem, "e2")
         problem.loss = np.full_like(problem.loss, np.nan)
         with pytest.raises(IntegratorFailure):
-            bayes_risk(problem, "e2", rule, integrator="monte-carlo", seed=0, n=50)
-
-    def test_unknown_integrator(self):
-        with pytest.raises(ValueError):
-            bayes_risk(SmallProblem([1.0], [[1.0]], [[0.0]]), "e", [0], integrator="magic")
+            bayes_risk(problem, "e2", rule, MonteCarloConfig(seed=0, n_outer=50))
 
 
 class TestMeanStationarity:
@@ -332,23 +329,25 @@ class TestInputChecks:
         (lambda: ZeroOne(0.0), ValueError),
         (lambda: verify_mean_is_bayes_act(GaussianDensity([0.0, 0.0], np.eye(2)), lambda t: t, 1e-6),
          ValueError),
-        (lambda: bayes_risk(unit_problem(), "e", lambda y: y, integrator="monte-carlo", n=0),
+        # The budget is a MonteCarloConfig, which rejects a bad n_outer or
+        # seed before bayes_risk draws anything.
+        (lambda: bayes_risk(unit_problem(), "e", lambda y: y, MonteCarloConfig(n_outer=0)),
          ValueError),
-        (lambda: bayes_risk(unit_problem(), "e", lambda y: y, integrator="monte-carlo", n=2.5),
+        (lambda: bayes_risk(unit_problem(), "e", lambda y: y, MonteCarloConfig(n_outer=2.5)),
          ValueError),
-        (lambda: bayes_risk(unit_problem(), "e", lambda y: y, integrator="monte-carlo", n=True),
+        (lambda: bayes_risk(unit_problem(), "e", lambda y: y, MonteCarloConfig(n_outer=True)),
          ValueError),
-        (lambda: bayes_risk(unit_problem(), "e", lambda y: y, integrator="monte-carlo", seed=1.5),
+        (lambda: bayes_risk(unit_problem(), "e", lambda y: y, MonteCarloConfig(seed=1.5)),
          ValueError),
-        (lambda: bayes_risk(unit_problem(), "e", lambda y: y, integrator="monte-carlo", seed=-1),
+        (lambda: bayes_risk(unit_problem(), "e", lambda y: y, MonteCarloConfig(seed=-1)),
          ValueError),
-        (lambda: bayes_risk(unit_problem(), "e", lambda y: y, integrator="monte-carlo", seed=True),
+        (lambda: bayes_risk(unit_problem(), "e", lambda y: y, MonteCarloConfig(seed=True)),
          ValueError),
         # Two actions per draw against one-dimensional states: ZeroOne's
         # pairwise would broadcast them and score 0.7.
         (lambda: bayes_risk(GaussianLinearProblem(GaussianDensity([0.0], [[1.0]]),
                                                   {"e": ([[1.0]], [[1.0]])}, ZeroOne(0.5)),
-                            "e", lambda y: np.zeros(2), integrator="monte-carlo", n=10),
+                            "e", lambda y: np.zeros(2), MonteCarloConfig(n_outer=10)),
          DimensionMismatch),
     ], ids=["pnorm-p-below-1", "zero-one-eps-0", "bayes-act-2d-posterior",
             "bayes-risk-n-0", "bayes-risk-n-fraction", "bayes-risk-n-bool",

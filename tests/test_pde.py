@@ -889,7 +889,8 @@ class TestPathwiseSampler:
 
         pts = np.vstack([search.points, problem.boundary])
         codes = np.concatenate([search.codes, np.full(problem.n_boundary, POINT)])
-        jittered = _add_jitter(2.0 * problem.kernel.cross_cov(pts, codes, pts, codes))
+        jittered = 2.0 * problem.kernel.cross_cov(pts, codes, pts, codes)
+        _add_jitter(jittered)
         leaked = pathwise_variances(search, predictor, chosen, np.linalg.cholesky(jittered).T)
         assert np.max(np.abs(leaked / want - 1.0)) > 1e-2
 
